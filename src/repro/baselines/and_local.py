@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..cliques.listing import enumerate_cliques, s_counts_per_r_clique
+from ..cliques.listing import enumerate_cliques, row_ranks, s_counts_per_r_clique
 from ..graphs.csr import build_csr, orient_csr
 from ..graphs.orient import make_rank
 
@@ -60,18 +60,16 @@ def and_decomposition(
     und = build_csr(edges)
     rank = make_rank(und, "degeneracy")
     dg = orient_csr(und, rank)
-    d = s_counts_per_r_clique(dg, r, s)
-    r_keys = sorted(d.keys())
-    index = {k: i for i, k in enumerate(r_keys)}
-    n_r = len(r_keys)
-    tau = np.array([int(round(d[k])) for k in r_keys], dtype=np.int64)
+    vmat, cnts = s_counts_per_r_clique(dg, r, s)
+    n_r = len(vmat)
+    tau = np.rint(cnts).astype(np.int64)
 
+    # members[i, j]: row of vmat holding the j-th r-subset of s-clique i.
     s_mat = enumerate_cliques(dg, s)
-    n_sub = len(list(combinations(range(s), r)))
-    members = np.empty((len(s_mat), n_sub), dtype=np.int64)
-    for i, row in enumerate(s_mat):
-        for j, sub in enumerate(combinations(row.tolist(), r)):
-            members[i, j] = index[tuple(sub)]
+    subs = np.array(list(combinations(range(s), r)), dtype=np.int64)
+    n_sub = len(subs)
+    rank, _ = row_ranks(np.concatenate([vmat, s_mat[:, subs].reshape(-1, r)]), und.n)
+    members = np.searchsorted(rank[:n_r], rank[n_r:]).reshape(len(s_mat), n_sub)
     incidence_bytes = members.nbytes if notification else 0
 
     inc_count = np.bincount(members.ravel(), minlength=n_r) if len(s_mat) else np.zeros(n_r, np.int64)
@@ -113,7 +111,7 @@ def and_decomposition(
         changed = new_tau != tau
         tau = new_tau
         active = changed
-    core = {k: int(tau[i]) for k, i in index.items()}
+    core = {tuple(k): c for k, c in zip(vmat.tolist(), tau.tolist())}
     return AndResult(
         core=core,
         iterations=iterations,

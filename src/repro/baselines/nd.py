@@ -19,7 +19,7 @@ from math import log2
 
 import numpy as np
 
-from ..cliques.listing import Stats, extend_cliques, s_counts_per_r_clique
+from ..cliques.listing import extend_cliques, s_counts_per_r_clique
 from ..graphs.csr import build_csr, orient_csr
 from ..graphs.orient import make_rank
 from ..instrument import Counters
@@ -33,10 +33,8 @@ def _sequential_peel(edges: np.ndarray, r: int, s: int, *, orientation: str = "d
     rank = make_rank(und, orientation)
     dg = orient_csr(und, rank)
     counters = Counters()
-    stats = Stats()
-    d = s_counts_per_r_clique(dg, r, s, stats=stats)
-    counters.work += stats.intersect_work + stats.base_work
-    counts = {k: int(round(v)) for k, v in d.items()}
+    vmat, cnts = s_counts_per_r_clique(dg, r, s, counters=counters)
+    counts = {tuple(k): int(round(v)) for k, v in zip(vmat.tolist(), cnts.tolist())}
     heap = [(c, k) for k, c in counts.items()]
     heapq.heapify(heap)
     peeled: set[tuple[int, ...]] = set()
@@ -52,33 +50,20 @@ def _sequential_peel(edges: np.ndarray, r: int, s: int, *, orientation: str = "d
         peeled.add(R)
         counters.rounds += 1  # one r-clique per round: no intra-bucket parallelism
         counters.span_logs += log2n
-        upd = Stats()
-        found: list[np.ndarray] = []
-        if counts[R] > 0:
-
-            def f(C: tuple[int, ...], batch: np.ndarray, R=R) -> None:
-                blk = np.empty((len(batch), s), dtype=np.int64)
-                blk[:, :r] = R
-                if C:
-                    blk[:, r : s - 1] = np.asarray(C, dtype=np.int64)
-                blk[:, s - 1] = batch
-                found.append(blk)
-
-            extend_cliques(und, dg, np.array(R), s - r, f, stats=upd)
-        counters.scliques_discovered += upd.cliques_found
-        counters.work += upd.intersect_work + upd.base_work
-        for blk in found:
-            blk.sort(axis=1)
-            for row in blk:
-                subsets = [tuple(t) for t in combinations(row.tolist(), r)]
-                if any(sub in peeled and sub != R for sub in subsets):
-                    continue  # s-clique already destroyed by an earlier peel
-                for sub in subsets:
-                    if sub == R or sub in peeled:
-                        continue
-                    counts[sub] -= 1
-                    heapq.heappush(heap, (counts[sub], sub))
-                    counters.work += 1
+        if counts[R] == 0:
+            continue
+        found = extend_cliques(und, dg, np.array([R]), s - r, counters)
+        found.sort(axis=1)
+        for row in found.tolist():
+            subsets = list(combinations(row, r))
+            if any(sub in peeled and sub != R for sub in subsets):
+                continue  # s-clique already destroyed by an earlier peel
+            for sub in subsets:
+                if sub == R or sub in peeled:
+                    continue
+                counts[sub] -= 1
+                heapq.heappush(heap, (counts[sub], sub))
+                counters.work += 1
     counters.wall_seconds = time.perf_counter() - t0
     return core, counters
 

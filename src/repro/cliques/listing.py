@@ -1,131 +1,138 @@
-"""REC-LIST-CLIQUES (Algorithm 1) and the counting kernels built on it.
+"""Level-synchronous clique listing: REC-LIST-CLIQUES (Algorithm 1) and
+the UPDATE listing of Algorithm 2 (lines 15-17), as one frontier kernel.
 
-The recursion grows a clique C by intersecting the candidate set I with
-the directed (O(alpha)-oriented) neighbourhood of each candidate, so
-each c-clique is discovered exactly once, in DG order. At the base level
-the whole candidate batch is handed to the callback at once, which lets
-the counting kernels update C(s-1, r) subset counters with one
-vectorized delta instead of per-clique Python work.
+A frontier holds k-cliques as an (N, k) matrix whose rows are in
+orientation order (every v_i -> v_j with i < j is an arc of the
+O(alpha)-oriented graph DG), and one step extends all rows at once:
+gather the out-neighbours w of each row's last vertex, and keep w only
+if (v_j, w) is an arc for every other column j. Arc membership is a
+``np.searchsorted`` over ``src * n + dst`` keys, which CSR order keeps
+sorted. Each c-clique is listed exactly once, by its orientation-order
+prefix; the level-wide batch is the parallel loop of Algorithm 1 line 7.
 
-Work matches O(m * alpha^(c-2)) per Shi et al. [60]; ``Stats`` counts
-the operations that the work-span cost model (instrument.py) consumes.
+Work matches O(m * alpha^(c-2)) per Shi et al. [60]: every step gathers
+O(alpha) candidates per row. The kernel adds its operation count
+(candidates gathered plus membership probes) to ``Counters.work``.
+``CHUNK`` bounds the frontier: counting runs over root ranges of that
+many vertices, UPDATE over blocks of that many peeled r-cliques.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
 from ..graphs.csr import CSR
+from ..instrument import Counters
 
 __all__ = [
-    "Stats",
-    "list_cliques",
+    "CHUNK",
     "count_cliques",
     "enumerate_cliques",
+    "row_ranks",
     "s_counts_per_r_clique",
     "extend_cliques",
-    "intersect_neighborhoods",
 ]
 
-
-@dataclass
-class Stats:
-    """Operation counters feeding the work-span cost model."""
-
-    intersect_work: int = 0  # total elements touched by intersections
-    cliques_found: int = 0  # c-cliques emitted at the base level
-    base_work: int = 0  # per-clique base-level operations
-    levels: int = 0
-
-    def merge(self, other: "Stats") -> None:
-        self.intersect_work += other.intersect_work
-        self.cliques_found += other.cliques_found
-        self.base_work += other.base_work
-        self.levels = max(self.levels, other.levels)
+CHUNK = 2048  # roots per counting chunk; peeled r-cliques per UPDATE block
 
 
-def _rec(
-    dg: CSR,
-    I: np.ndarray,
-    rl: int,
-    C: tuple[int, ...],
-    f: Callable[[tuple[int, ...], np.ndarray], None],
-    stats: Stats,
-) -> None:
-    if rl == 1:
-        stats.cliques_found += len(I)
-        stats.base_work += len(I)
-        if len(I):
-            f(C, I)
-        return
-    for v in I:
-        nb = dg.neighbors(int(v))
-        stats.intersect_work += min(len(I), len(nb)) + 1
-        I2 = np.intersect1d(I, nb, assume_unique=True)
-        if len(I2) >= rl - 1:
-            _rec(dg, I2, rl - 1, C + (int(v),), f, stats)
+def _member(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Boolean mask: q[i] occurs in the sorted array ``keys``."""
+    if len(keys) == 0:
+        return np.zeros(len(q), dtype=bool)
+    i = np.searchsorted(keys, q)
+    return keys[np.minimum(i, len(keys) - 1)] == q
 
 
-def list_cliques(
-    dg: CSR,
-    c: int,
-    f: Callable[[tuple[int, ...], np.ndarray], None],
-    *,
-    roots: np.ndarray | None = None,
-    stats: Stats | None = None,
-) -> Stats:
-    """Apply ``f(prefix, last_batch)`` to every c-clique of the oriented graph.
+def _gather(g: CSR, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, w) for every arc v[i] -> w of g, grouped by i, w ascending."""
+    lo = g.offsets[v]
+    deg = g.offsets[v + 1] - lo
+    i = np.repeat(np.arange(len(v)), deg)
+    pos = np.arange(len(i)) + np.repeat(lo - (np.cumsum(deg) - deg), deg)
+    return i, g.nbrs[pos]
 
-    Each clique is ``prefix + (v,)`` for v in ``last_batch``; vertices
-    appear in DG order. ``roots`` restricts the first level to a subset
-    of vertices (the Spark fan-out unit).
-    """
-    stats = stats if stats is not None else Stats()
-    stats.levels = max(stats.levels, c)
-    if c < 1:
-        return stats
-    root_iter = roots if roots is not None else np.arange(dg.n)
-    if c == 1:
-        arr = np.asarray(root_iter)
-        stats.cliques_found += len(arr)
-        f((), arr)
-        return stats
-    for v in root_iter:
-        _rec(dg, dg.neighbors(int(v)), c - 1, (int(v),), f, stats)
-    return stats
+
+def _filter(
+    keys: np.ndarray,
+    n: int,
+    heads: list[np.ndarray],
+    i: np.ndarray,
+    w: np.ndarray,
+    counters: Counters,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keep the pairs (i, w) with ``head[i] * n + w`` in ``keys`` for
+    every head column, probing only the survivors of earlier columns."""
+    for head in heads:
+        counters.work += len(w)
+        ok = _member(keys, head[i] * n + w)
+        i, w = i[ok], w[ok]
+    return i, w
+
+
+def _step(dg: CSR, rows: np.ndarray, counters: Counters) -> np.ndarray:
+    """One frontier step: every (k+1)-clique of DG whose orientation-order
+    prefix is a row of the (N, k) matrix ``rows``."""
+    i, w = _gather(dg, rows[:, -1])
+    counters.work += len(w)
+    i, w = _filter(dg.arc_keys, dg.n, list(rows[:, :-1].T), i, w, counters)
+    return np.column_stack([rows[i], w])
+
+
+def _cliques(dg: CSR, roots: np.ndarray, c: int, counters: Counters) -> np.ndarray:
+    """(N, c) matrix of the c-cliques rooted at ``roots``, orientation order."""
+    rows = np.asarray(roots, dtype=np.int64).reshape(-1, 1)
+    for _ in range(c - 1):
+        rows = _step(dg, rows, counters)
+    return rows
+
+
+def _chunks(dg: CSR, roots: np.ndarray | None):
+    roots = np.arange(dg.n) if roots is None else roots
+    roots = np.asarray(roots, dtype=np.int64)
+    for lo in range(0, len(roots), CHUNK):
+        yield roots[lo : lo + CHUNK]
 
 
 def count_cliques(dg: CSR, c: int, *, roots: np.ndarray | None = None) -> int:
-    """Total number of c-cliques."""
-    total = 0
-
-    def f(C: tuple[int, ...], batch: np.ndarray) -> None:
-        nonlocal total
-        total += len(batch)
-
-    list_cliques(dg, c, f, roots=roots)
-    return total
+    """Total number of c-cliques (rooted at ``roots`` if given)."""
+    if c < 1:
+        return 0
+    counters = Counters()
+    return sum(len(_cliques(dg, chunk, c, counters)) for chunk in _chunks(dg, roots))
 
 
 def enumerate_cliques(dg: CSR, c: int) -> np.ndarray:
     """All c-cliques as an (n_c, c) matrix with sorted vertex rows."""
-    rows: list[np.ndarray] = []
-
-    def f(C: tuple[int, ...], batch: np.ndarray) -> None:
-        block = np.empty((len(batch), c), dtype=np.int64)
-        block[:, :-1] = C
-        block[:, -1] = batch
-        rows.append(block)
-
-    list_cliques(dg, c, f)
-    if not rows:
-        return np.empty((0, c), dtype=np.int64)
-    out = np.concatenate(rows)
+    counters = Counters()
+    parts = [_cliques(dg, chunk, c, counters) for chunk in _chunks(dg, None)]
+    out = np.concatenate(parts) if parts else np.empty((0, c), dtype=np.int64)
     out.sort(axis=1)
     return out
+
+
+def row_ranks(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense lexicographic ranks of the rows of an (N, k) matrix of
+    vertex ids below n, and the distinct rows in rank order.
+
+    Ranks are built one column at a time from ``prev_rank * n + col``,
+    which stays below N * n at every column, so the keys are exact for
+    any k (packing a whole row as a base-n number would overflow int64
+    once n^k > 2^63).
+    """
+    rank = np.zeros(len(rows), dtype=np.int64)
+    uniq = np.empty((1 if len(rows) else 0, 0), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        u, rank = np.unique(rank * n + rows[:, j], return_inverse=True)
+        uniq = np.column_stack([uniq[u // n], u % n])
+    return rank.reshape(-1), uniq
+
+
+def _sum_by_row(rows: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows (lexicographic order) and the summed weights of each."""
+    rank, uniq = row_ranks(rows, n)
+    return uniq, np.bincount(rank, weights=weights, minlength=len(uniq))
 
 
 def s_counts_per_r_clique(
@@ -134,79 +141,84 @@ def s_counts_per_r_clique(
     s: int,
     *,
     roots: np.ndarray | None = None,
-    stats: Stats | None = None,
-) -> dict[tuple[int, ...], float]:
+    counters: Counters | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """s-clique count of every r-clique (COUNT-FUNC of Algorithm 2).
 
-    Includes r-cliques with zero incident s-cliques (they form the
-    0-bucket). Keys are sorted vertex tuples. For each discovered
-    s-clique prefix C plus base batch I, the C(s-1, r) subsets of C each
-    gain len(I) and the C(s-1, r-1) subsets gain 1 per base vertex —
-    the vectorized form of "add 1 to every size-r subset".
+    Returns (vmat, cnts): the lexicographically sorted (n_r, r) matrix of
+    r-cliques with sorted vertex rows, and their float s-clique counts.
+    r-cliques with no incident s-clique are included (they form the
+    0-bucket). Every s-clique extends exactly one r-clique (its first r
+    vertices in orientation order), so the s-level frontier is grown from
+    the r-level one; each s-clique then adds 1 to each of its C(s, r)
+    r-subsets through one ``bincount`` over dense row ranks.
+
+    With ``roots`` (the Spark fan-out unit), only r- and s-cliques rooted
+    there are listed, so an s-clique may add to an r-clique rooted
+    elsewhere; such partial counts are summed downstream.
     """
-    counts: dict[tuple[int, ...], float] = {}
-
-    def init_r(C: tuple[int, ...], batch: np.ndarray) -> None:
-        for v in batch:
-            counts[tuple(sorted(C + (int(v),)))] = 0.0
-
-    list_cliques(dg, r, init_r, roots=roots, stats=stats)
-
-    # With a restricted root set (the Spark fan-out), an s-clique rooted
-    # here may contain r-cliques rooted in *other* partitions, so counts
-    # must not assume the zero-init above covered every touched key —
-    # partial counts are merged downstream (groupBy().sum()).
-    def on_s(C: tuple[int, ...], batch: np.ndarray) -> None:
-        k = len(batch)
-        for sub in combinations(C, r):
-            key = tuple(sorted(sub))
-            counts[key] = counts.get(key, 0.0) + k
-        for sub in combinations(C, r - 1):
-            base = tuple(sorted(sub))
-            for v in batch:
-                key = tuple(sorted(base + (int(v),)))
-                counts[key] = counts.get(key, 0.0) + 1.0
-
-    list_cliques(dg, s, on_s, roots=roots, stats=stats)
-    return counts
-
-
-def intersect_neighborhoods(und: CSR, R: np.ndarray, stats: Stats | None = None) -> np.ndarray:
-    """Intersection of the *undirected* neighbourhoods of the vertices of R
-    (Algorithm 2 line 16), starting from the minimum-degree vertex so the
-    work is O(min_i deg(v_i)) — the quantity bounded by Lemma 4.1."""
-    order = sorted(R, key=lambda v: und.degree(int(v)))
-    I = und.neighbors(int(order[0]))
-    if stats is not None:
-        stats.intersect_work += len(I)
-    for v in order[1:]:
-        nb = und.neighbors(int(v))
-        if stats is not None:
-            stats.intersect_work += min(len(I), len(nb)) + 1
-        I = np.intersect1d(I, nb, assume_unique=True)
-        if len(I) == 0:
-            break
-    return I
+    counters = counters if counters is not None else Counters()
+    subs = np.array(list(combinations(range(s), r)), dtype=np.int64)
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    for chunk in _chunks(dg, roots):
+        r_rows = _cliques(dg, chunk, r, counters)
+        s_rows = r_rows
+        for _ in range(s - r):
+            s_rows = _step(dg, s_rows, counters)
+        r_rows = np.sort(r_rows, axis=1)
+        sub_rows = np.sort(s_rows, axis=1)[:, subs].reshape(-1, r)
+        weights = np.zeros(len(r_rows) + len(sub_rows), dtype=np.float64)
+        weights[len(r_rows) :] = 1.0
+        parts.append(_sum_by_row(np.concatenate([r_rows, sub_rows]), weights, dg.n))
+    if not parts:
+        return np.empty((0, r), dtype=np.int64), np.empty(0, dtype=np.float64)
+    if len(parts) == 1:
+        return parts[0]
+    return _sum_by_row(
+        np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), dg.n
+    )
 
 
 def extend_cliques(
     und: CSR,
     dg: CSR,
-    R: np.ndarray,
+    A_rows: np.ndarray,
     need: int,
-    f: Callable[[tuple[int, ...], np.ndarray], None],
-    *,
-    stats: Stats | None = None,
-) -> None:
-    """List every s-clique containing r-clique R, where need = s - r
-    (UPDATE, Algorithm 2 lines 15-17). ``f`` receives the extra vertices
-    only: prefix of extras plus a base batch."""
-    stats = stats if stats is not None else Stats()
-    I = intersect_neighborhoods(und, R, stats)
-    if len(I) < need:
-        return
-    if need == 1:
-        stats.cliques_found += len(I)
-        f((), I)
-        return
-    _rec(dg, I, need, (), f, stats)
+    counters: Counters | None = None,
+) -> np.ndarray:
+    """Every s-clique containing each r-clique of A, where need = s - r
+    (UPDATE, Algorithm 2 lines 15-17, batched over the peeled set A).
+
+    Returns a (found, r + need) matrix: each row is its source row of
+    ``A_rows`` followed by the extra vertices, so an s-clique appears once
+    per r-clique of A it contains. The first level is the undirected
+    neighbours of each row's minimum-degree vertex, filtered to the common
+    neighbourhood I_R of the row (the O(min_i deg(v_i)) work of Lemma
+    4.1); the extra vertices are then listed as cliques of DG inside I_R,
+    with candidates also tested for membership in their row's I_R.
+    """
+    counters = counters if counters is not None else Counters()
+    A_rows = np.asarray(A_rows, dtype=np.int64)
+    r = A_rows.shape[1]
+    n = und.n
+    parts = []
+    for lo in range(0, len(A_rows), CHUNK):
+        B = A_rows[lo : lo + CHUNK]
+        deg = und.offsets[B + 1] - und.offsets[B]
+        others = np.ones(B.shape, dtype=bool)
+        others[np.arange(len(B)), deg.argmin(axis=1)] = False
+        i, w = _gather(und, B[~others])
+        counters.work += len(w)
+        i, w = _filter(und.arc_keys, n, list(B[others].reshape(len(B), r - 1).T), i, w, counters)
+        first = i * n + w  # sorted: i ascending, w ascending within a row
+        src, ext = i, w.reshape(-1, 1)
+        for _ in range(need - 1):
+            j, x = _gather(dg, ext[:, -1])
+            counters.work += len(x)
+            j, x = _filter(first, n, [src], j, x, counters)
+            j, x = _filter(dg.arc_keys, n, list(ext[:, :-1].T), j, x, counters)
+            src, ext = src[j], np.column_stack([ext[j], x])
+        parts.append(np.column_stack([B[src], ext]))
+    found = np.concatenate(parts) if parts else np.empty((0, r + need), dtype=np.int64)
+    counters.scliques_discovered += len(found)
+    return found

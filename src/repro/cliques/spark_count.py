@@ -3,10 +3,10 @@
 The outer loop of REC-LIST-CLIQUES (Algorithm 1 line 7 at the top
 level) is embarrassingly parallel over root vertices. We broadcast the
 oriented CSR to executors, partition the root-vertex range, run the
-per-partition counting kernel inside ``mapInPandas``, and merge partial
-per-r-clique counts with a DataFrame ``groupBy().sum()`` — the Spark
-analogue of the paper's parallel hash-table aggregation (COUNT-FUNC's
-atomic adds).
+local counting kernel on each batch of roots inside ``mapInPandas``,
+and merge partial per-r-clique counts with a DataFrame
+``groupBy().sum()`` — the Spark analogue of the paper's parallel
+hash-table aggregation (COUNT-FUNC's atomic adds).
 """
 from __future__ import annotations
 
@@ -45,16 +45,12 @@ def spark_s_counts(
     def count_partition(batches):
         n_, offsets, nbrs = bc.value
         csr = CSR(n_, offsets, nbrs)
-        acc: dict[tuple[int, ...], float] = {}
         for pdf in batches:
-            roots = pdf["v"].to_numpy()
-            for key, c in s_counts_per_r_clique(csr, r, s, roots=roots).items():
-                acc[key] = acc.get(key, 0.0) + c
-        if acc:
-            vm = np.array(list(acc.keys()), dtype=np.int64)
-            out = pd.DataFrame({f"v{i}": vm[:, i] for i in range(r)})
-            out["cnt"] = np.fromiter(acc.values(), dtype=np.float64, count=len(acc))
-            yield out
+            vm, cnts = s_counts_per_r_clique(csr, r, s, roots=pdf["v"].to_numpy())
+            if len(vm):
+                out = pd.DataFrame({f"v{i}": vm[:, i] for i in range(r)})
+                out["cnt"] = cnts
+                yield out
 
     roots_df = spark.createDataFrame(
         pd.DataFrame({"v": np.arange(dg.n, dtype=np.int64)})

@@ -1,13 +1,14 @@
 """Compressed sparse row graph representation (§3 "Graph Storage").
 
-The paper stores graphs in CSR and adjacency hash tables; here sorted
-CSR neighbour arrays double as the hash-free intersection substrate
-(sorted-array intersection has the same O(min(n1, n2))-ish cost profile
-as the parallel hash-table intersection used in the analysis).
+The paper stores graphs in CSR and adjacency hash tables; here the
+sorted ``src * n + dst`` arc keys of a CSR stand in for the adjacency
+hash tables: an edge-membership test is a binary search over them
+(O(log m) per probe instead of O(1) expected).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,13 @@ class CSR:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    @cached_property
+    def arc_keys(self) -> np.ndarray:
+        """``src * n + dst`` of every arc, ascending (CSR order is key order),
+        for membership tests by binary search. Computed once per graph."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        return src * self.n + self.nbrs
 
 
 def build_csr(edges: np.ndarray, n: int | None = None) -> CSR:

@@ -1,8 +1,8 @@
 """Work-span instrumentation and the Brent-bound time simulator.
 
 The paper analyses ARB-NUCLEUS-DECOMP in the work-span model and runs on
-a 30-core (60 hyper-thread) shared-memory machine. This container gives
-us ~16 cores under Spark, so scalability tables (Fig 14) and
+a 30-core (60 hyper-thread) shared-memory machine. The reproduction
+runs on 4 cores under Spark, so scalability tables (Fig 14) and
 contention effects (Fig 11) are reported through the model the paper
 itself uses: ``T_P = W / P + kappa * S`` (Brent's theorem), where W
 aggregates counted operations, and S aggregates per-round critical-path

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..aggregation import make_aggregator
 from ..bucketing import Bucketing
-from ..cliques.listing import Stats, extend_cliques, s_counts_per_r_clique
+from ..cliques.listing import extend_cliques, s_counts_per_r_clique
 from ..graphs.csr import CSR, build_csr, orient_csr
 from ..graphs.orient import make_rank, relabel
 from ..instrument import Counters
@@ -95,20 +95,12 @@ def nucleus_decomposition(
     dg = orient_csr(und, rank)
 
     # ---- Phase 1: count s-cliques per r-clique (Alg 2 lines 20-22) ----
-    count_stats = Stats()
     if config.counting == "spark":
         from ..cliques.spark_count import spark_s_counts
 
         vmat, cnts = spark_s_counts(spark, dg, r, s, n_slices=config.spark_slices)
     else:
-        d = s_counts_per_r_clique(dg, r, s, stats=count_stats)
-        if d:
-            vmat = np.array(sorted(d.keys()), dtype=np.int64)
-            cnts = np.array([d[tuple(row)] for row in vmat], dtype=np.float64)
-        else:
-            vmat = np.empty((0, r), dtype=np.int64)
-            cnts = np.empty(0, dtype=np.float64)
-    counters.work += count_stats.intersect_work + count_stats.base_work
+        vmat, cnts = s_counts_per_r_clique(dg, r, s, counters=counters)
     counters.span_logs += s * log2(max(2, n_verts))
     n_r = len(vmat)
 
@@ -149,26 +141,12 @@ def nucleus_decomposition(
         agg.begin_round(round_no, len(A), est_per_peel * max(1, k))
 
         A_rows = table.decode(A)
-        update_stats = Stats()
-        s_parts: list[np.ndarray] = []
-        if s - r >= 1 and k > 0:
-            for row in A_rows:
-
-                def on_sclique(C: tuple[int, ...], batch: np.ndarray, row=row) -> None:
-                    blk = np.empty((len(batch), s), dtype=np.int64)
-                    blk[:, :r] = row
-                    if C:
-                        blk[:, r : s - 1] = np.asarray(C, dtype=np.int64)
-                    blk[:, s - 1] = batch
-                    s_parts.append(blk)
-
-                extend_cliques(und_cur, dg, row, s - r, on_sclique, stats=update_stats)
-        counters.scliques_discovered += update_stats.cliques_found
-        counters.work += update_stats.intersect_work + update_stats.base_work
+        s_mat = np.empty((0, s), dtype=np.int64)
+        if k > 0:  # a k = 0 bucket has no incident s-clique left to list
+            s_mat = extend_cliques(und_cur, dg, A_rows, s - r, counters)
         counters.span_logs += (s - r) * log2n
 
-        if s_parts:
-            s_mat = np.concatenate(s_parts)
+        if len(s_mat):
             s_mat.sort(axis=1)
             if not config.frac_updates:
                 s_mat = np.unique(s_mat, axis=0)

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.cliques import listing
+from repro.experiments import _best_config
+from repro.graphs.csr import build_csr, orient_csr
+from repro.graphs.orient import make_rank
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
 from repro.tables.clique_table import TableConfig
@@ -128,6 +132,39 @@ def test_empty_r_clique_set():
 def test_invalid_rs():
     with pytest.raises(ValueError):
         nucleus_decomposition(SMALL_GRAPHS["k4"], 3, 3)
+
+
+@pytest.mark.parametrize("name,r,s", [("k7", 5, 6), ("k7", 6, 7), ("k7", 4, 7), ("fig1", 3, 4)])
+def test_large_vertex_ids(name, r, s):
+    """A copy at IDs shifted by 1500: a row of 6 such IDs packed as one
+    base-n int64 key overflows, and wrapped keys sort the copies out of
+    lexicographic order."""
+    edges = np.concatenate([SMALL_GRAPHS[name], SMALL_GRAPHS[name] + 1500])
+    ref = reference_nucleus(edges, r, s)
+    und = build_csr(edges)
+    vmat, _ = listing.s_counts_per_r_clique(orient_csr(und, make_rank(und, "degeneracy")), r, s)
+    assert [tuple(v) for v in vmat.tolist()] == sorted(ref)
+    for cfg in (DecompConfig(), _best_config(r, s)):
+        assert nucleus_decomposition(edges, r, s, cfg).core_dict() == ref
+
+
+@pytest.mark.parametrize(
+    "name,r,s", [("fig1", 3, 4), ("comm", 2, 4), ("rmat6", 3, 5), ("er40", 2, 3)]
+)
+def test_chunk_boundaries(monkeypatch, name, r, s):
+    """One root / one peeled r-clique per chunk gives identical results."""
+    edges = SMALL_GRAPHS[name]
+    und = build_csr(edges)
+    dg = orient_csr(und, make_rank(und, "degeneracy"))
+    cfg = _best_config(r, s)
+    vm, cnts = listing.s_counts_per_r_clique(dg, r, s)
+    res = nucleus_decomposition(edges, r, s, cfg)
+    monkeypatch.setattr(listing, "CHUNK", 1)
+    vm1, cnts1 = listing.s_counts_per_r_clique(dg, r, s)
+    res1 = nucleus_decomposition(edges, r, s, cfg)
+    assert np.array_equal(vm1, vm) and np.array_equal(cnts1, cnts)
+    assert np.array_equal(res1.vmat, res.vmat) and np.array_equal(res1.core, res.core)
+    assert res1.counters.scliques_discovered == res.counters.scliques_discovered
 
 
 def test_counters_populated():

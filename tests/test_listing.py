@@ -1,4 +1,6 @@
-"""REC-LIST-CLIQUES vs brute-force enumeration."""
+"""The frontier clique kernel (REC-LIST-CLIQUES and batched UPDATE)
+vs brute-force enumeration."""
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -6,15 +8,14 @@ import numpy as np
 import pytest
 
 from repro.cliques.listing import (
-    Stats,
     count_cliques,
     enumerate_cliques,
     extend_cliques,
-    intersect_neighborhoods,
     s_counts_per_r_clique,
 )
 from repro.graphs.csr import build_csr, orient_csr
-from repro.graphs.orient import degeneracy_order, degree_order, make_rank
+from repro.graphs.orient import make_rank
+from repro.instrument import Counters
 from repro.nucleus.reference import brute_force_cliques
 
 from .fixtures import SMALL_GRAPHS
@@ -24,6 +25,10 @@ def setup(name, orientation="degree"):
     und = build_csr(SMALL_GRAPHS[name])
     dg = orient_csr(und, make_rank(und, orientation))
     return und, dg
+
+
+def as_dict(vmat, cnts):
+    return {tuple(row): c for row, c in zip(vmat.tolist(), cnts.tolist())}
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
@@ -63,7 +68,11 @@ def test_fig1_triangle_count():
 @pytest.mark.parametrize("r,s", [(1, 2), (2, 3), (2, 4), (3, 4), (3, 5)])
 def test_s_counts_per_r_clique(name, r, s):
     und, dg = setup(name)
-    got = s_counts_per_r_clique(dg, r, s)
+    vmat, cnts = s_counts_per_r_clique(dg, r, s)
+    assert vmat.shape == (len(cnts), r)
+    assert (np.diff(vmat, axis=1) > 0).all(), "vertex rows sorted"
+    assert [tuple(v) for v in vmat.tolist()] == sorted({tuple(v) for v in vmat.tolist()})
+    got = as_dict(vmat, cnts)
     s_cliques = brute_force_cliques(und, s)
     expected = {R: 0 for R in brute_force_cliques(und, r)}
     for S in s_cliques:
@@ -75,7 +84,7 @@ def test_s_counts_per_r_clique(name, r, s):
 def test_fig1_34_initial_counts():
     """Paper: cdg->0; abf,aef,bef->1; abe->3; the rest->2."""
     _, dg = setup("fig1")
-    got = {k: int(v) for k, v in s_counts_per_r_clique(dg, 3, 4).items()}
+    got = {k: int(v) for k, v in as_dict(*s_counts_per_r_clique(dg, 3, 4)).items()}
     assert got[(2, 3, 6)] == 0
     assert got[(0, 1, 5)] == got[(0, 4, 5)] == got[(1, 4, 5)] == 1
     assert got[(0, 1, 4)] == 3
@@ -88,33 +97,51 @@ def test_extend_lists_scliques_containing_R(name, r, s):
     und, dg = setup(name)
     s_cliques = brute_force_cliques(und, s)
     for R in brute_force_cliques(und, r)[:20]:
-        found = []
-
-        def f(C, batch):
-            for v in batch:
-                found.append(tuple(sorted(R + C + (int(v),))))
-
-        extend_cliques(und, dg, np.array(R), s - r, f)
+        out = extend_cliques(und, dg, np.array([R]), s - r)
+        assert (out[:, :r] == R).all(), "rows led by their source r-clique"
+        found = [tuple(sorted(row)) for row in out.tolist()]
         expected = {S for S in s_cliques if set(R) <= set(S)}
         assert set(found) == expected
         assert len(found) == len(set(found)), "each s-clique listed once"
 
 
-def test_intersect_neighborhoods():
-    und, _ = setup("fig1")
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+@pytest.mark.parametrize("r,s", [(2, 3), (2, 4), (3, 4), (2, 5), (3, 5)])
+def test_batched_update_multiplicity(name, r, s):
+    """One call over a set A lists each s-clique S once per r-clique of A
+    inside S (the a of UPDATE's 1/a decrement), led by that r-clique."""
+    und, dg = setup(name, "degeneracy")
+    r_cliques = brute_force_cliques(und, r)
+    s_cliques = brute_force_cliques(und, s)
+    rng = np.random.default_rng(len(r_cliques) * 31 + s)
+    for frac in (0.3, 1.0):
+        A = {R for R, p in zip(r_cliques, rng.random(len(r_cliques)) < frac) if p}
+        A_rows = np.array(sorted(A), dtype=np.int64).reshape(-1, r)
+        out = extend_cliques(und, dg, A_rows, s - r)
+        got = Counter((tuple(row[:r]), tuple(sorted(row))) for row in out.tolist())
+        expected = {(R, S) for S in s_cliques for R in combinations(S, r) if R in A}
+        assert set(got) == expected
+        assert set(got.values()) <= {1}, "once per (source row, s-clique)"
+
+
+def test_extend_fig1_common_neighbours():
+    und, dg = setup("fig1")
     # common neighbours of a=0, b=1 in Fig 1: c, d, e, f
-    got = intersect_neighborhoods(und, np.array([0, 1]))
-    assert got.tolist() == [2, 3, 4, 5]
+    out = extend_cliques(und, dg, np.array([[0, 1]]), 1)
+    assert out[:, :2].tolist() == [[0, 1]] * 4
+    assert out[:, 2].tolist() == [2, 3, 4, 5]
 
 
-def test_stats_counts_cliques():
-    _, dg = setup("k6")
-    stats = Stats()
-    n = count_cliques(dg, 3)
-    from repro.cliques.listing import list_cliques
-
-    list_cliques(dg, 3, lambda C, b: None, stats=stats)
-    assert stats.cliques_found == n == 20
+def test_counters_count_cliques():
+    und, dg = setup("k6")
+    counters = Counters()
+    edges = enumerate_cliques(dg, 2)
+    out = extend_cliques(und, dg, edges, 1, counters)
+    assert len(out) == counters.scliques_discovered == 15 * 4 == 3 * count_cliques(dg, 3)
+    assert counters.work > 0
+    work = Counters()
+    s_counts_per_r_clique(dg, 2, 3, counters=work)
+    assert work.work > 0 and work.scliques_discovered == 0
 
 
 def test_roots_partition_counts():

@@ -23,17 +23,15 @@ def _dg(edges):
 def test_spark_counts_match_local_fig1(spark, r, s):
     _, dg = _dg(FIG1_EDGES)
     vmat, cnts = spark_s_counts(spark, dg, r, s, n_slices=4)
-    local = s_counts_per_r_clique(dg, r, s)
-    got = {tuple(row): c for row, c in zip(vmat.tolist(), cnts.tolist())}
-    assert got == {k: float(v) for k, v in local.items()}
+    local_vmat, local_cnts = s_counts_per_r_clique(dg, r, s)
+    assert np.array_equal(vmat, local_vmat) and np.array_equal(cnts, local_cnts)
 
 
 def test_spark_counts_match_local_rmat(spark):
     _, dg = _dg(rmat(8, 900, seed=23))
     vmat, cnts = spark_s_counts(spark, dg, 2, 3, n_slices=8)
-    local = s_counts_per_r_clique(dg, 2, 3)
-    got = {tuple(row): c for row, c in zip(vmat.tolist(), cnts.tolist())}
-    assert got == {k: float(v) for k, v in local.items()}
+    local_vmat, local_cnts = s_counts_per_r_clique(dg, 2, 3)
+    assert np.array_equal(vmat, local_vmat) and np.array_equal(cnts, local_cnts)
 
 
 @pytest.mark.parametrize("name,r,s", [("fig1", 3, 4), ("er30", 2, 3)])
