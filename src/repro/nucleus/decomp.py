@@ -62,6 +62,8 @@ class DecompResult:
     counters: Counters
     table_memory_units: int
     table_allocated_cells: int
+    table_max_probe: int  # longest insert distance from a key's home slot
+    table_fill: float  # n_r / last-level cells (barriers included)
     contractions: int = 0
 
     def core_dict(self) -> dict[tuple[int, ...], int]:
@@ -193,5 +195,7 @@ def nucleus_decomposition(
         counters=counters,
         table_memory_units=table.memory_units(),
         table_allocated_cells=table.allocated_cells(),
+        table_max_probe=table.max_probe,
+        table_fill=n_r / table.capacity if table.capacity else 0.0,
         contractions=cstate.contractions if cstate else 0,
     )

@@ -15,6 +15,11 @@ Supports every configuration evaluated in §6.2:
   empty/barrier cell holding an up-pointer (§5.3, contiguous only);
   ``decode='binsearch'`` — binary search over per-level prefix sums.
 
+Each level lays its regions out back to back and is filled by one
+batched ``open_addr.insert`` over all of them; the non-contiguous last
+level is then copied out region by region. ``max_probe`` records the
+longest insert distance from a key's home slot over all levels.
+
 An r-clique's identifier everywhere else in the algorithm (bucketing,
 counts, core numbers) is its absolute cell position in the last level,
 exactly as in §5.3.
@@ -25,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .open_addr import EMPTY_BIT, PAYLOAD_MASK, capacity_for, region_find, region_insert
+from .open_addr import EMPTY_BIT, PAYLOAD_MASK, capacity_for, insert, region_find
 from .packing import bits_for, fits, pack, unpack
 
 __all__ = ["TableConfig", "CliqueTable", "make_table", "min_levels"]
@@ -59,14 +64,12 @@ class _InterLevel:
 
     __slots__ = ("cells", "vals", "starts", "caps", "parent_abs", "bounds")
 
-    def __init__(self, n_regions: int, counts: np.ndarray, load: float):
-        self.caps = np.array([capacity_for(int(c), load) for c in counts], dtype=np.int64)
-        sizes = self.caps + 1  # +1 barrier cell per region
-        self.starts = np.concatenate([[0], np.cumsum(sizes)])[:-1]
-        total = int((self.caps + 1).sum())
-        self.cells = np.full(total, EMPTY_BIT, dtype=np.uint64)
-        self.vals = np.full(total, -1, dtype=np.int64)
-        self.parent_abs = np.full(n_regions, -1, dtype=np.int64)
+    def __init__(self, counts: np.ndarray, parent_abs: np.ndarray, load: float):
+        self.caps = capacity_for(counts, load)
+        self.starts = _region_starts(self.caps)
+        self.cells = _region_cells(self.caps, parent_abs)
+        self.vals = np.full(len(self.cells), -1, dtype=np.int64)
+        self.parent_abs = parent_abs
         self.bounds = self.starts  # sorted region starts, for binary search
 
 
@@ -99,133 +102,58 @@ class CliqueTable:
 
     # ------------------------------------------------------------------ build
     def _build(self, vmat: np.ndarray, order: np.ndarray) -> None:
+        """Lay out every level's regions back to back and fill each level
+        with one batched insert."""
         cfg = self.config
         L = cfg.levels
-        n_r = len(vmat)
         self.inter: list[_InterLevel] = []
         self.fl_array: np.ndarray | None = None
-
-        if L == 1:
-            cap = capacity_for(n_r, cfg.load)
-            self.last_caps = np.array([cap], dtype=np.int64)
-            self.last_starts = np.array([0], dtype=np.int64)
-            self.last_parent_abs = np.array([-1], dtype=np.int64)
-            self._alloc_last()
-            keys = pack(vmat, self.n) if n_r else np.empty(0, dtype=np.uint64)
-            row_region = np.zeros(n_r, dtype=np.int64)
-            self._insert_last(row_region, keys, order)
-            return
+        self.max_probe = 0
 
         # Distinct prefixes per length j = 1..L-1 (lexicographically sorted).
-        prefixes: list[np.ndarray] = []
-        for j in range(1, L):
-            uj = np.unique(vmat[:, :j], axis=0) if n_r else np.empty((0, j), dtype=np.int64)
-            prefixes.append(uj)
+        prefixes = [vmat[_new_prefix(vmat, j), :j] for j in range(1, L)]
 
-        # Level 1.
-        inter_cols = []
-        if cfg.first_level == "array":
+        parent = np.array([-1], dtype=np.int64)  # a single root region
+        inter_cols = range(L - 1)
+        if L > 1 and cfg.first_level == "array":
             self.fl_array = np.full(self.n, -1, dtype=np.int64)
-            k1 = len(prefixes[0])
-            self.fl_array[prefixes[0][:, 0]] = np.arange(k1)
+            self.fl_array[prefixes[0][:, 0]] = np.arange(len(prefixes[0]))
             # parent of a level-2 region under an array first level is v1 itself
-            next_parent = prefixes[0][:, 0].copy()
-            inter_cols = list(range(1, L - 1))
-        else:
-            inter_cols = list(range(0, L - 1))
-            next_parent = None  # set by the hash level below
+            parent = prefixes[0][:, 0]
+            inter_cols = range(1, L - 1)
 
-        # Intermediate single-vertex hash levels.
+        # Intermediate single-vertex hash levels; regions are keyed by
+        # col-length prefixes and hold the last vertex of (col+1)-prefixes.
         for col in inter_cols:
-            if col == 0:
-                n_regions = 1
-                region_of_entry = np.zeros(len(prefixes[0]), dtype=np.int64)
-                entries = prefixes[0][:, 0]
-            else:
-                # regions keyed by col-length prefixes; entries are (col+1)-prefixes
-                region_of_entry = _prefix_inverse(prefixes[col], col)
-                entries = prefixes[col][:, col]
-                n_regions = len(prefixes[col - 1])
-            counts = np.bincount(region_of_entry, minlength=n_regions)
-            lvl = _InterLevel(n_regions, counts, cfg.load)
-            if next_parent is not None:
-                lvl.parent_abs[:] = next_parent
-            # fill empty payloads with the region's up-pointer
-            for rid in range(n_regions):
-                s, c = lvl.starts[rid], lvl.caps[rid]
-                lvl.cells[s : s + c + 1] = EMPTY_BIT | np.uint64(
-                    lvl.parent_abs[rid] if lvl.parent_abs[rid] >= 0 else 0
-                )
-            entry_abs = np.empty(len(entries), dtype=np.int64)
-            boundaries = np.concatenate(
-                [[0], np.cumsum(np.bincount(region_of_entry, minlength=n_regions))]
-            )
-            for rid in range(n_regions):
-                lo, hi = boundaries[rid], boundaries[rid + 1]
-                if lo == hi:
-                    continue
-                keys = entries[lo:hi].astype(np.uint64)
-                pos = region_insert(lvl.cells, int(lvl.starts[rid]), int(lvl.caps[rid]), keys)
-                lvl.vals[pos] = np.arange(lo, hi)
-                entry_abs[lo:hi] = pos
+            region = _prefix_inverse(prefixes[col], col)
+            lvl = _InterLevel(np.bincount(region, minlength=len(parent)), parent, cfg.load)
+            parent = self._insert(lvl.cells, lvl.starts, lvl.caps, region, prefixes[col][:, col])
+            lvl.vals[parent] = np.arange(len(parent))
             self.inter.append(lvl)
-            next_parent = entry_abs  # parents for the next level's regions
 
-        # Last level: one region per (L-1)-prefix.
-        row_region = _prefix_inverse(vmat, L - 1) if n_r else np.empty(0, dtype=np.int64)
-        n_regions = len(prefixes[L - 2]) if n_r else 0
-        counts = np.bincount(row_region, minlength=n_regions)
-        self.last_caps = np.array(
-            [capacity_for(int(c), cfg.load) for c in counts], dtype=np.int64
-        )
-        sizes = self.last_caps + 1
-        self.last_starts = np.concatenate([[0], np.cumsum(sizes)])[:-1].astype(np.int64)
-        self.last_parent_abs = (
-            next_parent.astype(np.int64) if next_parent is not None else np.empty(0, np.int64)
-        )
-        self._alloc_last()
-        suffix_keys = (
-            pack(vmat[:, L - 1 :], self.n) if n_r else np.empty(0, dtype=np.uint64)
-        )
-        self._insert_last(row_region, suffix_keys, order)
+        # Last level: one region per (L-1)-prefix, keyed by the packed suffix.
+        region = _prefix_inverse(vmat, L - 1)
+        self.last_caps = capacity_for(np.bincount(region, minlength=len(parent)), cfg.load)
+        self.last_starts = _region_starts(self.last_caps)
+        self.last_parent_abs = parent
+        cells = _region_cells(self.last_caps, parent)
+        self.capacity = len(cells)
+        keys = pack(vmat[:, L - 1 :], self.n)
+        pos = self._insert(cells, self.last_starts, self.last_caps, region, keys)
+        self._row_index = np.empty(len(pos), dtype=np.int64)
+        self._row_index[order] = pos
+        if self.config.contiguous or L == 1:
+            self.last_cells = cells
+        else:  # separately allocated per-region tables (§5.2)
+            self.last_blocks = [
+                cells[a : a + c + 1].copy() for a, c in zip(self.last_starts, self.last_caps)
+            ]
 
-    def _alloc_last(self) -> None:
-        total = int((self.last_caps + 1).sum()) if len(self.last_caps) else 0
-        self.capacity = total
-        if self.config.contiguous:
-            self.last_cells = np.full(total, EMPTY_BIT, dtype=np.uint64)
-            for rid in range(len(self.last_caps)):
-                parent = self.last_parent_abs[rid] if len(self.last_parent_abs) else -1
-                s, c = self.last_starts[rid], self.last_caps[rid]
-                self.last_cells[s : s + c + 1] = EMPTY_BIT | np.uint64(max(0, parent))
-        else:
-            self.last_blocks: list[np.ndarray] = []
-            for rid in range(len(self.last_caps)):
-                parent = self.last_parent_abs[rid] if len(self.last_parent_abs) else -1
-                blk = np.full(
-                    int(self.last_caps[rid]) + 1,
-                    EMPTY_BIT | np.uint64(max(0, parent)),
-                    dtype=np.uint64,
-                )
-                self.last_blocks.append(blk)
-
-    def _insert_last(self, row_region: np.ndarray, keys: np.ndarray, order: np.ndarray) -> None:
-        """Insert sorted rows region-by-region; record index per *original* row."""
-        self._row_index = np.full(len(keys), -1, dtype=np.int64)
-        n_regions = len(self.last_caps)
-        boundaries = np.concatenate([[0], np.cumsum(np.bincount(row_region, minlength=n_regions))])
-        for rid in range(n_regions):
-            lo, hi = int(boundaries[rid]), int(boundaries[rid + 1])
-            if lo == hi:
-                continue
-            if self.config.contiguous:
-                pos = region_insert(
-                    self.last_cells, int(self.last_starts[rid]), int(self.last_caps[rid]), keys[lo:hi]
-                )
-            else:
-                pos = region_insert(self.last_blocks[rid], 0, int(self.last_caps[rid]), keys[lo:hi])
-                pos += self.last_starts[rid]
-            self._row_index[order[lo:hi]] = pos
+    def _insert(self, cells, starts, caps, region, keys) -> np.ndarray:
+        """Insert each key into its region of one level; track the longest probe."""
+        pos, probe = insert(cells, starts[region], caps[region], keys.astype(np.uint64))
+        self.max_probe = max(self.max_probe, probe)
+        return pos
 
     # ------------------------------------------------------------------ query
     def row_indices(self) -> np.ndarray:
@@ -367,28 +295,42 @@ class CliqueTable:
         return total
 
 
+def _region_starts(caps: np.ndarray) -> np.ndarray:
+    """Start of each region when regions of ``caps`` cells plus one barrier
+    are laid out back to back."""
+    return np.cumsum(caps + 1) - (caps + 1)
+
+
+def _region_cells(caps: np.ndarray, parent_abs: np.ndarray) -> np.ndarray:
+    """Cells of back-to-back regions, all empty: every probe-able and
+    barrier cell holds its region's up-pointer (0 for a root region)."""
+    return EMPTY_BIT | np.repeat(np.maximum(parent_abs, 0).astype(np.uint64), caps + 1)
+
+
+def _new_prefix(mat: np.ndarray, j: int) -> np.ndarray:
+    """Whether each row of a lex-sorted matrix starts a new distinct j-prefix."""
+    first = np.ones(len(mat), dtype=bool)
+    first[1:] = np.any(mat[1:, :j] != mat[:-1, :j], axis=1)
+    return first
+
+
 def _prefix_inverse(mat: np.ndarray, j: int) -> np.ndarray:
     """Region id (index into sorted distinct j-prefixes) of each sorted row."""
-    if len(mat) == 0:
-        return np.empty(0, dtype=np.int64)
-    prefix = mat[:, :j]
-    changed = np.any(prefix[1:] != prefix[:-1], axis=1)
-    return np.concatenate([[0], np.cumsum(changed)]).astype(np.int64)
+    return np.cumsum(_new_prefix(mat, j)) - 1
 
 
 def _scan_up(cells: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """For each cell index, scan right to the first empty/barrier cell and
-    return its payload (the up-pointer)."""
+    return its payload (the up-pointer); each pass carries only the
+    indices still scanning."""
+    out = np.empty(len(idx), dtype=np.int64)
+    i = np.arange(len(idx))
     pos = idx + 1
-    out = np.full(len(idx), -1, dtype=np.int64)
-    active = np.ones(len(idx), dtype=bool)
-    while active.any():
-        sel = np.flatnonzero(active)
-        vals = cells[pos[sel]]
+    while len(i):
+        vals = cells[pos]
         hit = (vals & EMPTY_BIT) != 0
-        out[sel[hit]] = (vals[hit] & PAYLOAD_MASK).astype(np.int64)
-        active[sel[hit]] = False
-        pos[sel[~hit]] += 1
+        out[i[hit]] = (vals[hit] & PAYLOAD_MASK).astype(np.int64)
+        i, pos = i[~hit], pos[~hit] + 1
     return out
 
 

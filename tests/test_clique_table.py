@@ -157,3 +157,27 @@ def test_levels_equal_r():
     idx = t.lookup(vmat)
     assert (idx >= 0).all()
     assert np.array_equal(t.decode(idx), vmat)
+
+
+# (capacity, allocated_cells(), memory_units()) of the comm-m 3-cliques per
+# experiments.T_CONFIGS label; the sizes are a function of the clique set
+# and the configuration only, never of where keys land inside a region.
+PINNED_SIZES = {
+    "1-level (unopt)": (440, 440, 657),
+    "2-level contig ptr": (514, 569, 493),
+    "2-level contig binsearch": (514, 569, 493),
+    "2-level noncontig binsearch": (514, 569, 493),
+    "2-multi contig ptr": (514, 592, 514),
+    "3-multi contig ptr": (652, 1020, 509),
+    "3-multi contig binsearch": (652, 1020, 509),
+}
+
+
+def test_table_sizes_pinned():
+    from repro.experiments import T_CONFIGS
+
+    vmat, n = cliques_of("comm-m", 3)
+    assert [label for label, _ in T_CONFIGS] == list(PINNED_SIZES)
+    for label, cfg in T_CONFIGS:
+        t = make_table(vmat, n, cfg)
+        assert (t.capacity, t.allocated_cells(), t.memory_units()) == PINNED_SIZES[label], label

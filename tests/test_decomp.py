@@ -9,7 +9,7 @@ from repro.graphs.csr import build_csr, orient_csr
 from repro.graphs.orient import make_rank
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
-from repro.tables.clique_table import TableConfig
+from repro.tables.clique_table import TableConfig, make_table
 
 from .fixtures import FIG1_34_CORE, SMALL_GRAPHS
 
@@ -173,6 +173,25 @@ def test_counters_populated():
     assert c.work > 0 and c.span_logs > 0 and c.rounds == res.rho
     assert c.scliques_discovered > 0
     assert c.wall_seconds > 0
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        TableConfig(levels=1, load=0.9),
+        TableConfig(levels=2),
+        TableConfig(levels=3, first_level="hash", load=0.3),
+    ],
+    ids=lambda c: f"{c.label()}@{c.load}",
+)
+def test_table_fill_and_probe_reported(cfg):
+    res = nucleus_decomposition(SMALL_GRAPHS["comm"], 3, 4, DecompConfig(table=cfg))
+    assert isinstance(res.table_max_probe, int) and res.table_max_probe >= 0
+    assert 0 < res.table_fill <= cfg.load
+    capacity = make_table(res.vmat, build_csr(SMALL_GRAPHS["comm"]).n, cfg).capacity
+    assert res.table_fill == len(res.vmat) / capacity
+    if cfg.load == 0.9:  # 67 keys in one region at load 0.9 collide
+        assert res.table_max_probe > 0
 
 
 def test_k_cores_match_classic_peeling():

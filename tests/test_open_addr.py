@@ -6,9 +6,15 @@ from repro.tables.open_addr import (
     EMPTY_BIT,
     capacity_for,
     hash_u64,
+    insert,
     region_find,
-    region_insert,
 )
+
+
+def insert_one_region(cells, start, cap, keys):
+    """Insert keys into the single region [start, start + cap)."""
+    pos, _ = insert(cells, np.full(len(keys), start), np.full(len(keys), cap), keys)
+    return pos
 
 
 def test_capacity_always_leaves_empty():
@@ -27,7 +33,7 @@ def test_insert_find_single_region():
     keys = np.arange(100, dtype=np.uint64)
     cap = capacity_for(100)
     cells = np.full(cap + 1, EMPTY_BIT, dtype=np.uint64)
-    pos = region_insert(cells, 0, cap, keys)
+    pos = insert_one_region(cells, 0, cap, keys)
     found = region_find(
         cells, np.zeros(100, np.int64), np.full(100, cap), keys
     )
@@ -38,7 +44,7 @@ def test_find_missing_returns_minus_one():
     keys = np.array([5, 9], dtype=np.uint64)
     cap = capacity_for(2)
     cells = np.full(cap + 1, EMPTY_BIT, dtype=np.uint64)
-    region_insert(cells, 0, cap, keys)
+    insert_one_region(cells, 0, cap, keys)
     q = np.array([5, 7, 9, 100], dtype=np.uint64)
     out = region_find(cells, np.zeros(4, np.int64), np.full(4, cap), q)
     assert out[1] == -1 and out[3] == -1
@@ -50,8 +56,8 @@ def test_multiple_regions_shared_array():
     cells = np.full(capA + 1 + capB + 1, EMPTY_BIT, dtype=np.uint64)
     a_keys = np.array([1, 2, 3], dtype=np.uint64)
     b_keys = np.array([1, 2, 3, 4], dtype=np.uint64)  # same keys, other region
-    pa = region_insert(cells, 0, capA, a_keys)
-    pb = region_insert(cells, capA + 1, capB, b_keys)
+    pa = insert_one_region(cells, 0, capA, a_keys)
+    pb = insert_one_region(cells, capA + 1, capB, b_keys)
     assert (pa < capA).all() and (pb >= capA + 1).all()
     starts = np.array([0] * 3 + [capA + 1] * 4, dtype=np.int64)
     caps = np.array([capA] * 3 + [capB] * 4, dtype=np.int64)
@@ -76,8 +82,45 @@ def test_high_load_probing():
     keys = np.unique(g.integers(0, 1 << 40, 500).astype(np.uint64))
     cap = len(keys) + 1  # load just under 1
     cells = np.full(cap + 1, EMPTY_BIT, dtype=np.uint64)
-    pos = region_insert(cells, 0, cap, keys)
+    pos = insert_one_region(cells, 0, cap, keys)
     out = region_find(
         cells, np.zeros(len(keys), np.int64), np.full(len(keys), cap), keys
     )
     assert np.array_equal(out, pos)
+
+
+def test_batched_insert_many_regions():
+    """One call fills many regions: the same keys recur in different
+    regions and one region sits at load just under 1."""
+    g = np.random.default_rng(5)
+    counts = np.array([1, 7, 0, 40, 3, 40, 120, 2])
+    caps = capacity_for(counts)
+    caps[6] = counts[6] + 1  # load just under 1
+    starts = np.cumsum(caps + 1) - (caps + 1)
+    region = np.repeat(np.arange(len(counts)), counts)
+    keys = np.concatenate([g.choice(1 << 12, c, replace=False) for c in counts]).astype(np.uint64)
+    keys[region == 5] = keys[region == 3]  # same keys in another region
+
+    def build():
+        cells = np.full(int(caps.sum() + len(caps)), EMPTY_BIT, dtype=np.uint64)
+        pos, max_probe = insert(cells, starts[region], caps[region], keys)
+        return cells, pos, max_probe
+
+    cells, pos, max_probe = build()
+    s, c = starts[region], caps[region]
+    assert ((pos >= s) & (pos < s + c)).all()
+    assert np.array_equal(cells[pos], keys)
+    assert np.array_equal(region_find(cells, s, c, keys), pos)
+    home = (hash_u64(keys) % c.astype(np.uint64)).astype(np.int64)
+    dist = (pos - s - home) % c
+    assert max_probe == dist.max()
+    # every cell is empty on the first pass, so the lowest key index homed
+    # at a cell claims it
+    _, lowest = np.unique(s + home, return_index=True)
+    assert (dist[lowest] == 0).all()
+    for h, d, st, cp in zip(home, dist, s, c):  # the probe run is all occupied
+        run = st + (h + np.arange(d + 1)) % cp
+        assert not (cells[run] & EMPTY_BIT).any()
+    assert (cells[starts + caps] & EMPTY_BIT).all(), "barriers stay empty"
+    again, pos2, _ = build()
+    assert np.array_equal(again, cells) and np.array_equal(pos2, pos)
