@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cliques.listing import enumerate_cliques
-from ..graphs.csr import build_csr, orient_csr
+from ..graphs.csr import CSR, build_csr, orient_csr
 from ..graphs.orient import degree_order
 
 __all__ = ["pkt_truss", "PktResult"]
@@ -35,36 +35,27 @@ def pkt_truss(edges: np.ndarray) -> PktResult:
     dg = orient_csr(und, degree_order(und))
     tri = enumerate_cliques(dg, 3)  # rows sorted asc
 
-    # Canonical edge ids via sorted packed keys.
-    src = np.repeat(np.arange(n, dtype=np.int64), und.degrees())
-    mask = src < und.nbrs
-    eu, ev = src[mask], und.nbrs[mask]
-    ekeys = eu * n + ev
-    order = np.argsort(ekeys)
-    ekeys, eu, ev = ekeys[order], eu[order], ev[order]
+    # Canonical edge ids: the u < v arcs, whose keys CSR order keeps sorted.
+    mask = und.arc_src < und.nbrs
+    eu, ev, ekeys = und.arc_src[mask], und.nbrs[mask], und.arc_keys[mask]
     m = len(ekeys)
 
     def eid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.searchsorted(ekeys, a * n + b)
 
-    tri_e = np.empty((len(tri), 3), dtype=np.int64)
-    if len(tri):
-        tri_e[:, 0] = eid(tri[:, 0], tri[:, 1])
-        tri_e[:, 1] = eid(tri[:, 0], tri[:, 2])
-        tri_e[:, 2] = eid(tri[:, 1], tri[:, 2])
-    support = np.bincount(tri_e.ravel(), minlength=m) if len(tri) else np.zeros(m, np.int64)
+    tri_e = np.column_stack(
+        [eid(tri[:, 0], tri[:, 1]), eid(tri[:, 0], tri[:, 2]), eid(tri[:, 1], tri[:, 2])]
+    )
+    support = np.bincount(tri_e.ravel(), minlength=m)
 
     tri_alive = np.ones(len(tri), dtype=bool)
     edge_alive = np.ones(m, dtype=bool)
     core = np.zeros(m, dtype=np.int64)
-    # Per-edge incident triangle lists (CSR over triangle ids).
-    if len(tri):
-        flat = tri_e.ravel()
-        torder = np.argsort(flat, kind="stable")
-        tids = np.repeat(np.arange(len(tri)), 3)[torder]
-        toff = np.zeros(m + 1, dtype=np.int64)
-        np.add.at(toff, flat + 1, 1)
-        toff = np.cumsum(toff)
+    # Per-edge incident triangle lists: a CSR from edge id to triangle id
+    # (flat index // 3), triangle ids ascending within an edge.
+    flat = tri_e.ravel()
+    torder = np.argsort(flat, kind="stable")
+    incident = CSR.from_arcs(m, flat[torder], torder // 3)
     sublevels = 0
     remaining = m
     k = 0
@@ -78,11 +69,9 @@ def pkt_truss(edges: np.ndarray) -> PktResult:
             core[frontier] = k
             edge_alive[frontier] = False
             remaining -= len(frontier)
-            if len(tri) == 0:
-                break
             nxt: list[np.ndarray] = []
             for e in frontier:
-                for t in tids[toff[e] : toff[e + 1]]:
+                for t in incident.neighbors(e):
                     if not tri_alive[t]:
                         continue
                     tri_alive[t] = False

@@ -45,15 +45,6 @@ def _member(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     return keys[np.minimum(i, len(keys) - 1)] == q
 
 
-def _gather(g: CSR, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, w) for every arc v[i] -> w of g, grouped by i, w ascending."""
-    lo = g.offsets[v]
-    deg = g.offsets[v + 1] - lo
-    i = np.repeat(np.arange(len(v)), deg)
-    pos = np.arange(len(i)) + np.repeat(lo - (np.cumsum(deg) - deg), deg)
-    return i, g.nbrs[pos]
-
-
 def _filter(
     keys: np.ndarray,
     n: int,
@@ -74,7 +65,7 @@ def _filter(
 def _step(dg: CSR, rows: np.ndarray, counters: Counters) -> np.ndarray:
     """One frontier step: every (k+1)-clique of DG whose orientation-order
     prefix is a row of the (N, k) matrix ``rows``."""
-    i, w = _gather(dg, rows[:, -1])
+    i, w = dg.gather(rows[:, -1])
     counters.work += len(w)
     i, w = _filter(dg.arc_keys, dg.n, list(rows[:, :-1].T), i, w, counters)
     return np.column_stack([rows[i], w])
@@ -207,13 +198,13 @@ def extend_cliques(
         deg = und.offsets[B + 1] - und.offsets[B]
         others = np.ones(B.shape, dtype=bool)
         others[np.arange(len(B)), deg.argmin(axis=1)] = False
-        i, w = _gather(und, B[~others])
+        i, w = und.gather(B[~others])
         counters.work += len(w)
         i, w = _filter(und.arc_keys, n, list(B[others].reshape(len(B), r - 1).T), i, w, counters)
         first = i * n + w  # sorted: i ascending, w ascending within a row
         src, ext = i, w.reshape(-1, 1)
         for _ in range(need - 1):
-            j, x = _gather(dg, ext[:, -1])
+            j, x = dg.gather(ext[:, -1])
             counters.work += len(x)
             j, x = _filter(first, n, [src], j, x, counters)
             j, x = _filter(dg.arc_keys, n, list(ext[:, :-1].T), j, x, counters)

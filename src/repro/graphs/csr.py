@@ -1,5 +1,11 @@
 """Compressed sparse row graph representation (§3 "Graph Storage").
 
+The CSR arc layout lives here and nowhere else: arcs are grouped by
+source vertex, ascending, with destinations ascending within a source.
+``arc_src`` expands the offsets back to one source per arc,
+``from_arcs`` builds offsets from arcs already in that order, and
+``gather`` reads the neighbour lists of many vertices at once.
+
 The paper stores graphs in CSR and adjacency hash tables; here the
 sorted ``src * n + dst`` arc keys of a CSR stand in for the adjacency
 hash tables: an edge-membership test is a binary search over them
@@ -23,6 +29,14 @@ class CSR:
     offsets: np.ndarray  # int64, len n+1
     nbrs: np.ndarray  # int64, len = sum of degrees
 
+    @classmethod
+    def from_arcs(cls, n: int, src: np.ndarray, dst: np.ndarray) -> CSR:
+        """CSR over n vertices from arcs already in CSR order (``src``
+        ascending, ``dst`` ascending within a source)."""
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        return cls(n, offsets, dst)
+
     @property
     def m(self) -> int:
         """Number of directed arcs stored (2x edges for an undirected CSR)."""
@@ -37,40 +51,61 @@ class CSR:
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    def gather(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(i, w) for every arc v[i] -> w, grouped by i, w ascending."""
+        lo = self.offsets[v]
+        deg = self.offsets[v + 1] - lo
+        i = np.repeat(np.arange(len(v)), deg)
+        pos = np.arange(len(i)) + np.repeat(lo - (np.cumsum(deg) - deg), deg)
+        return i, self.nbrs[pos]
+
+    @cached_property
+    def arc_src(self) -> np.ndarray:
+        """Source vertex of every arc, in CSR order. Computed once per graph."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+
     @cached_property
     def arc_keys(self) -> np.ndarray:
         """``src * n + dst`` of every arc, ascending (CSR order is key order),
         for membership tests by binary search. Computed once per graph."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-        return src * self.n + self.nbrs
+        return self.arc_src * self.n + self.nbrs
+
+
+def _check_edges(edges: np.ndarray, n: int | None) -> None:
+    """Raise ``ValueError`` naming the defect of a malformed edge array."""
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"edges must have shape (m, 2), got {edges.shape}")
+    if not np.issubdtype(edges.dtype, np.integer):
+        raise ValueError(f"edges must have an integer dtype, got {edges.dtype}")
+    if len(edges) and edges.min() < 0:
+        raise ValueError(f"vertex ids must be non-negative, got {edges.min()}")
+    if n is not None and len(edges) and n <= edges.max():
+        raise ValueError(f"n = {n} must exceed the largest vertex id {edges.max()}")
 
 
 def build_csr(edges: np.ndarray, n: int | None = None) -> CSR:
     """Build a symmetric CSR from an (m, 2) undirected edge array.
 
-    Self loops and duplicate edges are dropped; each edge contributes an
-    arc in both directions; neighbour lists are sorted ascending.
+    This is where every input graph enters, so it validates the array:
+    an integer dtype, shape (m, 2), non-negative ids and n above the
+    largest id. Self loops and duplicate edges are dropped; each edge
+    contributes an arc in both directions; neighbour lists are sorted
+    ascending.
     """
-    edges = np.asarray(edges, dtype=np.int64)
+    edges = np.asarray(edges)
+    _check_edges(edges, n)
+    edges = edges.astype(np.int64, copy=False)
     if n is None:
         n = int(edges.max()) + 1 if len(edges) else 0
-    if len(edges) == 0:
-        return CSR(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
     u = np.minimum(edges[:, 0], edges[:, 1])
     v = np.maximum(edges[:, 0], edges[:, 1])
     keep = u != v
-    u, v = u[keep], v[keep]
-    key = u * n + v
-    uniq = np.unique(key)
+    uniq = np.unique(u[keep] * n + v[keep])
     u, v = uniq // n, uniq % n
     src = np.concatenate([u, v])
     dst = np.concatenate([v, u])
     order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    offsets = np.cumsum(offsets)
-    return CSR(n, offsets, dst)
+    return CSR.from_arcs(n, src[order], dst[order])
 
 
 def orient_csr(csr: CSR, rank: np.ndarray) -> CSR:
@@ -80,11 +115,6 @@ def orient_csr(csr: CSR, rank: np.ndarray) -> CSR:
     Goodrich-Pszona ordering, out-degrees are O(alpha). Neighbour lists
     stay sorted by vertex id so intersections remain merge-based.
     """
-    n = csr.n
-    src = np.repeat(np.arange(n, dtype=np.int64), csr.degrees())
+    src = csr.arc_src
     keep = rank[src] < rank[csr.nbrs]
-    src, dst = src[keep], csr.nbrs[keep]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    offsets = np.cumsum(offsets)
-    return CSR(n, offsets, dst)
+    return CSR.from_arcs(csr.n, src[keep], csr.nbrs[keep])

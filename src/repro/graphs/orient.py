@@ -3,12 +3,17 @@
 Three orderings are provided, mirroring the options in Shi et al. [60]:
 
 * ``degree_order``   — order by (degree, id); the cheap heuristic.
-* ``degeneracy_order`` — exact minimum-degree peeling (k-core order);
-  out-degree bounded by the degeneracy d <= 2*alpha - 1.
+* ``degeneracy_order`` — exact minimum-degree peeling (k-core order),
+  run as the (1,2) nucleus peel on the same ``Bucketing`` structure as
+  every (r,s) decomposition; out-degree bounded by the degeneracy
+  d <= 2*alpha - 1.
 * ``goodrich_pszona_order`` — round-based: repeatedly remove the
   epsilon-fraction of lowest-degree vertices; O(log n) rounds, constant-
   factor approximation of the degeneracy ordering (the parallel-friendly
   variant analysed in the paper).
+
+Both peels are vectorized per round: the neighbours of every vertex
+peeled in a round are read with one ``CSR.gather``.
 
 ``relabel`` renames vertices by orientation rank (§5.4 graph
 relabeling), so clique vertices are discovered in increasing label order
@@ -18,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csr import CSR, build_csr
+from ..bucketing import Bucketing
+from .csr import CSR
 
 __all__ = [
     "degree_order",
@@ -26,7 +32,6 @@ __all__ = [
     "goodrich_pszona_order",
     "make_rank",
     "relabel",
-    "degeneracy",
 ]
 
 
@@ -38,46 +43,43 @@ def degree_order(csr: CSR) -> np.ndarray:
     return rank
 
 
+def _live_neighbour_counts(
+    csr: CSR, vs: np.ndarray, alive: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct live neighbours of the vertices ``vs``, and how many of
+    ``vs`` each one is adjacent to."""
+    _, w = csr.gather(vs)
+    return np.unique(w[alive[w]], return_counts=True)
+
+
 def degeneracy_order(csr: CSR) -> tuple[np.ndarray, int]:
-    """Exact degeneracy (min-degree peeling) order; returns (rank, degeneracy)."""
-    n = csr.n
-    deg = csr.degrees().copy()
-    rank = np.full(n, -1, dtype=np.int64)
-    # Bucket queue over degrees.
-    maxd = int(deg.max()) if n else 0
-    buckets: list[list[int]] = [[] for _ in range(maxd + 1)]
-    for v in range(n):
-        buckets[deg[v]].append(v)
-    degeneracy_val = 0
-    cur = 0
-    pos = 0
-    while pos < n:
-        while cur <= maxd and not buckets[cur]:
-            cur += 1
-        v = buckets[cur].pop()
-        if rank[v] != -1 or deg[v] != cur:
-            # stale entry (degree decreased since enqueue)
-            if rank[v] == -1 and deg[v] < cur:
-                buckets[deg[v]].append(v)
-                cur = deg[v]
-            continue
-        rank[v] = pos
-        pos += 1
-        degeneracy_val = max(degeneracy_val, cur)
-        for w in csr.neighbors(v):
-            if rank[w] == -1:
-                deg[w] -= 1
-                buckets[deg[w]].append(w)
-                if deg[w] < cur:
-                    cur = deg[w]
-    return rank, degeneracy_val
+    """Exact degeneracy order; returns (rank, degeneracy).
+
+    This is the (1,2) nucleus peel on ``Bucketing``: each round takes the
+    minimum bucket, ranks its vertices in id order, and moves their live
+    neighbours down by the number of peeled neighbours each one lost. A
+    vertex peeled at level k has at most k live neighbours, so its
+    out-degree is at most the degeneracy, the last level reached.
+    """
+    deg = csr.degrees()
+    rank = np.empty(csr.n, dtype=np.int64)
+    buckets = Bucketing(np.arange(csr.n), deg)
+    pos = k = 0
+    while not buckets.empty():
+        k, peeled = buckets.next_bucket()
+        rank[peeled] = pos + np.arange(len(peeled))
+        pos += len(peeled)
+        nb, lost = _live_neighbour_counts(csr, peeled, buckets.alive)
+        deg[nb] -= lost
+        buckets.update(nb, deg[nb])
+    return rank, k
 
 
 def goodrich_pszona_order(csr: CSR, *, eps: float = 1.0) -> np.ndarray:
     """Round-based peeling: each round removes the lowest-degree
     n_live * eps / (1 + eps) vertices (at least 1). O(log n) rounds."""
     n = csr.n
-    deg = csr.degrees().astype(np.int64).copy()
+    deg = csr.degrees()
     alive = np.ones(n, dtype=bool)
     rank = np.empty(n, dtype=np.int64)
     pos = 0
@@ -89,10 +91,8 @@ def goodrich_pszona_order(csr: CSR, *, eps: float = 1.0) -> np.ndarray:
         rank[order] = pos + np.arange(len(order))
         pos += len(order)
         alive[order] = False
-        # decrement degrees of remaining neighbours
-        for v in order:
-            nb = csr.neighbors(v)
-            deg[nb[alive[nb]]] -= 1
+        nb, lost = _live_neighbour_counts(csr, order, alive)
+        deg[nb] -= lost
     return rank
 
 
@@ -105,10 +105,6 @@ def make_rank(csr: CSR, kind: str = "degeneracy") -> np.ndarray:
     if kind == "goodrich-pszona":
         return goodrich_pszona_order(csr)
     raise ValueError(f"unknown orientation kind: {kind}")
-
-
-def degeneracy(csr: CSR) -> int:
-    return degeneracy_order(csr)[1]
 
 
 def relabel(edges: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

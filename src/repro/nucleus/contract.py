@@ -43,7 +43,7 @@ def maybe_contract(
         return und
     # Vectorized parallel-filter of the qualifying adjacency lists: one
     # batched peeled-edge lookup over all their arcs, then a masked copy.
-    src = np.repeat(np.arange(und.n, dtype=np.int64), und.degrees())
+    src = und.arc_src
     cand = np.flatnonzero(qualify[src])
     rows = np.stack(
         [np.minimum(src[cand], und.nbrs[cand]), np.maximum(src[cand], und.nbrs[cand])],
@@ -51,12 +51,9 @@ def maybe_contract(
     )
     keep = np.ones(len(und.nbrs), dtype=bool)
     keep[cand[edge_peeled(rows)]] = False
-    new_src, new_nbrs = src[keep], und.nbrs[keep]
-    offsets = np.zeros(und.n + 1, dtype=np.int64)
-    np.add.at(offsets, new_src + 1, 1)
-    offsets = np.cumsum(offsets)
+    contracted = CSR.from_arcs(und.n, src[keep], und.nbrs[keep])
     state.contractions += 1
     state.peeled_since = 0
-    state.deg_ref = np.diff(offsets)
+    state.deg_ref = contracted.degrees()
     state.lost_since[:] = 0
-    return CSR(und.n, offsets, new_nbrs)
+    return contracted

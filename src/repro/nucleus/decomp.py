@@ -17,7 +17,7 @@ Phases:
 The peeling loop runs driver-side over numpy structures: with thousands
 of rounds, per-round Spark jobs would measure scheduler overhead rather
 than the algorithm (see DESIGN.md §2); Spark parallelizes the dominant
-counting phase and all graph preparation.
+counting phase only; graph preparation runs driver-side as well.
 """
 from __future__ import annotations
 

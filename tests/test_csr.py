@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.graphs.csr import build_csr, orient_csr
+from repro.graphs.csr import CSR, build_csr, orient_csr
 from repro.graphs.orient import degree_order
 
 from .fixtures import SMALL_GRAPHS
@@ -61,3 +61,34 @@ def test_orient_is_dag_by_rank(name):
     for v in range(dg.n):
         for w in dg.neighbors(v):
             assert rank[v] < rank[int(w)]
+
+
+@pytest.mark.parametrize(
+    "edges,n,match",
+    [
+        (np.array([[0, 1], [1, 2.5]]), None, "integer dtype"),
+        (np.array([[0, 1, 2], [1, 2, 3]]), None, r"shape \(m, 2\)"),
+        (np.array([[0, 1], [-1, 2]]), None, "non-negative"),
+        (np.array([[0, 1], [1, 4]]), 4, "exceed the largest vertex id 4"),
+    ],
+    ids=["float", "three-columns", "negative", "n-too-small"],
+)
+def test_malformed_edges_rejected(edges, n, match):
+    with pytest.raises(ValueError, match=match):
+        build_csr(edges, n)
+
+
+def test_from_arcs_roundtrip_trailing_isolated():
+    und = build_csr(SMALL_GRAPHS["bowtie"], n=9)  # vertices 5..8 isolated
+    back = CSR.from_arcs(und.n, und.arc_src, und.nbrs)
+    assert back.n == 9 and back.degree(8) == 0
+    assert np.array_equal(back.offsets, und.offsets)
+    assert np.array_equal(back.nbrs, und.nbrs)
+
+
+def test_gather_repeated_and_zero_degree():
+    und = build_csr(SMALL_GRAPHS["bowtie"], n=7)  # 5, 6 isolated
+    v = np.array([2, 5, 0, 2, 6, 4])
+    i, w = und.gather(v)
+    assert np.array_equal(i, np.repeat(np.arange(len(v)), [und.degree(x) for x in v]))
+    assert np.array_equal(w, np.concatenate([und.neighbors(x) for x in v]))

@@ -10,6 +10,7 @@ from repro.graphs.orient import (
     make_rank,
     relabel,
 )
+from repro.nucleus.reference import reference_nucleus
 
 from .fixtures import MEDIUM_GRAPHS, SMALL_GRAPHS
 
@@ -40,6 +41,13 @@ def test_goodrich_pszona_out_degree_reasonable(name):
     _, d = degeneracy_order(und)
     dg = orient_csr(und, goodrich_pszona_order(und))
     assert int(dg.degrees().max(initial=0)) <= max(4, 4 * d)
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_degeneracy_is_max_k_core(name):
+    """The degeneracy is the largest (1,2) core number."""
+    und = build_csr(ALL[name])
+    assert degeneracy_order(und)[1] == max(reference_nucleus(ALL[name], 1, 2).values())
 
 
 def test_degeneracy_of_complete_graph():

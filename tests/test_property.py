@@ -3,6 +3,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs.csr import build_csr
+from repro.graphs.orient import degeneracy_order
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
 from repro.tables.clique_table import TableConfig
@@ -45,3 +47,9 @@ def test_frac_updates_equal_exact_random(edges):
     frac = nucleus_decomposition(edges, 2, 3, DecompConfig(frac_updates=True))
     exact = nucleus_decomposition(edges, 2, 3, DecompConfig(frac_updates=False))
     assert frac.core_dict() == exact.core_dict()
+
+
+@given(random_edges())
+@settings(max_examples=40, deadline=None)
+def test_degeneracy_is_max_k_core_random(edges):
+    assert degeneracy_order(build_csr(edges))[1] == max(reference_nucleus(edges, 1, 2).values())

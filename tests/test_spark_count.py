@@ -1,6 +1,7 @@
 """Spark counting fan-out == local kernel; Spark-counted decomposition
 matches the reference."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.cliques.listing import s_counts_per_r_clique
@@ -10,6 +11,7 @@ from repro.graphs.gen import rmat
 from repro.graphs.orient import make_rank
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
+from repro.oracle import assert_equivalent
 
 from .fixtures import FIG1_EDGES, SMALL_GRAPHS
 
@@ -47,3 +49,52 @@ def test_spark_counts_empty_graph(spark):
     vmat, cnts = spark_s_counts(spark, dg, 2, 3, n_slices=2)
     # two disjoint edges: both are 2-cliques with zero incident triangles
     assert len(vmat) == 2 and (cnts == 0).all()
+
+
+def test_spark_counts_vs_duckdb_oracle(spark):
+    """Per-edge triangle counts and the 4-clique total from the Spark
+    fan-out equal DuckDB self-joins over the raw edge list."""
+    edges = rmat(8, 900, seed=23)
+    raw = pd.DataFrame({"u": edges[:, 0], "v": edges[:, 1]})
+    canon = """(SELECT DISTINCT least(u, v) AS u, greatest(u, v) AS v
+                FROM raw WHERE u <> v)"""
+    _, dg = _dg(edges)
+    vmat, cnts = spark_s_counts(spark, dg, 2, 3, n_slices=4)
+    got = pd.DataFrame({"u": vmat[:, 0], "v": vmat[:, 1], "support": cnts})
+    assert_equivalent(
+        spark.createDataFrame(got),
+        f"""
+        WITH e AS {canon},
+        tri AS (
+          SELECT e1.u AS a, e1.v AS b, e2.v AS c
+          FROM e e1 JOIN e e2 ON e1.v = e2.u
+          JOIN e e3 ON e3.u = e1.u AND e3.v = e2.v
+        ),
+        sides AS (
+          SELECT a AS u, b AS v FROM tri
+          UNION ALL SELECT a, c FROM tri
+          UNION ALL SELECT b, c FROM tri
+        )
+        SELECT e.u, e.v, COALESCE(s.support, 0) AS support
+        FROM e LEFT JOIN (
+          SELECT u, v, COUNT(*) AS support FROM sides GROUP BY u, v
+        ) s ON e.u = s.u AND e.v = s.v
+        """,
+        raw=raw,
+    )
+    _, cnts4 = spark_s_counts(spark, dg, 3, 4, n_slices=4)
+    total = pd.DataFrame({"cliques": [cnts4.sum() / 4]})  # C(4, 3) triangles each
+    assert total["cliques"][0] > 0
+    assert_equivalent(
+        spark.createDataFrame(total),
+        f"""
+        WITH e AS {canon}
+        SELECT COUNT(*) AS cliques
+        FROM e ab JOIN e bc ON ab.v = bc.u
+        JOIN e ac ON ac.u = ab.u AND ac.v = bc.v
+        JOIN e cd ON cd.u = bc.v
+        JOIN e ad ON ad.u = ab.u AND ad.v = cd.v
+        JOIN e bd ON bd.u = ab.v AND bd.v = cd.v
+        """,
+        raw=raw,
+    )
