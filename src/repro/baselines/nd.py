@@ -8,7 +8,8 @@ peel equal-count r-cliques simultaneously; every r-clique is its own
 round with a synchronization barrier. This is exactly the behaviour
 behind the paper's "PND performs 5608-84170x the number of rounds of
 ARB-NUCLEUS-DECOMP" measurement: here ``rounds`` equals the number of
-peeled r-cliques (minus free batches at round end).
+peeled r-cliques (minus free batches at round end). The two share their
+peel order and results, so ``nd_decomposition`` serves for both.
 """
 from __future__ import annotations
 
@@ -24,13 +25,15 @@ from ..graphs.csr import build_csr, orient_csr
 from ..graphs.orient import make_rank
 from ..instrument import Counters
 
-__all__ = ["nd_decomposition", "pnd_decomposition"]
+__all__ = ["nd_decomposition"]
 
 
-def _sequential_peel(edges: np.ndarray, r: int, s: int, *, orientation: str = "degeneracy"):
+def nd_decomposition(edges: np.ndarray, r: int, s: int):
+    """ND, and PND's peel order and results: returns (core_dict, counters);
+    counters.rounds is the number of peels, which dominates PND's span."""
     t0 = time.perf_counter()
     und = build_csr(edges)
-    rank = make_rank(und, orientation)
+    rank = make_rank(und, "degeneracy")
     dg = orient_csr(und, rank)
     counters = Counters()
     vmat, cnts = s_counts_per_r_clique(dg, r, s, counters=counters)
@@ -66,13 +69,3 @@ def _sequential_peel(edges: np.ndarray, r: int, s: int, *, orientation: str = "d
                 counters.work += 1
     counters.wall_seconds = time.perf_counter() - t0
     return core, counters
-
-
-def nd_decomposition(edges: np.ndarray, r: int, s: int):
-    """Serial ND: returns (core_dict, counters); counters.rounds is #peels."""
-    return _sequential_peel(edges, r, s)
-
-
-def pnd_decomposition(edges: np.ndarray, r: int, s: int):
-    """PND: same peel order/results; rounds dominate its parallel span."""
-    return _sequential_peel(edges, r, s)

@@ -18,9 +18,11 @@ import numpy as np
 
 __all__ = ["Bucketing"]
 
+NUM_OPEN = 16  # width of the materialized window of lowest buckets
+
 
 class Bucketing:
-    def __init__(self, ids: np.ndarray, values: np.ndarray, *, num_open: int = 16):
+    def __init__(self, ids: np.ndarray, values: np.ndarray):
         """ids: identifier array (cell positions); values: initial buckets."""
         ids = np.asarray(ids, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
@@ -29,18 +31,17 @@ class Bucketing:
         self.bucket_of[ids] = values
         self.alive = np.zeros(size, dtype=bool)
         self.alive[ids] = True
-        self.num_open = num_open
         self.k = 0
         self.n_remaining = len(ids)
         self.rematerializations = 0
         self.bucket_moves = 0
         self._window: dict[int, list[np.ndarray]] = {}
         self._far: list[np.ndarray] = [ids]
-        self._lo = 0  # window covers [_lo, _lo + num_open)
+        self._lo = 0  # window covers [_lo, _lo + NUM_OPEN)
         self._materialize(int(values.min()) if len(values) else 0)
 
     def _materialize(self, lo: int) -> None:
-        """Re-bucket the overflow pool for the window [lo, lo+num_open)."""
+        """Re-bucket the overflow pool for the window [lo, lo+NUM_OPEN)."""
         self.rematerializations += 1
         self._lo = lo
         pool = (
@@ -49,9 +50,9 @@ class Bucketing:
         self._far = []
         pool = pool[self.alive[pool]]
         vals = self.bucket_of[pool]
-        in_window = vals < lo + self.num_open
+        in_window = vals < lo + NUM_OPEN
         self._window = {}
-        for b in range(lo, lo + self.num_open):
+        for b in range(lo, lo + NUM_OPEN):
             sel = pool[vals == b]
             if len(sel):
                 self._window[b] = [sel]
@@ -66,7 +67,7 @@ class Bucketing:
     def next_bucket(self) -> tuple[int, np.ndarray]:
         """Extract all ids in the minimum non-empty bucket; marks them dead."""
         while True:
-            for b in range(max(self.k, self._lo), self._lo + self.num_open):
+            for b in range(max(self.k, self._lo), self._lo + NUM_OPEN):
                 if b in self._window:
                     parts = self._window.pop(b)
                     ids = np.unique(np.concatenate(parts))
@@ -98,7 +99,7 @@ class Bucketing:
         changed = self.bucket_of[ids] != values
         ids, values = ids[changed], values[changed]
         self.bucket_of[ids] = values
-        in_window = values < self._lo + self.num_open
+        in_window = values < self._lo + NUM_OPEN
         for b in np.unique(values[in_window]):
             self._window.setdefault(int(b), []).append(ids[values == b])
         if (~in_window).any():

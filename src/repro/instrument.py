@@ -29,14 +29,6 @@ class Counters:
     scliques_discovered: int = 0  # paper's AND-vs-ARB work metric
     wall_seconds: float = 0.0
 
-    def merge(self, other: "Counters") -> None:
-        self.work += other.work
-        self.span_logs += other.span_logs
-        self.serialized_ops += other.serialized_ops
-        self.rounds += other.rounds
-        self.scliques_discovered += other.scliques_discovered
-        self.wall_seconds += other.wall_seconds
-
 
 def simulated_time(
     c: Counters,

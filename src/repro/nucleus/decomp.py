@@ -50,7 +50,6 @@ class DecompConfig:
     frac_updates: bool = True  # 1/a trick (True) vs exact per-round dedup
     counting: str = "local"  # 'local' | 'spark'
     spark_slices: int = 64
-    num_open_buckets: int = 16
 
 
 @dataclass
@@ -83,6 +82,10 @@ def nucleus_decomposition(
     if not (1 <= r < s):
         raise ValueError("need 1 <= r < s")
     config = config or DecompConfig()
+    if config.counting not in ("local", "spark"):
+        raise ValueError(f"counting must be 'local' or 'spark', got {config.counting!r}")
+    if config.counting == "spark" and spark is None:
+        raise ValueError("counting='spark' needs a SparkSession, got spark=None")
     t_start = time.perf_counter()
     counters = Counters()
 
@@ -113,9 +116,7 @@ def nucleus_decomposition(
     core = np.zeros(table.capacity, dtype=np.int64)
     peeled = np.full(table.capacity, -1, dtype=np.int64)
 
-    buckets = Bucketing(
-        idx_rows, np.rint(cnts).astype(np.int64), num_open=config.num_open_buckets
-    )
+    buckets = Bucketing(idx_rows, np.rint(cnts).astype(np.int64))
     agg = make_aggregator(config.aggregation, table.capacity)
     log2n = log2(max(2, n_verts))
     subs_cols = np.array(list(combinations(range(s), r)), dtype=np.int64)

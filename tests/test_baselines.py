@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.and_local import and_decomposition
-from repro.baselines.nd import nd_decomposition, pnd_decomposition
+from repro.baselines.nd import nd_decomposition
 from repro.baselines.pkt import pkt_truss
 from repro.nucleus.decomp import nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
@@ -47,7 +47,7 @@ def test_pkt_matches_reference(name):
 def test_pnd_round_blowup(name, r, s):
     """PND peels one r-clique per round -> orders of magnitude more rounds
     than ARB's batch peeling (paper: 5608-84170x on SNAP graphs)."""
-    _, pnd_counters = pnd_decomposition(SMALL_GRAPHS[name], r, s)
+    _, pnd_counters = nd_decomposition(SMALL_GRAPHS[name], r, s)
     arb = nucleus_decomposition(SMALL_GRAPHS[name], r, s)
     assert pnd_counters.rounds > 3 * arb.rho
 

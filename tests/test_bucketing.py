@@ -77,7 +77,7 @@ def test_empty_structure():
 
 def test_window_advance_past_open_buckets():
     n = 50
-    b = Bucketing(np.arange(n), np.arange(n) * 3)  # spread well past num_open
+    b = Bucketing(np.arange(n), np.arange(n) * 3)  # spread well past NUM_OPEN
     ks = []
     while not b.empty():
         k, a = b.next_bucket()

@@ -28,6 +28,8 @@ CONFIGS = [
     TableConfig(levels=3, first_level="hash", contiguous=True, decode="pointer"),
     TableConfig(levels=3, first_level="hash", contiguous=True, decode="binsearch"),
     TableConfig(levels=3, first_level="hash", contiguous=False, decode="binsearch"),
+    TableConfig(levels=3, first_level="array", contiguous=True, decode="pointer"),
+    TableConfig(levels=3, first_level="array", contiguous=False, decode="binsearch"),
 ]
 
 

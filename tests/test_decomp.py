@@ -1,5 +1,7 @@
 """ARB-NUCLEUS-DECOMP vs the brute-force reference, across graphs,
 (r, s) values, and every §5 optimization configuration."""
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,22 @@ def test_empty_r_clique_set():
 def test_invalid_rs():
     with pytest.raises(ValueError):
         nucleus_decomposition(SMALL_GRAPHS["k4"], 3, 3)
+
+
+@pytest.mark.parametrize(
+    "kw,named",
+    [
+        ({"table": TableConfig(levels=2, first_level="Array")}, "'Array'"),
+        ({"table": TableConfig(levels=2, decode="scan")}, "'scan'"),
+        ({"counting": "Spark"}, "'Spark'"),
+        ({"counting": "spark"}, "spark=None"),
+    ],
+    ids=["first_level", "decode", "counting", "spark-without-session"],
+)
+def test_bad_config_rejected(kw, named):
+    """A bad config value fails up front with a ValueError naming it."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run("fig1", 3, 4, **kw)
 
 
 @pytest.mark.parametrize("name,r,s", [("k7", 5, 6), ("k7", 6, 7), ("k7", 4, 7), ("fig1", 3, 4)])

@@ -26,16 +26,3 @@ def test_serialized_ops_hurt_scalability():
     free = Counters(work=100_000, span_logs=10)
     contended = Counters(work=100_000, span_logs=10, serialized_ops=5_000)
     assert self_relative_speedup(contended, 60) < self_relative_speedup(free, 60)
-
-
-def test_merge():
-    a = Counters(work=1, span_logs=2, serialized_ops=3, rounds=4, scliques_discovered=5)
-    b = Counters(work=10, span_logs=20, serialized_ops=30, rounds=40, scliques_discovered=50)
-    a.merge(b)
-    assert (a.work, a.span_logs, a.serialized_ops, a.rounds, a.scliques_discovered) == (
-        11,
-        22,
-        33,
-        44,
-        55,
-    )
