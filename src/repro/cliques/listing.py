@@ -31,6 +31,7 @@ __all__ = [
     "enumerate_cliques",
     "row_ranks",
     "s_counts_per_r_clique",
+    "sum_by_row",
     "extend_cliques",
 ]
 
@@ -120,7 +121,7 @@ def row_ranks(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return rank.reshape(-1), uniq
 
 
-def _sum_by_row(rows: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def sum_by_row(rows: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows (lexicographic order) and the summed weights of each."""
     rank, uniq = row_ranks(rows, n)
     return uniq, np.bincount(rank, weights=weights, minlength=len(uniq))
@@ -146,7 +147,7 @@ def s_counts_per_r_clique(
 
     With ``roots`` (the Spark fan-out unit), only r- and s-cliques rooted
     there are listed, so an s-clique may add to an r-clique rooted
-    elsewhere; such partial counts are summed downstream.
+    elsewhere; such partial counts are summed downstream by ``sum_by_row``.
     """
     counters = counters if counters is not None else Counters()
     subs = np.array(list(combinations(range(s), r)), dtype=np.int64)
@@ -160,12 +161,12 @@ def s_counts_per_r_clique(
         sub_rows = np.sort(s_rows, axis=1)[:, subs].reshape(-1, r)
         weights = np.zeros(len(r_rows) + len(sub_rows), dtype=np.float64)
         weights[len(r_rows) :] = 1.0
-        parts.append(_sum_by_row(np.concatenate([r_rows, sub_rows]), weights, dg.n))
+        parts.append(sum_by_row(np.concatenate([r_rows, sub_rows]), weights, dg.n))
     if not parts:
         return np.empty((0, r), dtype=np.int64), np.empty(0, dtype=np.float64)
     if len(parts) == 1:
         return parts[0]
-    return _sum_by_row(
+    return sum_by_row(
         np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), dg.n
     )
 

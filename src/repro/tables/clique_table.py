@@ -149,6 +149,8 @@ class CliqueTable:
             raise ValueError(f"first_level must be 'array' or 'hash', got {config.first_level!r}")
         if config.decode not in ("pointer", "binsearch"):
             raise ValueError(f"decode must be 'pointer' or 'binsearch', got {config.decode!r}")
+        if not (0 < config.load <= 1):
+            raise ValueError(f"load must be in (0, 1], got {config.load!r}")
         if config.decode == "pointer" and not config.contiguous:
             raise ValueError("stored-pointer decode requires contiguous last level")
         self.n_cliques = int(len(vmat))

@@ -143,8 +143,10 @@ def test_invalid_rs():
         ({"table": TableConfig(levels=2, decode="scan")}, "'scan'"),
         ({"counting": "Spark"}, "'Spark'"),
         ({"counting": "spark"}, "spark=None"),
+        ({"table": TableConfig(load=0.0)}, "load must be in (0, 1], got 0.0"),
+        ({"table": TableConfig(load=2.0)}, "load must be in (0, 1], got 2.0"),
     ],
-    ids=["first_level", "decode", "counting", "spark-without-session"],
+    ids=["first_level", "decode", "counting", "spark-without-session", "load-zero", "load-two"],
 )
 def test_bad_config_rejected(kw, named):
     """A bad config value fails up front with a ValueError naming it."""
@@ -199,6 +201,7 @@ def test_counters_populated():
         TableConfig(levels=1, load=0.9),
         TableConfig(levels=2),
         TableConfig(levels=3, first_level="hash", load=0.3),
+        TableConfig(levels=2, load=1.0),
     ],
     ids=lambda c: f"{c.label()}@{c.load}",
 )

@@ -21,10 +21,21 @@ def _dg(edges):
     return und, orient_csr(und, make_rank(und, "degeneracy"))
 
 
-@pytest.mark.parametrize("r,s", [(2, 3), (3, 4), (2, 4)])
-def test_spark_counts_match_local_fig1(spark, r, s):
+# 64 slices are more than fig1's 7 vertices. The 4-slice cases keep
+# their "r-s" IDs; the others add "@slices".
+FIG1_CASES = [
+    (r, s, k) for r, s in [(1, 2), (2, 3), (3, 4), (2, 4), (2, 5)] for k in (1, 3, 4, 64)
+]
+
+
+@pytest.mark.parametrize(
+    "r,s,n_slices",
+    FIG1_CASES,
+    ids=[f"{r}-{s}" if k == 4 else f"{r}-{s}@{k}" for r, s, k in FIG1_CASES],
+)
+def test_spark_counts_match_local_fig1(spark, r, s, n_slices):
     _, dg = _dg(FIG1_EDGES)
-    vmat, cnts = spark_s_counts(spark, dg, r, s, n_slices=4)
+    vmat, cnts = spark_s_counts(spark, dg, r, s, n_slices=n_slices)
     local_vmat, local_cnts = s_counts_per_r_clique(dg, r, s)
     assert np.array_equal(vmat, local_vmat) and np.array_equal(cnts, local_cnts)
 
@@ -34,6 +45,32 @@ def test_spark_counts_match_local_rmat(spark):
     vmat, cnts = spark_s_counts(spark, dg, 2, 3, n_slices=8)
     local_vmat, local_cnts = s_counts_per_r_clique(dg, 2, 3)
     assert np.array_equal(vmat, local_vmat) and np.array_equal(cnts, local_cnts)
+
+
+@pytest.mark.parametrize("n_slices", [0, -1])
+def test_spark_counts_reject_bad_slices(spark, n_slices):
+    _, dg = _dg(FIG1_EDGES)
+    with pytest.raises(ValueError, match=f"n_slices must be >= 1, got {n_slices}"):
+        spark_s_counts(spark, dg, 2, 3, n_slices=n_slices)
+
+
+def test_spark_counts_run_one_stage(spark):
+    """One job of one stage with one task per slice: the roots come from
+    spark.range and the partials are merged on the driver, not shuffled."""
+    _, dg = _dg(rmat(8, 900, seed=23))
+    sc = spark.sparkContext
+    group = "test_spark_counts_run_one_stage"
+    sc.setJobGroup(group, "spark_s_counts with 4 slices")
+    try:
+        spark_s_counts(spark, dg, 2, 3, n_slices=4)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()  # job and task events are delivered
+    tracker = sc.statusTracker()
+    jobs = tracker.getJobIdsForGroup(group)
+    stages = [sid for j in jobs for sid in tracker.getJobInfo(j).stageIds]
+    assert len(jobs) == 1 and len(stages) == 1
+    assert tracker.getStageInfo(stages[0]).numCompletedTasks == 4
 
 
 @pytest.mark.parametrize("name,r,s", [("fig1", 3, 4), ("er30", 2, 3)])
