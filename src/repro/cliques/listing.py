@@ -108,16 +108,32 @@ def row_ranks(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense lexicographic ranks of the rows of an (N, k) matrix of
     vertex ids below n, and the distinct rows in rank order.
 
-    Ranks are built one column at a time from ``prev_rank * n + col``,
-    which stays below N * n at every column, so the keys are exact for
-    any k (packing a whole row as a base-n number would overflow int64
-    once n^k > 2^63).
+    Each ``np.unique`` pass packs the previous pass's rank and as many
+    further columns as fit into one int64 key, ``prev_rank * n^c + cols``.
+    ``bound`` is the key's range: it starts each pass as the previous
+    pass's distinct count (1 before the first pass, 0 if N = 0), is
+    multiplied by n per packed column, and columns are added while
+    ``bound * n < 2^63``.
+    Base-n packing preserves lexicographic order, so the ranks are those
+    of the full rows. Every pass takes at least one column, which is
+    exact as long as N * n < 2^63; packing a whole row at once would
+    overflow int64 once n^k > 2^63. Only ranks are asked of
+    ``np.unique``: ``return_index`` would force a stable sort, about
+    twice as slow, and any row of a rank is that rank's distinct row.
     """
-    rank = np.zeros(len(rows), dtype=np.int64)
-    uniq = np.empty((1 if len(rows) else 0, 0), dtype=np.int64)
-    for j in range(rows.shape[1]):
-        u, rank = np.unique(rank * n + rows[:, j], return_inverse=True)
-        uniq = np.column_stack([uniq[u // n], u % n])
+    rows = np.asarray(rows, dtype=np.int64)
+    n = int(n)
+    N, k = rows.shape
+    rank = np.zeros(N, dtype=np.int64)
+    bound, j = min(N, 1), 0
+    while j < k:
+        key, bound, j = rank * n + rows[:, j], bound * n, j + 1
+        while j < k and bound * n < 2**63:
+            key, bound, j = key * n + rows[:, j], bound * n, j + 1
+        u, rank = np.unique(key, return_inverse=True)
+        bound = len(u)
+    uniq = np.empty((bound, k), dtype=np.int64)
+    uniq[rank] = rows  # equal ranks carry equal rows
     return rank.reshape(-1), uniq
 
 

@@ -80,11 +80,18 @@ def _arb(edges: np.ndarray, r: int, s: int, cfg: DecompConfig | None = None) -> 
 def _best_config(r: int, s: int) -> DecompConfig:
     """§6.2's overall-optimal setting: two-level contiguous stored-pointer
     T; hash aggregation + contraction for (2,3), list buffer + relabeling
-    otherwise."""
+    otherwise.
+
+    Both use the exact per-round dedup (``frac_updates=False``), chosen by
+    nucbench wall-clock: on ``dblp-25`` it looks up 105,280 rows a call
+    instead of 398,000 and ``decomp_s`` falls from about 0.075 to 0.049 s
+    (4-core x86 box); ``orkut-34`` and ``skitter-23`` stay within a few
+    percent. Both paths give identical cores.
+    """
     table = TableConfig(levels=2, first_level="array", contiguous=True, decode="pointer")
     if (r, s) == (2, 3):
-        return DecompConfig(table=table, aggregation="hash", contraction=True)
-    return DecompConfig(table=table, aggregation="list-buffer", relabel=True)
+        return DecompConfig(table=table, aggregation="hash", contraction=True, frac_updates=False)
+    return DecompConfig(table=table, aggregation="list-buffer", relabel=True, frac_updates=False)
 
 
 # ---------------------------------------------------------------- Fig 7 table

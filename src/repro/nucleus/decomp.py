@@ -11,8 +11,9 @@ Phases:
 4. Peel rounds: extract the minimum bucket from the Julienne-style
    bucketing structure, re-list the s-cliques incident to peeled
    r-cliques (UPDATE), subtract 1/a per discovery (UPDATE-FUNC's
-   over-counting guard), aggregate the updated set U with the chosen
-   §5.5 structure, and re-bucket.
+   over-counting guard) or, with ``frac_updates=False``, 1 per distinct
+   s-clique after a row-rank dedup; aggregate the updated set U with the
+   chosen §5.5 structure, and re-bucket.
 
 The peeling loop runs driver-side over numpy structures: with thousands
 of rounds, per-round Spark jobs would measure scheduler overhead rather
@@ -30,7 +31,7 @@ import numpy as np
 
 from ..aggregation import make_aggregator
 from ..bucketing import Bucketing
-from ..cliques.listing import extend_cliques, s_counts_per_r_clique
+from ..cliques.listing import extend_cliques, row_ranks, s_counts_per_r_clique
 from ..graphs.csr import CSR, build_csr, orient_csr
 from ..graphs.orient import make_rank, relabel
 from ..instrument import Counters
@@ -152,7 +153,11 @@ def nucleus_decomposition(
         if len(s_mat):
             s_mat.sort(axis=1)
             if not config.frac_updates:
-                s_mat = np.unique(s_mat, axis=0)
+                # a valid S is listed once per r-subset in A, i.e. a times,
+                # so 1 per distinct S sums to the paper's 1/a per listing
+                counters.work += s_mat.size
+                counters.span_logs += log2(max(2, len(s_mat)))
+                s_mat = row_ranks(s_mat, n_verts)[1]
             flat = s_mat[:, subs_cols].reshape(-1, r)
             idxs = table.lookup(flat).reshape(len(s_mat), len(subs_cols))
             st = peeled[idxs]

@@ -137,7 +137,7 @@ class CliqueTable:
         if config.levels > self.r:  # the paper requires l <= r
             config = replace(config, levels=self.r)
         if config.levels < 1:
-            raise ValueError("levels must be >= 1")
+            raise ValueError(f"levels must be >= 1, got {config.levels!r}")
         self.config = config
         self.suffix_w = self.r - config.levels + 1
         if not fits(n, self.suffix_w):
@@ -267,5 +267,7 @@ def _groups(rid: np.ndarray, sel: np.ndarray):
 def make_table(vmat: np.ndarray, n: int, config: TableConfig | None = None) -> CliqueTable:
     """Factory; auto-raises the level count when the key would not fit."""
     config = config or TableConfig()
+    if config.levels < 1:
+        raise ValueError(f"levels must be >= 1, got {config.levels!r}")
     r = vmat.shape[1] if vmat.ndim == 2 else 1
     return CliqueTable(vmat, n, replace(config, levels=max(config.levels, min_levels(n, r))))

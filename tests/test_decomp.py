@@ -1,6 +1,7 @@
 """ARB-NUCLEUS-DECOMP vs the brute-force reference, across graphs,
 (r, s) values, and every §5 optimization configuration."""
 import re
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from repro.graphs.csr import build_csr, orient_csr
 from repro.graphs.orient import make_rank
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
-from repro.tables.clique_table import TableConfig, make_table
+from repro.tables.clique_table import CliqueTable, TableConfig, make_table
 
 from .fixtures import FIG1_34_CORE, SMALL_GRAPHS
 
@@ -95,11 +96,38 @@ def test_contraction_actually_contracts():
     assert res.contractions >= 1
 
 
-@pytest.mark.parametrize("name,r,s", [("fig1", 3, 4), ("er30", 2, 3), ("comm", 2, 4)])
+@pytest.mark.parametrize(
+    "name,r,s",
+    [("fig1", 3, 4), ("er30", 2, 3), ("comm", 2, 4), ("comm", 2, 5), ("rmat6", 3, 5), ("fig1", 1, 3)],
+)
 def test_frac_vs_exact_updates_agree(name, r, s):
     frac = run(name, r, s, frac_updates=True)
     exact = run(name, r, s, frac_updates=False)
     assert frac.core_dict() == exact.core_dict()
+
+
+def test_exact_updates_look_up_fewer_rows(monkeypatch):
+    """The 1/a path looks up all C(s, r) subsets of every discovered
+    s-clique; the exact path looks up each distinct s-clique once."""
+    sizes = []
+    lookup = CliqueTable.lookup
+
+    def counting_lookup(self, rows):
+        sizes.append(len(rows))
+        return lookup(self, rows)
+
+    monkeypatch.setattr(CliqueTable, "lookup", counting_lookup)
+
+    def rows_looked_up(frac_updates):
+        sizes.clear()
+        res = run("comm", 2, 5, frac_updates=frac_updates, contraction=False)
+        assert res.core_dict() == reference_nucleus(SMALL_GRAPHS["comm"], 2, 5)
+        return sum(sizes), res
+
+    frac_rows, frac = rows_looked_up(True)
+    exact_rows, _ = rows_looked_up(False)
+    assert frac_rows == comb(5, 2) * frac.counters.scliques_discovered
+    assert exact_rows < frac_rows
 
 
 def test_combined_optimizations():
@@ -145,8 +173,19 @@ def test_invalid_rs():
         ({"counting": "spark"}, "spark=None"),
         ({"table": TableConfig(load=0.0)}, "load must be in (0, 1], got 0.0"),
         ({"table": TableConfig(load=2.0)}, "load must be in (0, 1], got 2.0"),
+        ({"table": TableConfig(levels=0)}, "levels must be >= 1, got 0"),
+        ({"table": TableConfig(levels=-1)}, "levels must be >= 1, got -1"),
     ],
-    ids=["first_level", "decode", "counting", "spark-without-session", "load-zero", "load-two"],
+    ids=[
+        "first_level",
+        "decode",
+        "counting",
+        "spark-without-session",
+        "load-zero",
+        "load-two",
+        "levels-zero",
+        "levels-negative",
+    ],
 )
 def test_bad_config_rejected(kw, named):
     """A bad config value fails up front with a ValueError naming it."""

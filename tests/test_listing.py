@@ -11,7 +11,9 @@ from repro.cliques.listing import (
     count_cliques,
     enumerate_cliques,
     extend_cliques,
+    row_ranks,
     s_counts_per_r_clique,
+    sum_by_row,
 )
 from repro.graphs.csr import build_csr, orient_csr
 from repro.graphs.orient import make_rank
@@ -153,3 +155,52 @@ def test_roots_partition_counts():
         for lo in range(0, dg.n, 7)
     )
     assert part == total
+
+
+def dup_rows(n, k, N, seed):
+    """(N, k) ids below n drawn from a few values per column (shared
+    prefixes, both ends of the id range) and then resampled, so rows repeat."""
+    rng = np.random.default_rng(seed)
+    alphabet = np.unique(np.concatenate([[0, n // 2, n - 1], rng.integers(0, n, 5)]))
+    base = alphabet[rng.integers(0, len(alphabet), (max(1, N // 2), k))]
+    return base[rng.integers(0, len(base), N)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 237, 4095, 2**21, 2**40])
+@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("N", [0, 1, 3000])
+def test_row_ranks_match_unique_rows(n, k, N):
+    rows = dup_rows(n, k, N, seed=n % 1000 + 10 * k + N)
+    rank, uniq = row_ranks(rows, n)
+    want_uniq, want_rank = np.unique(rows, axis=0, return_inverse=True)
+    assert uniq.shape == want_uniq.shape and uniq.dtype == np.int64
+    assert np.array_equal(uniq, want_uniq)
+    assert np.array_equal(rank, want_rank.reshape(-1))
+    assert np.array_equal(uniq[rank], rows)
+    lex = [tuple(u) for u in uniq.tolist()]
+    assert all(a < b for a, b in zip(lex, lex[1:])), "strictly lex-increasing"
+
+
+@pytest.mark.parametrize("n,k,passes", [(2**40, 7, 7), (237, 7, 1), (237, 8, 2), (4095, 7, 2)])
+def test_row_ranks_packs_columns(monkeypatch, n, k, passes):
+    """Each np.unique pass packs every further column that fits in int64:
+    n = 2^40 takes one column a pass, n = 237 fits 7 columns in one key."""
+    rows = dup_rows(n, k, 3000, seed=k)
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+    row_ranks(rows, n)
+    assert len(calls) == passes
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (237, 5), (4095, 7), (2**40, 3)])
+@pytest.mark.parametrize("N", [0, 1, 3000])
+def test_sum_by_row_matches_dict_sum(n, k, N):
+    rows = dup_rows(n, k, N, seed=N + k)
+    weights = np.random.default_rng(N).integers(-8, 8, N) / 4.0
+    uniq, sums = sum_by_row(rows, weights, n)
+    want: dict[tuple[int, ...], float] = {}
+    for row, w in zip(map(tuple, rows.tolist()), weights.tolist()):
+        want[row] = want.get(row, 0.0) + w
+    assert [tuple(u) for u in uniq.tolist()] == sorted(want)
+    assert sums.tolist() == [want[row] for row in sorted(want)]

@@ -41,12 +41,13 @@ def test_table_levels_equivalent_random(edges, levels):
     assert res.core_dict() == reference_nucleus(edges, 3, 4)
 
 
-@given(random_edges(max_n=12))
+@given(random_edges(max_n=12), st.sampled_from([(2, 3), (2, 4), (3, 4), (2, 5)]))
 @settings(max_examples=20, deadline=None)
-def test_frac_updates_equal_exact_random(edges):
-    frac = nucleus_decomposition(edges, 2, 3, DecompConfig(frac_updates=True))
-    exact = nucleus_decomposition(edges, 2, 3, DecompConfig(frac_updates=False))
-    assert frac.core_dict() == exact.core_dict()
+def test_frac_updates_equal_exact_random(edges, rs):
+    r, s = rs
+    frac = nucleus_decomposition(edges, r, s, DecompConfig(frac_updates=True))
+    exact = nucleus_decomposition(edges, r, s, DecompConfig(frac_updates=False))
+    assert frac.core_dict() == exact.core_dict() == reference_nucleus(edges, r, s)
 
 
 @given(random_edges())
