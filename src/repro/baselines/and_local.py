@@ -60,9 +60,8 @@ def and_decomposition(
     und = build_csr(edges)
     rank = make_rank(und, "degeneracy")
     dg = orient_csr(und, rank)
-    vmat, cnts = s_counts_per_r_clique(dg, r, s)
+    vmat, tau = s_counts_per_r_clique(dg, r, s)
     n_r = len(vmat)
-    tau = np.rint(cnts).astype(np.int64)
 
     # members[i, j]: row of vmat holding the j-th r-subset of s-clique i.
     s_mat = enumerate_cliques(dg, s)

@@ -37,7 +37,7 @@ def nd_decomposition(edges: np.ndarray, r: int, s: int):
     dg = orient_csr(und, rank)
     counters = Counters()
     vmat, cnts = s_counts_per_r_clique(dg, r, s, counters=counters)
-    counts = {tuple(k): int(round(v)) for k, v in zip(vmat.tolist(), cnts.tolist())}
+    counts = {tuple(k): c for k, c in zip(vmat.tolist(), cnts.tolist())}
     heap = [(c, k) for k, c in counts.items()]
     heapq.heapify(heap)
     peeled: set[tuple[int, ...]] = set()

@@ -138,9 +138,11 @@ def row_ranks(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sum_by_row(rows: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows (lexicographic order) and the summed weights of each."""
+    """Distinct rows (lexicographic order) and the summed weights of each,
+    in the weights' dtype (integer sums are exact below 2^53)."""
     rank, uniq = row_ranks(rows, n)
-    return uniq, np.bincount(rank, weights=weights, minlength=len(uniq))
+    sums = np.bincount(rank, weights=weights, minlength=len(uniq))
+    return uniq, sums.astype(weights.dtype, copy=False)
 
 
 def s_counts_per_r_clique(
@@ -154,7 +156,7 @@ def s_counts_per_r_clique(
     """s-clique count of every r-clique (COUNT-FUNC of Algorithm 2).
 
     Returns (vmat, cnts): the lexicographically sorted (n_r, r) matrix of
-    r-cliques with sorted vertex rows, and their float s-clique counts.
+    r-cliques with sorted vertex rows, and their int64 s-clique counts.
     r-cliques with no incident s-clique are included (they form the
     0-bucket). Every s-clique extends exactly one r-clique (its first r
     vertices in orientation order), so the s-level frontier is grown from
@@ -175,11 +177,11 @@ def s_counts_per_r_clique(
             s_rows = _step(dg, s_rows, counters)
         r_rows = np.sort(r_rows, axis=1)
         sub_rows = np.sort(s_rows, axis=1)[:, subs].reshape(-1, r)
-        weights = np.zeros(len(r_rows) + len(sub_rows), dtype=np.float64)
-        weights[len(r_rows) :] = 1.0
+        weights = np.zeros(len(r_rows) + len(sub_rows), dtype=np.int64)
+        weights[len(r_rows) :] = 1
         parts.append(sum_by_row(np.concatenate([r_rows, sub_rows]), weights, dg.n))
     if not parts:
-        return np.empty((0, r), dtype=np.int64), np.empty(0, dtype=np.float64)
+        return np.empty((0, r), dtype=np.int64), np.empty(0, dtype=np.int64)
     if len(parts) == 1:
         return parts[0]
     return sum_by_row(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
+from pyspark.sql.types import LongType, StructField, StructType
 
 from ..graphs.csr import CSR
 from .listing import s_counts_per_r_clique, sum_by_row
@@ -32,16 +32,14 @@ def spark_s_counts(
     """Distributed s-clique counts per r-clique over the oriented graph.
 
     Returns (vmat, counts): lexicographically sorted (n_r, r) vertex
-    matrix and the aligned float counts — identical to the local kernel
-    ``s_counts_per_r_clique`` (tested equal).
+    matrix and the aligned int64 counts — identical, dtype included, to
+    the local kernel ``s_counts_per_r_clique`` (tested equal).
     """
     if n_slices < 1:
         raise ValueError(f"n_slices must be >= 1, got {n_slices}")
     bc = spark.sparkContext.broadcast((dg.n, dg.offsets, dg.nbrs))
     vcols = [f"v{i}" for i in range(r)]
-    schema = StructType(
-        [StructField(c, LongType()) for c in vcols] + [StructField("cnt", DoubleType())]
-    )
+    schema = StructType([StructField(c, LongType()) for c in [*vcols, "cnt"]])
 
     def count_partition(batches):
         csr = CSR(*bc.value)
@@ -53,5 +51,5 @@ def spark_s_counts(
 
     roots = spark.range(dg.n, numPartitions=min(n_slices, max(1, dg.n)))
     pdf = roots.mapInPandas(count_partition, schema).toPandas()
-    vmat, cnts = pdf[vcols].to_numpy(dtype=np.int64), pdf["cnt"].to_numpy(dtype=np.float64)
+    vmat, cnts = pdf[vcols].to_numpy(dtype=np.int64), pdf["cnt"].to_numpy(dtype=np.int64)
     return sum_by_row(vmat, cnts, dg.n)

@@ -7,7 +7,8 @@ pandas DataFrame and optionally writes a markdown copy under
 ``results/``. ``jobs/*.py`` are the spark-submit wrappers and
 ``benchmarks/bench_t*.py`` the pytest-benchmark harnesses over these.
 
-Times: ``wall_s`` is single-process wall-clock on this container;
+Times: ``wall_s`` is single-process wall-clock, the median of
+``WALL_RUNS`` calls after one untimed warm-up call (``_warm_wall``);
 ``sim`` columns are work-span model times T_P = W/P + S (Brent), the
 model the paper's analysis uses — see instrument.py and DESIGN.md §2.
 """
@@ -50,6 +51,7 @@ RS_RMAT = [(r, s) for s in range(3, 6) for r in range(2, s)]
 RS_HEADLINE = [(2, 3), (3, 4)]
 
 P_PAPER = 60  # 30 cores, two-way hyper-threading
+WALL_RUNS = 3  # timed calls per wall cell: one cold call leaves cells under ~0.1 s to noise
 
 
 def to_markdown(df: pd.DataFrame) -> str:
@@ -73,25 +75,31 @@ def save_table(df: pd.DataFrame, name: str, results_dir: str | Path | None = Non
     return path
 
 
-def _arb(edges: np.ndarray, r: int, s: int, cfg: DecompConfig | None = None) -> DecompResult:
-    return nucleus_decomposition(edges, r, s, cfg)
+def _warm_wall(fn, *args):
+    """Call fn(*args) once untimed, then WALL_RUNS times; return the last
+    result and the median wall-clock seconds of the timed calls."""
+    fn(*args)
+    walls = []
+    for _ in range(WALL_RUNS):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        walls.append(time.perf_counter() - t0)
+    return out, float(np.median(walls))
+
+
+def _arb(edges: np.ndarray, r: int, s: int, cfg: DecompConfig) -> tuple[DecompResult, float]:
+    """ARB's result and its warm median wall-clock seconds."""
+    return _warm_wall(nucleus_decomposition, edges, r, s, cfg)
 
 
 def _best_config(r: int, s: int) -> DecompConfig:
     """§6.2's overall-optimal setting: two-level contiguous stored-pointer
     T; hash aggregation + contraction for (2,3), list buffer + relabeling
-    otherwise.
-
-    Both use the exact per-round dedup (``frac_updates=False``), chosen by
-    nucbench wall-clock: on ``dblp-25`` it looks up 105,280 rows a call
-    instead of 398,000 and ``decomp_s`` falls from about 0.075 to 0.049 s
-    (4-core x86 box); ``orkut-34`` and ``skitter-23`` stay within a few
-    percent. Both paths give identical cores.
-    """
+    otherwise."""
     table = TableConfig(levels=2, first_level="array", contiguous=True, decode="pointer")
     if (r, s) == (2, 3):
-        return DecompConfig(table=table, aggregation="hash", contraction=True, frac_updates=False)
-    return DecompConfig(table=table, aggregation="list-buffer", relabel=True, frac_updates=False)
+        return DecompConfig(table=table, aggregation="hash", contraction=True)
+    return DecompConfig(table=table, aggregation="list-buffer", relabel=True)
 
 
 # ---------------------------------------------------------------- Fig 7 table
@@ -103,7 +111,7 @@ def table_graph_stats(graphs: list[str] | None = None) -> pd.DataFrame:
         und = build_csr(edges)
         pairs = RS_FULL if name in ("amazon-lite", "dblp-lite") else RS_RMAT
         for r, s in pairs:
-            res = _arb(edges, r, s, _best_config(r, s))
+            res, wall = _arb(edges, r, s, _best_config(r, s))
             rows.append(
                 {
                     "graph": name,
@@ -114,7 +122,7 @@ def table_graph_stats(graphs: list[str] | None = None) -> pd.DataFrame:
                     "n_rcliques": len(res.vmat),
                     "rho": res.rho,
                     "max_core": res.max_core,
-                    "wall_s": res.counters.wall_seconds,
+                    "wall_s": wall,
                 }
             )
     return pd.DataFrame(rows)
@@ -145,18 +153,17 @@ def table_t_optimizations(
         for label, tcfg in T_CONFIGS:
             if tcfg.levels > r:
                 continue
-            res = _arb(edges, r, s, DecompConfig(table=tcfg, aggregation="array"))
+            res, wall = _arb(edges, r, s, DecompConfig(table=tcfg, aggregation="array"))
             if base is None:
-                base = res
+                base, base_wall = res, wall
             rows.append(
                 {
                     "graph": name,
                     "r": r,
                     "s": s,
                     "config": label,
-                    "wall_s": res.counters.wall_seconds,
-                    "speedup_vs_1level": base.counters.wall_seconds
-                    / res.counters.wall_seconds,
+                    "wall_s": wall,
+                    "speedup_vs_1level": base_wall / wall,
                     "mem_units": res.table_memory_units,
                     "space_saving_vs_1level": base.table_memory_units
                     / res.table_memory_units,
@@ -182,7 +189,7 @@ def table_other_optimizations(
     for name in graphs or SUITE:
         edges = surrogate(name)
         for r, s in rs_list or [(2, 3), (2, 4), (3, 4)]:
-            base = _arb(edges, r, s, DecompConfig(table=two_level, aggregation="array"))
+            base, base_wall = _arb(edges, r, s, DecompConfig(table=two_level, aggregation="array"))
             base_sim = simulated_time(base.counters, P_PAPER)
             variants: list[tuple[str, DecompConfig]] = [
                 ("relabel", DecompConfig(table=two_level, aggregation="array", relabel=True)),
@@ -194,16 +201,15 @@ def table_other_optimizations(
                     ("contraction", DecompConfig(table=two_level, aggregation="array", contraction=True))
                 )
             for label, cfg in variants:
-                res = _arb(edges, r, s, cfg)
+                res, wall = _arb(edges, r, s, cfg)
                 rows.append(
                     {
                         "graph": name,
                         "r": r,
                         "s": s,
                         "optimization": label,
-                        "wall_s": res.counters.wall_seconds,
-                        "wall_speedup": base.counters.wall_seconds
-                        / res.counters.wall_seconds,
+                        "wall_s": wall,
+                        "wall_speedup": base_wall / wall,
                         "sim_speedup_p60": base_sim
                         / simulated_time(res.counters, P_PAPER),
                     }
@@ -223,10 +229,10 @@ def table_baselines(
     for name in graphs or SUITE:
         edges = surrogate(name)
         for r, s in rs_list or RS_HEADLINE:
-            arb = _arb(edges, r, s, _best_config(r, s))
+            arb, arb_wall = _arb(edges, r, s, _best_config(r, s))
             arb_sim = simulated_time(arb.counters, P_PAPER)
             arb_sim1 = simulated_time(arb.counters, 1)
-            nd_core, nd_c = nd_decomposition(edges, r, s)
+            (nd_core, nd_c), nd_wall = _warm_wall(nd_decomposition, edges, r, s)
             assert nd_core == arb.core_dict(), "baseline disagrees with ARB"
             and_res = and_decomposition(edges, r, s)
             nn_res = and_decomposition(edges, r, s, notification=True)
@@ -234,10 +240,10 @@ def table_baselines(
                 "graph": name,
                 "r": r,
                 "s": s,
-                "arb_wall_s": arb.counters.wall_seconds,
+                "arb_wall_s": arb_wall,
                 "arb_rho": arb.rho,
                 "slowdown_arb_1thread_sim": arb_sim1 / arb_sim,
-                "slowdown_nd_wall": nd_c.wall_seconds / arb.counters.wall_seconds,
+                "slowdown_nd_wall": nd_wall / arb_wall,
                 "slowdown_pnd_sim": simulated_time(nd_c, P_PAPER) / arb_sim,
                 "pnd_rounds_ratio": nd_c.rounds / max(1, arb.rho),
                 "and_iters": and_res.iterations,
@@ -248,12 +254,12 @@ def table_baselines(
                 "andnn_extra_mem_bytes": nn_res.incidence_bytes,
             }
             if (r, s) == (2, 3):
-                pkt = pkt_truss(edges)
+                pkt, pkt_wall = _warm_wall(pkt_truss, edges)
                 got = {
                     tuple(e): int(c) for e, c in zip(pkt.edges.tolist(), pkt.core.tolist())
                 }
                 assert got == arb.core_dict(), "PKT disagrees with ARB"
-                row["slowdown_pkt_wall"] = pkt.wall_seconds / arb.counters.wall_seconds
+                row["slowdown_pkt_wall"] = pkt_wall / arb_wall
             rows.append(row)
     return pd.DataFrame(rows)
 
@@ -270,8 +276,7 @@ def table_rs_sweep(graphs: list[str] | None = None) -> pd.DataFrame:
         for r, s in pairs:
             if (r, s) in RS_HEADLINE:
                 continue
-            res = _arb(edges, r, s, _best_config(r, s))
-            times[(r, s)] = res.counters.wall_seconds
+            times[(r, s)] = _arb(edges, r, s, _best_config(r, s))[1]
         fastest = min(times.values())
         for (r, s), t in sorted(times.items()):
             rows.append(
@@ -298,7 +303,7 @@ def table_scalability(
     for name in graphs or ["dblp-lite", "skitter-lite", "orkut-lite"]:
         edges = surrogate(name)
         for r, s in rs_list or [(2, 3), (2, 4), (3, 4)]:
-            res = _arb(edges, r, s, _best_config(r, s))
+            res = nucleus_decomposition(edges, r, s, _best_config(r, s))
             t1 = simulated_time(res.counters, 1)
             for p in threads or [1, 2, 4, 8, 16, 30, 60]:
                 rows.append(
@@ -361,7 +366,7 @@ def table_rmat_scaling(
         for epv in edges_per_vertex or [4, 8, 16]:
             edges = rmat(log2_n, (1 << log2_n) * epv, seed=100 + log2_n)
             for r, s in rs_list or [(2, 3), (3, 4), (4, 5)]:
-                res = _arb(edges, r, s, _best_config(r, s))
+                res, wall = _arb(edges, r, s, _best_config(r, s))
                 rows.append(
                     {
                         "log2_n": log2_n,
@@ -371,7 +376,7 @@ def table_rmat_scaling(
                         "s": s,
                         "n_rcliques": len(res.vmat),
                         "n_scliques": res.counters.scliques_discovered,
-                        "wall_s": res.counters.wall_seconds,
+                        "wall_s": wall,
                     }
                 )
     return pd.DataFrame(rows)

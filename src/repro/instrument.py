@@ -13,9 +13,7 @@ reported alongside wherever they are meaningful.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 __all__ = ["Counters", "simulated_time", "self_relative_speedup"]
 

@@ -10,10 +10,10 @@ Phases:
    each r-clique's identifier is its last-level cell index.
 4. Peel rounds: extract the minimum bucket from the Julienne-style
    bucketing structure, re-list the s-cliques incident to peeled
-   r-cliques (UPDATE), subtract 1/a per discovery (UPDATE-FUNC's
-   over-counting guard) or, with ``frac_updates=False``, 1 per distinct
-   s-clique after a row-rank dedup; aggregate the updated set U with the
-   chosen §5.5 structure, and re-bucket.
+   r-cliques (UPDATE), dedup them with a row rank and subtract 1 per
+   distinct s-clique (the sum of UPDATE-FUNC's 1/a per listing);
+   aggregate the updated set U with the chosen §5.5 structure, and
+   re-bucket.
 
 The peeling loop runs driver-side over numpy structures: with thousands
 of rounds, per-round Spark jobs would measure scheduler overhead rather
@@ -32,10 +32,10 @@ import numpy as np
 from ..aggregation import make_aggregator
 from ..bucketing import Bucketing
 from ..cliques.listing import extend_cliques, row_ranks, s_counts_per_r_clique
-from ..graphs.csr import CSR, build_csr, orient_csr
+from ..graphs.csr import build_csr, orient_csr
 from ..graphs.orient import make_rank, relabel
 from ..instrument import Counters
-from ..tables.clique_table import CliqueTable, TableConfig, make_table
+from ..tables.clique_table import TableConfig, make_table
 from .contract import ContractionState, maybe_contract
 
 __all__ = ["DecompConfig", "DecompResult", "nucleus_decomposition"]
@@ -48,7 +48,6 @@ class DecompConfig:
     relabel: bool = False  # §5.4 graph relabeling
     aggregation: str = "list-buffer"  # §5.5: 'array' | 'list-buffer' | 'hash'
     contraction: bool = False  # §5.6, (2,3) only
-    frac_updates: bool = True  # 1/a trick (True) vs exact per-round dedup
     counting: str = "local"  # 'local' | 'spark'
     spark_slices: int = 64
 
@@ -112,12 +111,12 @@ def nucleus_decomposition(
 
     table = make_table(vmat, n_verts, config.table)
     idx_rows = table.row_indices()
-    counts = np.zeros(table.capacity, dtype=np.float64)
+    counts = np.zeros(table.capacity, dtype=np.int64)
     counts[idx_rows] = cnts
     core = np.zeros(table.capacity, dtype=np.int64)
     peeled = np.full(table.capacity, -1, dtype=np.int64)
 
-    buckets = Bucketing(idx_rows, np.rint(cnts).astype(np.int64))
+    buckets = Bucketing(idx_rows, cnts)
     agg = make_aggregator(config.aggregation, table.capacity)
     log2n = log2(max(2, n_verts))
     subs_cols = np.array(list(combinations(range(s), r)), dtype=np.int64)
@@ -152,33 +151,24 @@ def nucleus_decomposition(
 
         if len(s_mat):
             s_mat.sort(axis=1)
-            if not config.frac_updates:
-                # a valid S is listed once per r-subset in A, i.e. a times,
-                # so 1 per distinct S sums to the paper's 1/a per listing
-                counters.work += s_mat.size
-                counters.span_logs += log2(max(2, len(s_mat)))
-                s_mat = row_ranks(s_mat, n_verts)[1]
+            # a valid S is listed once per r-subset in A, i.e. a times,
+            # so 1 per distinct S sums to the paper's 1/a per listing
+            counters.work += s_mat.size
+            counters.span_logs += log2(max(2, len(s_mat)))
+            s_mat = row_ranks(s_mat, n_verts)[1]
             flat = s_mat[:, subs_cols].reshape(-1, r)
             idxs = table.lookup(flat).reshape(len(s_mat), len(subs_cols))
             st = peeled[idxs]
             prev = (st >= 0) & (st < round_no)
             valid = ~prev.any(axis=1)
-            in_a = (st == round_no) & valid[:, None]
-            unpeeled = (st == -1) & valid[:, None]
-            a = in_a.sum(axis=1)
-            rows_i, cols_i = np.nonzero(unpeeled)
-            tgt = idxs[rows_i, cols_i]
-            if config.frac_updates:
-                deltas = 1.0 / np.maximum(a[rows_i], 1)
-            else:
-                deltas = np.ones(len(tgt), dtype=np.float64)
-            np.subtract.at(counts, tgt, deltas)
+            tgt = idxs[(st == -1) & valid[:, None]]
+            np.subtract.at(counts, tgt, 1)
             if len(tgt):
                 agg.record(tgt)
             counters.work += idxs.size
 
         u_ids = agg.drain()
-        buckets.update(u_ids, np.rint(counts[u_ids]).astype(np.int64))
+        buckets.update(u_ids, counts[u_ids])
         counters.work += len(u_ids)
 
         if do_contract:

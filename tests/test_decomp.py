@@ -100,15 +100,13 @@ def test_contraction_actually_contracts():
     "name,r,s",
     [("fig1", 3, 4), ("er30", 2, 3), ("comm", 2, 4), ("comm", 2, 5), ("rmat6", 3, 5), ("fig1", 1, 3)],
 )
-def test_frac_vs_exact_updates_agree(name, r, s):
-    frac = run(name, r, s, frac_updates=True)
-    exact = run(name, r, s, frac_updates=False)
-    assert frac.core_dict() == exact.core_dict()
+def test_dedup_updates_match_reference(name, r, s):
+    assert run(name, r, s).core_dict() == reference_nucleus(SMALL_GRAPHS[name], r, s)
 
 
-def test_exact_updates_look_up_fewer_rows(monkeypatch):
-    """The 1/a path looks up all C(s, r) subsets of every discovered
-    s-clique; the exact path looks up each distinct s-clique once."""
+def test_dedup_updates_look_up_fewer_rows(monkeypatch):
+    """Each round looks up the C(s, r) subsets of each distinct s-clique
+    once, not once per listing of it."""
     sizes = []
     lookup = CliqueTable.lookup
 
@@ -118,16 +116,9 @@ def test_exact_updates_look_up_fewer_rows(monkeypatch):
 
     monkeypatch.setattr(CliqueTable, "lookup", counting_lookup)
 
-    def rows_looked_up(frac_updates):
-        sizes.clear()
-        res = run("comm", 2, 5, frac_updates=frac_updates, contraction=False)
-        assert res.core_dict() == reference_nucleus(SMALL_GRAPHS["comm"], 2, 5)
-        return sum(sizes), res
-
-    frac_rows, frac = rows_looked_up(True)
-    exact_rows, _ = rows_looked_up(False)
-    assert frac_rows == comb(5, 2) * frac.counters.scliques_discovered
-    assert exact_rows < frac_rows
+    res = run("comm", 2, 5, contraction=False)
+    assert res.core_dict() == reference_nucleus(SMALL_GRAPHS["comm"], 2, 5)
+    assert sum(sizes) < comb(5, 2) * res.counters.scliques_discovered
 
 
 def test_combined_optimizations():

@@ -3,6 +3,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import _best_config
 from repro.graphs.csr import build_csr
 from repro.graphs.orient import degeneracy_order
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
@@ -43,11 +44,27 @@ def test_table_levels_equivalent_random(edges, levels):
 
 @given(random_edges(max_n=12), st.sampled_from([(2, 3), (2, 4), (3, 4), (2, 5)]))
 @settings(max_examples=20, deadline=None)
-def test_frac_updates_equal_exact_random(edges, rs):
+def test_dedup_updates_match_reference_random(edges, rs):
     r, s = rs
-    frac = nucleus_decomposition(edges, r, s, DecompConfig(frac_updates=True))
-    exact = nucleus_decomposition(edges, r, s, DecompConfig(frac_updates=False))
-    assert frac.core_dict() == exact.core_dict() == reference_nucleus(edges, r, s)
+    res = nucleus_decomposition(edges, r, s, DecompConfig())
+    assert res.core_dict() == reference_nucleus(edges, r, s)
+
+
+@given(random_edges(max_n=12), st.sampled_from([(2, 3), (2, 4), (3, 4)]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_renamed_vertices_give_same_cores_random(edges, rs, data):
+    """Permuting or shifting the vertex IDs permutes or shifts the cores."""
+    r, s = rs
+    n = int(edges.max()) + 1
+    if data.draw(st.booleans(), label="shift"):
+        ids = np.arange(n) + data.draw(st.integers(1, 1000), label="offset")
+    else:
+        ids = np.array(data.draw(st.permutations(range(n)), label="perm"))
+    back = dict(zip(ids.tolist(), range(n)))
+    for cfg in (DecompConfig(), _best_config(r, s)):
+        moved = nucleus_decomposition(ids[edges], r, s, cfg).core_dict()
+        got = {tuple(sorted(back[v] for v in R)): c for R, c in moved.items()}
+        assert got == nucleus_decomposition(edges, r, s, cfg).core_dict()
 
 
 @given(random_edges())

@@ -38,6 +38,7 @@ def test_spark_counts_match_local_fig1(spark, r, s, n_slices):
     vmat, cnts = spark_s_counts(spark, dg, r, s, n_slices=n_slices)
     local_vmat, local_cnts = s_counts_per_r_clique(dg, r, s)
     assert np.array_equal(vmat, local_vmat) and np.array_equal(cnts, local_cnts)
+    assert cnts.dtype == local_cnts.dtype == np.int64
 
 
 def test_spark_counts_match_local_rmat(spark):
@@ -45,6 +46,7 @@ def test_spark_counts_match_local_rmat(spark):
     vmat, cnts = spark_s_counts(spark, dg, 2, 3, n_slices=8)
     local_vmat, local_cnts = s_counts_per_r_clique(dg, 2, 3)
     assert np.array_equal(vmat, local_vmat) and np.array_equal(cnts, local_cnts)
+    assert cnts.dtype == local_cnts.dtype == np.int64
 
 
 @pytest.mark.parametrize("n_slices", [0, -1])
@@ -84,8 +86,11 @@ def test_spark_counts_empty_graph(spark):
     und = build_csr(np.array([(0, 1), (2, 3)]), n=4)
     dg = orient_csr(und, np.arange(4))
     vmat, cnts = spark_s_counts(spark, dg, 2, 3, n_slices=2)
+    local_vmat, local_cnts = s_counts_per_r_clique(dg, 2, 3)
     # two disjoint edges: both are 2-cliques with zero incident triangles
     assert len(vmat) == 2 and (cnts == 0).all()
+    assert np.array_equal(vmat, local_vmat) and np.array_equal(cnts, local_cnts)
+    assert cnts.dtype == local_cnts.dtype == np.int64
 
 
 def test_spark_counts_vs_duckdb_oracle(spark):
