@@ -324,8 +324,8 @@ def table_spark_counting_scalability(
     rs: tuple[int, int] = (3, 4),
     slices: list[int] | None = None,
 ) -> pd.DataFrame:
-    """Measured companion to Fig 14: wall-clock of the Spark counting
-    stage at varying partition counts on this machine."""
+    """Measured companion to Fig 14: warm median wall-clock of the Spark
+    counting stage at varying partition counts on this machine."""
     from .cliques.spark_count import spark_s_counts
     from .graphs.csr import orient_csr
     from .graphs.orient import make_rank
@@ -339,15 +339,14 @@ def table_spark_counting_scalability(
     spark_s_counts(spark, dg, r, s, n_slices=max(slices))
     rows = []
     for k in slices:
-        t0 = time.perf_counter()
-        vmat, _ = spark_s_counts(spark, dg, r, s, n_slices=k)
+        (vmat, _), wall = _warm_wall(lambda: spark_s_counts(spark, dg, r, s, n_slices=k))
         rows.append(
             {
                 "graph": graph,
                 "r": r,
                 "s": s,
                 "slices": k,
-                "wall_s": time.perf_counter() - t0,
+                "wall_s": wall,
                 "n_rcliques": len(vmat),
             }
         )

@@ -103,7 +103,7 @@ def nucleus_decomposition(
     if config.counting == "spark":
         from ..cliques.spark_count import spark_s_counts
 
-        vmat, cnts = spark_s_counts(spark, dg, r, s, n_slices=config.spark_slices)
+        vmat, cnts = spark_s_counts(spark, dg, r, s, n_slices=config.spark_slices, counters=counters)
     else:
         vmat, cnts = s_counts_per_r_clique(dg, r, s, counters=counters)
     counters.span_logs += s * log2(max(2, n_verts))

@@ -3,9 +3,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cliques.listing import s_counts_per_r_clique
+from repro.cliques.spark_count import spark_s_counts
 from repro.experiments import _best_config
-from repro.graphs.csr import build_csr
-from repro.graphs.orient import degeneracy_order
+from repro.graphs.csr import build_csr, orient_csr
+from repro.graphs.orient import degeneracy_order, make_rank
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
 from repro.tables.clique_table import TableConfig
@@ -65,6 +67,23 @@ def test_renamed_vertices_give_same_cores_random(edges, rs, data):
         moved = nucleus_decomposition(ids[edges], r, s, cfg).core_dict()
         got = {tuple(sorted(back[v] for v in R)): c for R, c in moved.items()}
         assert got == nucleus_decomposition(edges, r, s, cfg).core_dict()
+
+
+@given(
+    random_edges(max_n=12),
+    st.sampled_from([(1, 2), (2, 3), (3, 4), (2, 4)]),
+    st.integers(1, 8),
+)
+@settings(max_examples=20, deadline=None)
+def test_spark_counts_match_local_random(spark, edges, rs, n_slices):
+    """Spark counting equals local counting bit for bit, dtype included."""
+    r, s = rs
+    und = build_csr(edges)
+    dg = orient_csr(und, make_rank(und, "degeneracy"))
+    vmat, cnts = spark_s_counts(spark, dg, r, s, n_slices=n_slices)
+    local_vmat, local_cnts = s_counts_per_r_clique(dg, r, s)
+    assert np.array_equal(vmat, local_vmat) and np.array_equal(cnts, local_cnts)
+    assert vmat.dtype == local_vmat.dtype and cnts.dtype == local_cnts.dtype == np.int64
 
 
 @given(random_edges())

@@ -1,9 +1,15 @@
 """Spark counting fan-out == local kernel; Spark-counted decomposition
 matches the reference."""
+import sys
+import zipfile
+import zipimport
+from dataclasses import asdict
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.cliques import spark_count
 from repro.cliques.listing import s_counts_per_r_clique
 from repro.cliques.spark_count import spark_s_counts
 from repro.graphs.csr import build_csr, orient_csr
@@ -57,8 +63,9 @@ def test_spark_counts_reject_bad_slices(spark, n_slices):
 
 
 def test_spark_counts_run_one_stage(spark):
-    """One job of one stage with one task per slice: the roots come from
-    spark.range and the partials are merged on the driver, not shuffled."""
+    """One job of one stage with one task per slice: each task counts one
+    root range of an RDD of slice numbers, and the partials are merged on
+    the driver, not shuffled."""
     _, dg = _dg(rmat(8, 900, seed=23))
     sc = spark.sparkContext
     group = "test_spark_counts_run_one_stage"
@@ -80,6 +87,56 @@ def test_decomp_with_spark_counting(spark, name, r, s):
     cfg = DecompConfig(counting="spark", spark_slices=4)
     res = nucleus_decomposition(SMALL_GRAPHS[name], r, s, cfg, spark=spark)
     assert res.core_dict() == reference_nucleus(SMALL_GRAPHS[name], r, s)
+
+
+@pytest.mark.parametrize("name,r,s", [("fig1", 3, 4), ("er30", 2, 3), ("rmat", 2, 3)])
+def test_spark_counting_keeps_counters(spark, name, r, s):
+    """Every counter but wall-clock is the same under Spark and local
+    counting: the counting kernel's work adds up over root ranges."""
+    edges = rmat(8, 900, seed=23) if name == "rmat" else SMALL_GRAPHS[name]
+    local = nucleus_decomposition(edges, r, s).counters
+    cfg = DecompConfig(counting="spark", spark_slices=4)
+    remote = nucleus_decomposition(edges, r, s, cfg, spark=spark).counters
+    local.wall_seconds = remote.wall_seconds = 0.0
+    assert asdict(remote) == asdict(local)
+
+
+def test_drop_zip_finders(tmp_path):
+    """The trim removes every cached zipimporter, and modules of the same
+    zip still import afterwards."""
+    archive = tmp_path / "zipped.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        zf.writestr("zpkg_trim/__init__.py", "")
+        zf.writestr("zpkg_trim/one.py", "VALUE = 1\n")
+        zf.writestr("zpkg_trim/two.py", "VALUE = 2\n")
+    saved_path = list(sys.path)
+    sys.path.insert(0, str(archive))
+    try:
+        from zpkg_trim import one
+
+        cached = sys.path_importer_cache.values()
+        assert any(isinstance(f, zipimport.zipimporter) for f in cached)
+        spark_count._drop_zip_finders()
+        cached = sys.path_importer_cache.values()
+        assert not any(isinstance(f, zipimport.zipimporter) for f in cached)
+        from zpkg_trim import two
+
+        assert (one.VALUE, two.VALUE) == (1, 2)
+    finally:
+        sys.path[:] = saved_path
+        for name in ("zpkg_trim", "zpkg_trim.one", "zpkg_trim.two"):
+            sys.modules.pop(name, None)
+        spark_count._drop_zip_finders()
+
+
+def test_dataframe_jobs_after_spark_counts(spark):
+    """Python UDF jobs through Arrow and toPandas still return the right
+    rows in a session whose workers have run the trimmed counting tasks."""
+    _, dg = _dg(rmat(8, 900, seed=23))
+    spark_s_counts(spark, dg, 2, 3, n_slices=4)
+    df = spark.range(100, numPartitions=4)
+    out = df.mapInPandas(lambda batches: (b for b in batches), df.schema).toPandas()
+    assert sorted(out["id"]) == list(range(100))
 
 
 def test_spark_counts_empty_graph(spark):
