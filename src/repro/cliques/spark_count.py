@@ -11,7 +11,8 @@ to merge its chunks.
 
 Each task drops the cached zip finders that PySpark's next task would
 otherwise re-read (``_drop_zip_finders``). The CSR is broadcast once per
-call and destroyed after the collect.
+call and destroyed after the collect. Only its arrays travel: each task
+builds the arc hash set (``CSR.arc_set``) from them on first use.
 """
 from __future__ import annotations
 

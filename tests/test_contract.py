@@ -56,3 +56,17 @@ def test_note_peeled_edges_counts_both_endpoints():
     assert state.lost_since[0] == 2
     assert state.lost_since[1] == 1 and state.lost_since[2] == 1
     assert state.peeled_since == 2
+
+
+def test_contracted_csr_has_its_own_arc_set():
+    und = build_csr(SMALL_GRAPHS["k6"])
+    before = und.arc_set  # cached on the input graph before contracting
+    state = ContractionState(und)
+    state.note_peeled_edges(np.stack([np.zeros(5, np.int64), np.arange(1, 6)], axis=1))
+    state.peeled_since = 2 * und.n
+    out = maybe_contract(und, state, lambda q: (q[:, 0] == 0) | (q[:, 1] == 0))
+    assert out is not und and out.arc_set is not before
+    removed = np.setdiff1d(und.arc_keys, out.arc_keys)
+    assert len(removed) > 0 and not out.arc_set.contains(removed).any()
+    assert out.arc_set.contains(out.arc_keys).all()
+    assert before.contains(removed).all(), "the input graph's set is untouched"

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.graphs.csr import CSR, build_csr, orient_csr
+from repro.graphs.csr import CSR, KeySet, build_csr, orient_csr
 from repro.graphs.orient import degree_order
 
 from .fixtures import SMALL_GRAPHS
@@ -92,3 +92,25 @@ def test_gather_repeated_and_zero_degree():
     i, w = und.gather(v)
     assert np.array_equal(i, np.repeat(np.arange(len(v)), [und.degree(x) for x in v]))
     assert np.array_equal(w, np.concatenate([und.neighbors(x) for x in v]))
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.empty(0, dtype=np.int64),
+        np.array([0]),
+        np.array([0, 99]),  # keys 0 and n^2 - 1 for n = 10
+        np.arange(0, 2**40, 2**30),  # equal low bits
+        np.arange(5000) * 7919,
+        np.unique(np.random.default_rng(1).integers(0, 2**40, 5000)),  # collisions
+        np.array([2**62, 2**63 - 1, 1]),
+    ],
+    ids=["empty", "zero", "both-ends", "strided", "dense", "random", "huge"],
+)
+def test_key_set_matches_isin(keys):
+    s = KeySet(keys)
+    assert len(s.table) >= 4 * len(keys), "load <= 1/4"
+    g = np.random.default_rng(0)
+    q = np.concatenate([keys, keys ^ 1, g.integers(0, 2**62, 1000), [0, 2**63 - 1]])
+    assert np.array_equal(s.contains(q), np.isin(q, keys))
+    assert s.contains(q[::3]).shape == q[::3].shape  # non-contiguous queries

@@ -1,7 +1,13 @@
 """Smoke tests for the table generators (small slices of each)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pandas as pd
 import pytest
 
+import repro
 from repro.experiments import (
     save_table,
     table_baselines,
@@ -63,3 +69,15 @@ def test_save_table(tmp_path):
     df = pd.DataFrame({"a": [1], "b": [2.5]})
     p = save_table(df, "smoke", results_dir=tmp_path)
     assert p.exists() and (tmp_path / "smoke.csv").exists()
+
+
+def test_import_does_not_load_pandas():
+    # nucbench imports the module for _best_config alone; pandas would
+    # add about 0.45 s and 67 MB of RSS to every such process.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, repro.experiments, repro.nucleus.decomp; print('pandas' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "False"

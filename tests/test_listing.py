@@ -15,9 +15,12 @@ from repro.cliques.listing import (
     s_counts_per_r_clique,
     sum_by_row,
 )
+from repro.experiments import _best_config
 from repro.graphs.csr import build_csr, orient_csr
+from repro.graphs.gen import community_graph, rmat
 from repro.graphs.orient import make_rank
 from repro.instrument import Counters
+from repro.nucleus.decomp import nucleus_decomposition
 from repro.nucleus.reference import brute_force_cliques
 
 from .fixtures import SMALL_GRAPHS
@@ -145,6 +148,29 @@ def test_counters_count_cliques():
     work = Counters()
     s_counts_per_r_clique(dg, 2, 3, counters=work)
     assert work.work > 0 and work.scliques_discovered == 0
+
+
+@pytest.mark.parametrize(
+    "graph,r,s,work,found",
+    [
+        (lambda: rmat(9, 10000, seed=15), 3, 4, 1_131_093, 25_096),
+        (
+            lambda: community_graph(24, 6, 14, p_intra=0.9, inter_per_vertex=1.2, seed=12),
+            2,
+            5,
+            697_985,
+            39_800,
+        ),
+        (lambda: rmat(12, 20000, seed=14), 2, 3, 402_805, 7_164),
+    ],
+    ids=["orkut-34", "dblp-25", "skitter-23"],
+)
+def test_kernel_accounting_pinned(graph, r, s, work, found):
+    """The kernel's operation count and UPDATE discoveries on the
+    benchmark graphs: a change to how arcs are probed must not move them."""
+    res = nucleus_decomposition(graph(), r, s, _best_config(r, s))
+    assert res.counters.work == work
+    assert res.counters.scliques_discovered == found
 
 
 def test_roots_partition_counts():

@@ -26,6 +26,38 @@ def random_edges(draw, max_n=14):
     return np.stack([iu[mask], iv[mask]], axis=1)
 
 
+@st.composite
+def arc_set_graphs(draw, max_n=12):
+    """(n, edges): an empty graph, one edge, the complete graph or a random
+    graph on n vertices."""
+    n = draw(st.integers(2, max_n))
+    kind = draw(st.sampled_from(["empty", "one-edge", "complete", "random"]))
+    if kind == "empty":
+        return n, np.empty((0, 2), dtype=np.int64)
+    if kind == "one-edge":
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        return n, np.array([[u, v]])
+    iu, iv = np.triu_indices(n, k=1)
+    if kind == "random":
+        keep = np.array(draw(st.lists(st.booleans(), min_size=len(iu), max_size=len(iu))))
+        iu, iv = iu[keep], iv[keep]
+    return n, np.stack([iu, iv], axis=1)
+
+
+@given(arc_set_graphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_arc_set_matches_isin_random(graph, data):
+    n, edges = graph
+    und = build_csr(edges, n)
+    dg = orient_csr(und, np.arange(n))  # a one-edge graph leaves dg one arc
+    every = np.arange(n * n)  # keys 0 and n^2 - 1 included
+    picks = np.array(data.draw(st.lists(st.integers(0, n * n - 1), max_size=40)), dtype=np.int64)
+    for csr in (und, dg):
+        misses = np.setdiff1d(every, csr.arc_keys)
+        for q in (every, misses, picks):
+            assert np.array_equal(csr.arc_set.contains(q), np.isin(q, csr.arc_keys))
+
+
 @given(random_edges(), st.sampled_from([(2, 3), (3, 4), (2, 4), (1, 2)]))
 @settings(max_examples=40, deadline=None)
 def test_decomp_matches_reference_random(edges, rs):
