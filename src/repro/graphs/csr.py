@@ -7,9 +7,9 @@ source vertex, ascending, with destinations ascending within a source.
 ``gather`` reads the neighbour lists of many vertices at once.
 
 The paper stores graphs in CSR and adjacency hash tables. Here a CSR's
-``src * n + dst`` arc keys go into one ``KeySet`` per graph
-(``arc_set``), an open-addressing hash set, so an edge-membership test
-is O(1) expected, as in the paper.
+``src * n + dst`` arc keys go into one ``open_addr.KeySet`` per graph
+(``arc_set``), the one-region case of table T's open addressing, so an
+edge-membership test is O(1) expected, as in the paper.
 """
 from __future__ import annotations
 
@@ -18,61 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["CSR", "KeySet", "build_csr", "orient_csr"]
+from ..tables.open_addr import KeySet
 
-_FIB = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio: Fibonacci hashing
-_EMPTY = -1
-
-
-class KeySet:
-    """Set of distinct non-negative int64 keys with a batched membership test.
-
-    One int64 table of 2^bits slots, at least 4x the keys (load <= 1/4),
-    ``-1`` marking an empty slot. A key's home slot is the top ``bits``
-    bits of ``key * _FIB`` (Fibonacci hashing, mod 2^64); collisions probe
-    linearly. At this load about 88% of the clique kernel's probes on
-    the benchmark graphs settle at the home slot; at load ~0.4 the
-    extra passes, mostly for misses, cost all of the gain over a binary
-    search. The build scatters every pending key into its slot when that
-    slot is free and moves the keys that did not land one slot on, with
-    no sort; which of several colliding keys lands does not affect
-    membership.
-    """
-
-    def __init__(self, keys: np.ndarray):
-        keys = np.asarray(keys, dtype=np.int64)
-        bits = max(1, (4 * len(keys) - 1).bit_length())
-        self._shift = np.uint64(64 - bits)
-        self._mask = (1 << bits) - 1
-        self.table = np.full(1 << bits, _EMPTY, dtype=np.int64)
-        h = self._home(keys)
-        while len(keys):
-            free = self.table[h] == _EMPTY
-            self.table[h[free]] = keys[free]
-            moved = self.table[h] != keys
-            keys, h = keys[moved], (h[moved] + 1) & self._mask
-
-    def _home(self, q: np.ndarray) -> np.ndarray:
-        return ((q.view(np.uint64) * _FIB) >> self._shift).view(np.int64)
-
-    def contains(self, q: np.ndarray) -> np.ndarray:
-        """Boolean mask: q[i] is in the set, for non-negative queries. One
-        gather settles every query whose home slot holds it or is empty;
-        only the rest probe on."""
-        q = np.ascontiguousarray(q, dtype=np.int64)
-        h = self._home(q)
-        v = self.table[h]
-        out = v == q
-        idx = np.flatnonzero(~out & (v != _EMPTY))
-        h = h[idx]
-        while len(idx):
-            h = (h + 1) & self._mask
-            v = self.table[h]
-            hit = v == q[idx]
-            out[idx[hit]] = True
-            go = ~hit & (v != _EMPTY)
-            idx, h = idx[go], h[go]
-        return out
+__all__ = ["CSR", "build_csr", "orient_csr"]
 
 
 @dataclass

@@ -83,17 +83,17 @@ class _Level:
         self.blocks: list[np.ndarray] | None = None
 
     def find(self, regs: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Absolute cell of each (region, key); -1 if absent or ``regs < 0``."""
-        ok = regs >= 0
-        safe = np.where(ok, regs, 0)
-        if self.blocks is None:
-            starts = np.where(ok, self.starts[safe], -1)
-            return region_find(self.cells, starts, self.caps[safe], keys)
+        """Absolute cell of each (region, key); -1 if absent or ``regs < 0``
+        (no such region)."""
         out = np.full(len(keys), -1, dtype=np.int64)
-        for reg, sel in _groups(regs, np.flatnonzero(ok)):
-            cap = np.full_like(sel, self.caps[reg])
-            pos = region_find(self.blocks[reg], np.zeros_like(sel), cap, keys[sel])
-            out[sel] = np.where(pos >= 0, pos + self.starts[reg], -1)
+        sel = np.flatnonzero(regs >= 0)
+        if self.blocks is None:
+            reg = regs[sel]
+            out[sel] = region_find(self.cells, self.starts[reg], self.caps[reg], keys[sel])
+            return out
+        for reg, part in _groups(regs, sel):
+            pos = region_find(self.blocks[reg], 0, self.caps[reg], keys[part])
+            out[part] = np.where(pos >= 0, pos + self.starts[reg], -1)
         return out
 
     def values(self, idx: np.ndarray) -> np.ndarray:
@@ -118,7 +118,7 @@ class _Level:
         pos = idx + 1
         while len(i):
             vals = self.cells[pos]
-            hit = (vals & EMPTY_BIT) != 0
+            hit = vals >= EMPTY_BIT
             out[i[hit]] = (vals[hit] & PAYLOAD_MASK).astype(np.int64)
             i, pos = i[~hit], pos[~hit] + 1
         return out
@@ -207,7 +207,7 @@ class CliqueTable:
 
     def occupied_indices(self) -> np.ndarray:
         """Sorted cell indices of all stored r-cliques."""
-        return np.flatnonzero((self.last.values(np.arange(self.capacity)) & EMPTY_BIT) == 0)
+        return np.flatnonzero(self.last.values(np.arange(self.capacity)) < EMPTY_BIT)
 
     def lookup(self, vmat: np.ndarray) -> np.ndarray:
         """Cell index of each query r-clique (rows sorted asc); -1 if absent."""

@@ -1,26 +1,30 @@
 """Vectorized linear-probing open addressing over regions of a shared
-cell array.
+cell array: the one hash scheme behind table T and the arc sets.
 
 A *region* is a slice ``[start, start + cap)`` of the cell array used as
-one hash table, followed by one explicit *barrier* cell at
-``start + cap`` (paper §5.3: barriers between tables hold up-pointers).
-Empty cells carry ``EMPTY_BIT`` plus an up-pointer payload. Probing is
-modulo ``cap`` (the barrier is never probed), and every region keeps at
-least one empty probe-able cell, so searches terminate.
+one hash table; in table T each is followed by one explicit *barrier*
+cell at ``start + cap`` (paper §5.3: barriers between tables hold
+up-pointers). Keys are below 2^63 and empty cells carry ``EMPTY_BIT``
+(plus T's up-pointer payload), so a cell ``v`` is occupied exactly when
+``v < EMPTY_BIT``. A key's home is ``home(key, cap)``; probing wraps at
+the region end (the barrier is never probed), and every region keeps an
+empty probe-able cell, so searches terminate.
 
-Both operations take parallel per-key ``(start, cap, key)`` arrays, so
-one call covers every region of a table level, and both run pass by
-pass over only the keys still pending:
+``insert`` and ``region_find`` take per-key ``(start, cap, key)`` arrays,
+or one scalar region, so one call covers every region of a table level,
+and both carry only the keys still pending from pass to pass:
 
 * ``insert`` is the batch analogue of the paper's concurrent inserts,
   in the deterministic phase-concurrent style of Shun & Blelloch
-  (SPAA 2014). On each pass every pending key tries its current cell;
-  among the keys that find an empty cell, the lowest key index claims
-  it, and every other pending key moves on one cell. Cells never become
-  empty again, so each key stays reachable from its home slot over a
+  (SPAA 2014). On each pass every pending key writes itself into its
+  current cell if that cell is empty; of the keys writing one cell the
+  lowest key index lands, and the others move on one cell. Cells never
+  become empty again, so each key stays reachable from its home over a
   run of occupied cells, and the layout is a pure function of the input.
-* ``region_find`` resolves (region, key) queries the same way: a key
-  stops at its own cell (found) or at an empty one (absent).
+* ``region_find`` stops each key at its own cell (found) or an empty
+  one (absent); one gather stops most keys at home.
+
+``KeySet`` is the one-region case: a set of keys at load <= 1/4.
 """
 from __future__ import annotations
 
@@ -28,18 +32,23 @@ import numpy as np
 
 from .packing import EMPTY_BIT, PAYLOAD_MASK
 
-__all__ = ["hash_u64", "capacity_for", "insert", "region_find", "EMPTY_BIT", "PAYLOAD_MASK"]
+__all__ = ["home", "capacity_for", "insert", "region_find", "KeySet", "EMPTY_BIT", "PAYLOAD_MASK"]
+
+FIB = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio: Fibonacci hashing
+MAX_CAP = 1 << 32  # home() multiplies a 32-bit hash by the capacity in 64 bits
+_32 = np.uint64(32)
 
 
-def hash_u64(x: np.ndarray) -> np.ndarray:
-    """Splitmix64-style mixer, vectorized on uint64 (wraps mod 2^64)."""
-    x = np.asarray(x, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
+def home(keys: np.ndarray, caps) -> np.ndarray:
+    """Home offset in ``[0, cap)`` of each key: ``((key * FIB mod 2^64) >> 32)
+    * cap >> 32``, a multiply-shift range reduction with no modulo, for
+    ``cap < 2^32`` (one per key, or one for all). For ``cap = 2^b`` it is
+    the top ``b`` bits of ``key * FIB`` (Fibonacci hashing)."""
+    h = np.asarray(keys, dtype=np.uint64) * FIB
+    h >>= _32
+    h *= np.asarray(caps, dtype=np.uint64)
+    h >>= _32
+    return h.view(np.int64)
 
 
 def capacity_for(count: int | np.ndarray, load: float = 0.5) -> np.ndarray:
@@ -48,71 +57,87 @@ def capacity_for(count: int | np.ndarray, load: float = 0.5) -> np.ndarray:
     return np.maximum(2, np.ceil(np.asarray(count) / load).astype(np.int64) + 1)
 
 
-def _home(keys: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """Home offset of each key inside its region."""
-    return (hash_u64(keys) % caps.astype(np.uint64)).astype(np.int64)
-
-
-def insert(
-    cells: np.ndarray,
-    starts: np.ndarray,
-    caps: np.ndarray,
-    keys: np.ndarray,
-) -> tuple[np.ndarray, int]:
+def insert(cells: np.ndarray, starts, caps, keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Batch insert: key i goes into region ``[starts[i], starts[i] + caps[i])``.
 
-    Keys must be distinct within a region and fewer than its capacity.
-    Returns the absolute cell position of every key and the longest
-    probe distance from a key's home slot (each pending key advances one
-    cell per pass, so it is the number of passes minus one).
+    Keys must be below 2^63, distinct within a region and fewer than its
+    capacity; capacities must be below 2^32. Returns the absolute cell
+    position of every key and the longest probe distance from a key's
+    home (each pending key advances one cell per pass, so it is the
+    number of passes minus one).
     """
-    pos = np.empty(len(keys), dtype=np.int64)
-    i = np.arange(len(keys))
-    s = np.asarray(starts, dtype=np.int64)
-    c = np.asarray(caps, dtype=np.int64)
     k = np.asarray(keys, dtype=np.uint64)
-    off = _home(k, c)
+    caps = np.asarray(caps, dtype=np.int64)
+    if caps.size and caps.max() >= MAX_CAP:
+        raise ValueError(f"region capacity {int(caps.max())} must be below 2^32")
+    lo = np.broadcast_to(np.asarray(starts, dtype=np.int64), k.shape)
+    hi = lo + caps
+    p = lo + home(k, caps)
+    pos = np.empty(len(k), dtype=np.int64)
+    i = np.arange(len(k))
     passes = 0
     while len(i):
         passes += 1
-        p = s + off
-        free = np.flatnonzero(cells[p] & EMPTY_BIT)
-        # stable sort: the first of equal cells is the lowest key index
-        _, first = np.unique(p[free], return_index=True)
-        win = free[first]
-        cells[p[win]] = k[win]
-        pos[i[win]] = p[win]
-        go = np.ones(len(i), dtype=bool)
-        go[win] = False
-        i, s, c, k, off = i[go], s[go], c[go], k[go], off[go] + 1
-        off[off == c] = 0
+        free = (cells[p] >= EMPTY_BIT).nonzero()[0][::-1]
+        # numpy applies repeated-index writes in order, so the last write
+        # lands: scattering in reverse, that is the lowest key index
+        cells[p[free]] = k[free]
+        pos[i] = p  # final for the keys that landed
+        go = (cells[p] != k).nonzero()[0]  # integer takes: far cheaper than masks
+        i, k, lo, hi, p = i[go], k[go], lo[go], hi[go], p[go] + 1
+        p = np.where(p == hi, lo, p)
     return pos, max(passes - 1, 0)
 
 
-def region_find(
-    cells: np.ndarray,
-    starts: np.ndarray,
-    caps: np.ndarray,
-    keys: np.ndarray,
-) -> np.ndarray:
+def region_find(cells: np.ndarray, starts, caps, keys: np.ndarray) -> np.ndarray:
     """Batch lookup: absolute cell position per (region, key), -1 if absent.
 
-    ``starts``/``caps``/``keys`` are parallel arrays; entries with
-    ``starts < 0`` are treated as not-found immediately.
+    ``starts``/``caps`` are per-key arrays parallel to ``keys``, or
+    scalars for one region; every start must be a region's start.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    out = np.full(len(starts), -1, dtype=np.int64)
-    i = np.flatnonzero(starts >= 0)
-    s = starts[i]
-    c = np.asarray(caps, dtype=np.int64)[i]
-    k = np.asarray(keys, dtype=np.uint64)[i]
-    off = _home(k, c)
+    k = np.asarray(keys, dtype=np.uint64)
+    p, v = _stop(cells, starts, caps, k)
+    return np.where(v == k, p, -1)
+
+
+def _stop(cells: np.ndarray, starts, caps, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's stop cell, its own or the first empty one of its probe
+    run, and that cell's content. Only the keys whose home holds another
+    key walk on."""
+    p = home(k, caps)
+    p += starts
+    v = cells[p]
+    i = ((v < EMPTY_BIT) & (v != k)).nonzero()[0]
+    if not len(i):
+        return p, v
+    walked = i
+    lo = starts[i] if np.ndim(starts) else np.full(len(i), starts)
+    hi = lo + (caps[i] if np.ndim(caps) else caps)
+    q, k = p[i], k[i]
     while len(i):
-        p = s + off
-        vals = cells[p]
-        hit = vals == k
-        out[i[hit]] = p[hit]
-        go = ~hit & ((vals & EMPTY_BIT) == 0)
-        i, s, c, k, off = i[go], s[go], c[go], k[go], off[go] + 1
-        off[off == c] = 0
-    return out
+        q += 1
+        q = np.where(q == hi, lo, q)
+        u = cells[q]
+        p[i] = q
+        go = ((u < EMPTY_BIT) & (u != k)).nonzero()[0]  # integer takes: far cheaper than masks
+        i, k, lo, hi, q = i[go], k[go], lo[go], hi[go], q[go]
+    v[walked] = cells[p[walked]]
+    return p, v
+
+
+class KeySet:
+    """Set of distinct non-negative int64 keys with a batched membership
+    test: one region of ``cap = 2^b >= 4 * len(keys)`` cells (load <= 1/4).
+    At this load most probes settle at the home cell; at load ~0.4 the
+    extra passes, mostly for misses, cost all of the gain over a binary
+    search of the sorted keys."""
+
+    def __init__(self, keys: np.ndarray):
+        self.cap = 1 << max(1, (4 * len(keys) - 1).bit_length())
+        self.cells = np.full(self.cap, EMPTY_BIT, dtype=np.uint64)
+        insert(self.cells, 0, self.cap, np.asarray(keys, dtype=np.int64).view(np.uint64))
+
+    def contains(self, q: np.ndarray) -> np.ndarray:
+        """Boolean mask: q[i] is in the set, for non-negative queries."""
+        k = np.ascontiguousarray(q, dtype=np.int64).view(np.uint64)
+        return _stop(self.cells, 0, self.cap, k)[1] == k

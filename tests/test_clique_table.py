@@ -75,6 +75,19 @@ def test_missing_lookup(cfg):
             assert i == -1
 
 
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_lookup_of_vertex_heading_no_region(contiguous):
+    """Under the two-level array, a query whose first vertex heads no
+    last-level region is absent, whatever its suffix."""
+    vmat = np.array([[0, 1, 2], [0, 1, 3], [2, 3, 4]])
+    cfg = TableConfig(levels=2, first_level="array", contiguous=contiguous, decode="binsearch")
+    t = CliqueTable(vmat, 10, cfg)
+    q = np.array([[1, 2, 3], [0, 1, 2], [3, 4, 5], [2, 3, 4], [0, 2, 3]])
+    idx = t.lookup(q)
+    assert idx[0] == -1 and idx[2] == -1 and idx[4] == -1
+    assert np.array_equal(t.decode(idx[[1, 3]]), q[[1, 3]])
+
+
 def test_two_level_saves_space_on_overlapping_cliques():
     """Fig 3's point: two-level beats one-level once r-cliques overlap."""
     vmat, n = cliques_of("comm-m", 4)

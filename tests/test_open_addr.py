@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from repro.tables.clique_table import _Level
 from repro.tables.open_addr import (
     EMPTY_BIT,
+    FIB,
     capacity_for,
-    hash_u64,
+    home,
     insert,
     region_find,
 )
@@ -22,11 +24,24 @@ def test_capacity_always_leaves_empty():
         assert capacity_for(c) > c
 
 
-def test_hash_u64_deterministic_and_spread():
+@pytest.mark.parametrize("cap", [2, 3, 1000, 2**20, 2**32 - 1])
+def test_home_in_range_and_spread(cap):
     x = np.arange(1000, dtype=np.uint64)
-    h1, h2 = hash_u64(x), hash_u64(x)
-    assert np.array_equal(h1, h2)
-    assert len(np.unique(h1 % np.uint64(256))) > 200
+    h = home(x, cap)
+    assert np.array_equal(h, home(x, np.full(1000, cap)))
+    assert h.min() >= 0 and h.max() < cap
+    assert len(np.unique(h)) >= 0.8 * min(cap, 1000)
+    if cap & (cap - 1) == 0:  # 2^b: the top b bits of key * FIB, the arc-set layout
+        b = cap.bit_length() - 1
+        y = np.random.default_rng(b).integers(0, 2**63, 1000).astype(np.uint64)
+        assert np.array_equal(home(y, cap), ((y * FIB) >> np.uint64(64 - b)).astype(np.int64))
+
+
+def test_capacity_of_2_pow_32_is_rejected():
+    cells = np.full(4, EMPTY_BIT, dtype=np.uint64)
+    with pytest.raises(ValueError, match="below 2\\^32"):
+        insert(cells, np.array([0]), np.array([2**32]), np.array([1], np.uint64))
+    assert (cells == EMPTY_BIT).all()
 
 
 def test_insert_find_single_region():
@@ -67,14 +82,11 @@ def test_multiple_regions_shared_array():
 
 
 def test_negative_start_is_not_found():
-    cells = np.full(4, EMPTY_BIT, dtype=np.uint64)
-    out = region_find(
-        cells,
-        np.array([-1], np.int64),
-        np.array([3], np.int64),
-        np.array([1], np.uint64),
-    )
-    assert out[0] == -1
+    """A negative region (no such region) is not found; its key is."""
+    lvl = _Level(np.array([1]), np.array([-1]), 0.5)
+    pos, _ = insert(lvl.cells, lvl.starts, lvl.caps, np.array([1], np.uint64))
+    out = lvl.find(np.array([-1, 0]), np.array([1, 1], np.uint64))
+    assert out[0] == -1 and out[1] == pos[0]
 
 
 def test_high_load_probing():
@@ -111,14 +123,14 @@ def test_batched_insert_many_regions():
     assert ((pos >= s) & (pos < s + c)).all()
     assert np.array_equal(cells[pos], keys)
     assert np.array_equal(region_find(cells, s, c, keys), pos)
-    home = (hash_u64(keys) % c.astype(np.uint64)).astype(np.int64)
-    dist = (pos - s - home) % c
+    off = home(keys, c)
+    dist = (pos - s - off) % c
     assert max_probe == dist.max()
     # every cell is empty on the first pass, so the lowest key index homed
     # at a cell claims it
-    _, lowest = np.unique(s + home, return_index=True)
+    _, lowest = np.unique(s + off, return_index=True)
     assert (dist[lowest] == 0).all()
-    for h, d, st, cp in zip(home, dist, s, c):  # the probe run is all occupied
+    for h, d, st, cp in zip(off, dist, s, c):  # the probe run is all occupied
         run = st + (h + np.arange(d + 1)) % cp
         assert not (cells[run] & EMPTY_BIT).any()
     assert (cells[starts + caps] & EMPTY_BIT).all(), "barriers stay empty"

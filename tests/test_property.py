@@ -11,6 +11,7 @@ from repro.graphs.orient import degeneracy_order, make_rank
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
 from repro.tables.clique_table import TableConfig
+from repro.tables.open_addr import EMPTY_BIT, KeySet, insert, region_find
 
 
 @st.composite
@@ -56,6 +57,42 @@ def test_arc_set_matches_isin_random(graph, data):
         misses = np.setdiff1d(every, csr.arc_keys)
         for q in (every, misses, picks):
             assert np.array_equal(csr.arc_set.contains(q), np.isin(q, csr.arc_keys))
+
+
+@st.composite
+def keyed_regions(draw, max_regions=6):
+    """(caps, region, keys, others): regions with non-power-of-two
+    capacities, the region of every key, the distinct keys below 2^63
+    and distinct non-member keys."""
+    counts = draw(st.lists(st.integers(0, 30), min_size=1, max_size=max_regions))
+    caps = [
+        draw(st.integers(c + 1, 4 * c + 8).filter(lambda x: x & (x - 1)))
+        for c in counts
+    ]
+    every = draw(
+        st.lists(st.integers(0, 2**63 - 1), min_size=sum(counts) + 5,
+                 max_size=sum(counts) + 20, unique=True)
+    )
+    keys = np.array(every[: sum(counts)], dtype=np.uint64)
+    others = np.array(every[sum(counts) :], dtype=np.uint64)
+    return np.array(caps), np.repeat(np.arange(len(counts)), counts), keys, others
+
+
+@given(keyed_regions())
+@settings(max_examples=60, deadline=None)
+def test_open_addressing_finds_own_cell_random(regions):
+    caps, region, keys, others = regions
+    starts = np.cumsum(caps + 1) - (caps + 1)
+    cells = np.full(int((caps + 1).sum()), EMPTY_BIT, dtype=np.uint64)
+    pos, _ = insert(cells, starts[region], caps[region], keys)
+    assert np.array_equal(cells[pos], keys)
+    assert np.array_equal(region_find(cells, starts[region], caps[region], keys), pos)
+    qreg = np.repeat(np.arange(len(caps)), len(others))
+    missing = region_find(cells, starts[qreg], caps[qreg], np.tile(others, len(caps)))
+    assert (missing == -1).all()
+    s = KeySet(keys.astype(np.int64))
+    q = np.concatenate([keys, others]).astype(np.int64)
+    assert np.array_equal(s.contains(q), np.isin(q, keys.astype(np.int64)))
 
 
 @given(random_edges(), st.sampled_from([(2, 3), (3, 4), (2, 4), (1, 2)]))
