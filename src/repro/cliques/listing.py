@@ -28,6 +28,7 @@ import numpy as np
 
 from ..graphs.csr import CSR
 from ..instrument import Counters
+from ..tables.packing import row_ranks
 
 __all__ = [
     "CHUNK",
@@ -107,39 +108,6 @@ def enumerate_cliques(dg: CSR, c: int) -> np.ndarray:
     out = np.concatenate(parts) if parts else np.empty((0, c), dtype=np.int64)
     out.sort(axis=1)
     return out
-
-
-def row_ranks(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense lexicographic ranks of the rows of an (N, k) matrix of
-    vertex ids below n, and the distinct rows in rank order.
-
-    Each ``np.unique`` pass packs the previous pass's rank and as many
-    further columns as fit into one int64 key, ``prev_rank * n^c + cols``.
-    ``bound`` is the key's range: it starts each pass as the previous
-    pass's distinct count (1 before the first pass, 0 if N = 0), is
-    multiplied by n per packed column, and columns are added while
-    ``bound * n < 2^63``.
-    Base-n packing preserves lexicographic order, so the ranks are those
-    of the full rows. Every pass takes at least one column, which is
-    exact as long as N * n < 2^63; packing a whole row at once would
-    overflow int64 once n^k > 2^63. Only ranks are asked of
-    ``np.unique``: ``return_index`` would force a stable sort, about
-    twice as slow, and any row of a rank is that rank's distinct row.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    n = int(n)
-    N, k = rows.shape
-    rank = np.zeros(N, dtype=np.int64)
-    bound, j = min(N, 1), 0
-    while j < k:
-        key, bound, j = rank * n + rows[:, j], bound * n, j + 1
-        while j < k and bound * n < 2**63:
-            key, bound, j = key * n + rows[:, j], bound * n, j + 1
-        u, rank = np.unique(key, return_inverse=True)
-        bound = len(u)
-    uniq = np.empty((bound, k), dtype=np.int64)
-    uniq[rank] = rows  # equal ranks carry equal rows
-    return rank.reshape(-1), uniq
 
 
 def sum_by_row(rows: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,11 @@
 """Compressed sparse row graph representation (§3 "Graph Storage").
 
 The CSR arc layout lives here and nowhere else: arcs are grouped by
-source vertex, ascending, with destinations ascending within a source.
+source vertex, ascending, with destinations ascending within a source,
+which is the ascending order of the packed arc keys ``src * n + dst``.
 ``arc_src`` expands the offsets back to one source per arc,
-``from_arcs`` builds offsets from arcs already in that order, and
+``from_arcs`` builds offsets from arcs already in that order,
+``from_keys`` builds a CSR from its sorted distinct arc keys, and
 ``gather`` reads the neighbour lists of many vertices at once.
 
 The paper stores graphs in CSR and adjacency hash tables. Here a CSR's
@@ -38,6 +40,15 @@ class CSR:
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
         return cls(n, offsets, dst)
+
+    @classmethod
+    def from_keys(cls, n: int, keys: np.ndarray) -> CSR:
+        """CSR over n vertices from its arc keys ``src * n + dst``, sorted
+        and distinct; ``arc_src`` and ``arc_keys`` come pre-computed."""
+        src = keys // n
+        csr = cls.from_arcs(n, src, keys - src * n)
+        csr.__dict__.update(arc_src=src, arc_keys=keys)  # fill the cached properties
+        return csr
 
     @property
     def m(self) -> int:
@@ -96,24 +107,20 @@ def build_csr(edges: np.ndarray, n: int | None = None) -> CSR:
 
     This is where every input graph enters, so it validates the array:
     an integer dtype, shape (m, 2), non-negative ids and n above the
-    largest id. Self loops and duplicate edges are dropped; each edge
-    contributes an arc in both directions; neighbour lists are sorted
-    ascending.
+    largest id. Self loops are dropped; each edge contributes the arc
+    keys ``u * n + v`` and ``v * n + u``, and one ``np.unique`` of all of
+    them drops duplicate edges, in either orientation, and sorts the
+    arcs into CSR order in the same step.
     """
     edges = np.asarray(edges)
     _check_edges(edges, n)
     edges = edges.astype(np.int64, copy=False)
     if n is None:
         n = int(edges.max()) + 1 if len(edges) else 0
-    u = np.minimum(edges[:, 0], edges[:, 1])
-    v = np.maximum(edges[:, 0], edges[:, 1])
+    u, v = edges[:, 0], edges[:, 1]
     keep = u != v
-    uniq = np.unique(u[keep] * n + v[keep])
-    u, v = uniq // n, uniq % n
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    return CSR.from_arcs(n, src[order], dst[order])
+    u, v = u[keep], v[keep]
+    return CSR.from_keys(n, np.unique(np.concatenate([u * n + v, v * n + u])))
 
 
 def orient_csr(csr: CSR, rank: np.ndarray) -> CSR:

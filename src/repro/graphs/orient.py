@@ -4,9 +4,11 @@ Three orderings are provided, mirroring the options in Shi et al. [60]:
 
 * ``degree_order``   — order by (degree, id); the cheap heuristic.
 * ``degeneracy_order`` — exact minimum-degree peeling (k-core order),
-  run as the (1,2) nucleus peel on the same ``Bucketing`` structure as
-  every (r,s) decomposition; out-degree bounded by the degeneracy
-  d <= 2*alpha - 1.
+  the (1,2) nucleus peel run as a frontier peel of its own: a round's
+  candidates are the live neighbours of the previous round's peeled
+  vertices, and only when none qualifies does the level rise, by one
+  scan of the live vertices (at most d + 1 scans); out-degree bounded
+  by the degeneracy d <= 2*alpha - 1.
 * ``goodrich_pszona_order`` — round-based: repeatedly remove the
   epsilon-fraction of lowest-degree vertices; O(log n) rounds, constant-
   factor approximation of the degeneracy ordering (the parallel-friendly
@@ -17,13 +19,14 @@ peeled in a round are read with one ``CSR.gather``.
 
 ``relabel`` renames vertices by orientation rank (§5.4 graph
 relabeling), so clique vertices are discovered in increasing label order
-and no per-clique re-sorting is needed.
+and no per-clique re-sorting is needed. It renames an edge array, or a
+CSR by one sort of its renamed arc keys, without rebuilding it from
+edges.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..bucketing import Bucketing
 from .csr import CSR
 
 __all__ = [
@@ -55,23 +58,40 @@ def _live_neighbour_counts(
 def degeneracy_order(csr: CSR) -> tuple[np.ndarray, int]:
     """Exact degeneracy order; returns (rank, degeneracy).
 
-    This is the (1,2) nucleus peel on ``Bucketing``: each round takes the
-    minimum bucket, ranks its vertices in id order, and moves their live
-    neighbours down by the number of peeled neighbours each one lost. A
-    vertex peeled at level k has at most k live neighbours, so its
-    out-degree is at most the degeneracy, the last level reached.
+    This is the (1,2) nucleus peel, round-synchronous: each round ranks,
+    in id order, every live vertex whose live degree is at most the
+    level k, and the level rises to the minimum live degree only when no
+    live vertex is at or below it. A vertex peeled at level k has at
+    most k live neighbours, so its out-degree is at most the degeneracy,
+    the last level reached.
+
+    The peel keeps a frontier instead of buckets: after a round only its
+    live neighbours lost degree, so those of them now at or below k are
+    the next round, exactly. Only when the frontier empties is every
+    live degree above k; then one scan of the compacted live set raises
+    k to the minimum live degree and takes the vertices at it as the
+    next round. Each scan reaches a new level in 0..d, so there are at
+    most d + 1 scans of O(n) each; ``Bucketing`` is not involved.
     """
+    n = csr.n
     deg = csr.degrees()
-    rank = np.empty(csr.n, dtype=np.int64)
-    buckets = Bucketing(np.arange(csr.n), deg)
+    alive = np.ones(n, dtype=bool)
+    rank = np.empty(n, dtype=np.int64)
+    live = np.arange(n)
+    peeled = live[:0]
     pos = k = 0
-    while not buckets.empty():
-        k, peeled = buckets.next_bucket()
+    while pos < n:
+        if not len(peeled):  # frontier empty: k rises to the minimum live degree
+            live = live[alive[live]]
+            live_deg = deg[live]
+            k = int(live_deg.min())
+            peeled = live[live_deg == k]
         rank[peeled] = pos + np.arange(len(peeled))
         pos += len(peeled)
-        nb, lost = _live_neighbour_counts(csr, peeled, buckets.alive)
+        alive[peeled] = False
+        nb, lost = _live_neighbour_counts(csr, peeled, alive)
         deg[nb] -= lost
-        buckets.update(nb, deg[nb])
+        peeled = nb[deg[nb] <= k]
     return rank, k
 
 
@@ -107,13 +127,19 @@ def make_rank(csr: CSR, kind: str = "degeneracy") -> np.ndarray:
     raise ValueError(f"unknown orientation kind: {kind}")
 
 
-def relabel(edges: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def relabel(graph: np.ndarray | CSR, rank: np.ndarray) -> tuple[np.ndarray | CSR, np.ndarray]:
     """Rename vertices so that vertex id == orientation rank (§5.4).
 
-    Returns (relabeled edge array, perm) where perm[new_id] = old_id,
-    letting callers translate clique vertices back to original ids.
+    ``graph`` is an (m, 2) edge array or a CSR. Returns (the relabeled
+    graph of the same kind, perm) where perm[new_id] = old_id, letting
+    callers translate clique vertices back to original ids. A CSR is
+    relabeled by one sort of its renamed arc keys
+    ``rank[src] * n + rank[dst]``: the graph is already validated and
+    deduplicated, so it is not rebuilt from edges.
     """
-    new_edges = rank[edges]
     perm = np.empty(len(rank), dtype=np.int64)
     perm[rank] = np.arange(len(rank))
-    return new_edges, perm
+    if isinstance(graph, CSR):
+        keys = np.sort(rank[graph.arc_src] * graph.n + rank[graph.nbrs])
+        return CSR.from_keys(graph.n, keys), perm
+    return rank[graph], perm

@@ -94,8 +94,7 @@ def nucleus_decomposition(
     rank = make_rank(und, config.orientation)
     perm = None
     if config.relabel:
-        new_edges, perm = relabel(np.asarray(edges, dtype=np.int64), rank)
-        und = build_csr(new_edges, n_verts)
+        und, perm = relabel(und, rank)
         rank = np.arange(n_verts)
     dg = orient_csr(und, rank)
 
@@ -180,12 +179,16 @@ def nucleus_decomposition(
     counters.work += agg.clear_work
     counters.wall_seconds = time.perf_counter() - t_start
 
-    out_vmat = vmat if perm is None else np.sort(perm[vmat], axis=1)
-    out_core = core[idx_rows]
-    order = np.lexsort(tuple(out_vmat[:, j] for j in range(r - 1, -1, -1)))
+    # counting returns vmat in lexicographic order; relabeled rows need
+    # their original labels and a re-sort
+    out_vmat, out_core = vmat, core[idx_rows]
+    if perm is not None:
+        row_rank, out_vmat = row_ranks(np.sort(perm[vmat], axis=1), n_verts)
+        out_core = np.empty_like(out_core)
+        out_core[row_rank] = core[idx_rows]
     return DecompResult(
-        vmat=out_vmat[order],
-        core=out_core[order],
+        vmat=out_vmat,
+        core=out_core,
         rho=counters.rounds,
         max_core=int(out_core.max()) if n_r else 0,
         counters=counters,

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .open_addr import EMPTY_BIT, PAYLOAD_MASK, capacity_for, insert, region_find
-from .packing import fits, pack, unpack
+from .packing import fits, pack, row_ranks, unpack
 
 __all__ = ["TableConfig", "CliqueTable", "make_table", "min_levels"]
 
@@ -119,8 +119,10 @@ class _Level:
         while len(i):
             vals = self.cells[pos]
             hit = vals >= EMPTY_BIT
-            out[i[hit]] = (vals[hit] & PAYLOAD_MASK).astype(np.int64)
-            i, pos = i[~hit], pos[~hit] + 1
+            done = hit.nonzero()[0]  # integer takes: far cheaper than masks
+            out[i[done]] = (vals[done] & PAYLOAD_MASK).astype(np.int64)
+            go = (~hit).nonzero()[0]
+            i, pos = i[go], pos[go] + 1
         return out
 
 
@@ -154,13 +156,17 @@ class CliqueTable:
         if config.decode == "pointer" and not config.contiguous:
             raise ValueError("stored-pointer decode requires contiguous last level")
         self.n_cliques = int(len(vmat))
-        order = np.lexsort(tuple(vmat[:, j] for j in range(self.r - 1, -1, -1)))
-        self._build(vmat[order], order)
+        rank, rows = row_ranks(vmat, n)
+        if len(rows) != self.n_cliques:
+            raise ValueError("r-clique rows must be distinct")
+        self._build(rows, rank)
 
     # ------------------------------------------------------------------ build
-    def _build(self, vmat: np.ndarray, order: np.ndarray) -> None:
+    def _build(self, vmat: np.ndarray, rank: np.ndarray) -> None:
         """Lay out every level's regions back to back and fill each level
-        with one batched insert. The level at column ``col`` has one region
+        with one batched insert; ``vmat`` holds the distinct rows in
+        lexicographic order, ``rank`` each input row's position there.
+        The level at column ``col`` has one region
         per distinct col-prefix; an inner level holds the vertex at ``col``
         of each distinct (col+1)-prefix, the last level the packed suffix
         of each row."""
@@ -194,8 +200,7 @@ class CliqueTable:
 
         self.last = lvl
         self.capacity = len(lvl.cells)
-        self._row_index = np.empty(len(pos), dtype=np.int64)
-        self._row_index[order] = pos
+        self._row_index = pos[rank]
         if not cfg.contiguous:  # separately allocated per-region tables (§5.2)
             lvl.blocks = [lvl.cells[a : a + c + 1].copy() for a, c in zip(lvl.starts, lvl.caps)]
             lvl.cells = None

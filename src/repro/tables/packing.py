@@ -8,12 +8,15 @@ top bit of each key"), so at most 63 bits of payload are available:
 one-level table is infeasible — the same space wall the paper hits for
 large r — and the table factory raises the number of levels so only the
 last-level suffix must fit.
+
+``row_ranks`` packs rows base n instead, into as few int64 keys as
+their ranks need, to sort and deduplicate rows of any width.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bits_for", "fits", "pack", "unpack", "EMPTY_BIT", "PAYLOAD_MASK"]
+__all__ = ["bits_for", "fits", "pack", "unpack", "row_ranks", "EMPTY_BIT", "PAYLOAD_MASK"]
 
 EMPTY_BIT = np.uint64(1) << np.uint64(63)
 PAYLOAD_MASK = ~EMPTY_BIT
@@ -56,3 +59,36 @@ def unpack(keys: np.ndarray, n: int, w: int) -> np.ndarray:
         out[:, j] = (keys & mask).astype(np.int64)
         keys = keys >> b
     return out
+
+
+def row_ranks(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense lexicographic ranks of the rows of an (N, k) matrix of
+    vertex ids below n, and the distinct rows in rank order.
+
+    Each ``np.unique`` pass packs the previous pass's rank and as many
+    further columns as fit into one int64 key, ``prev_rank * n^c + cols``.
+    ``bound`` is the key's range: it starts each pass as the previous
+    pass's distinct count (1 before the first pass, 0 if N = 0), is
+    multiplied by n per packed column, and columns are added while
+    ``bound * n < 2^63``.
+    Base-n packing preserves lexicographic order, so the ranks are those
+    of the full rows. Every pass takes at least one column, which is
+    exact as long as N * n < 2^63; packing a whole row at once would
+    overflow int64 once n^k > 2^63. Only ranks are asked of
+    ``np.unique``: ``return_index`` would force a stable sort, about
+    twice as slow, and any row of a rank is that rank's distinct row.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n = int(n)
+    N, k = rows.shape
+    rank = np.zeros(N, dtype=np.int64)
+    bound, j = min(N, 1), 0
+    while j < k:
+        key, bound, j = rank * n + rows[:, j], bound * n, j + 1
+        while j < k and bound * n < 2**63:
+            key, bound, j = key * n + rows[:, j], bound * n, j + 1
+        u, rank = np.unique(key, return_inverse=True)
+        bound = len(u)
+    uniq = np.empty((bound, k), dtype=np.int64)
+    uniq[rank] = rows  # equal ranks carry equal rows
+    return rank.reshape(-1), uniq

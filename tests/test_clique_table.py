@@ -196,3 +196,41 @@ def test_table_sizes_pinned():
     for label, cfg in T_CONFIGS:
         t = make_table(vmat, n, cfg)
         assert (t.capacity, t.allocated_cells(), t.memory_units()) == PINNED_SIZES[label], label
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
+def test_row_indices_of_shuffled_rows(cfg):
+    """Input rows in any order: ``row_indices`` follows the input order,
+    and the layout is that of the lexicographically sorted rows."""
+    vmat, n = cliques_of("comm", 3)
+    shuffle = np.random.default_rng(5).permutation(len(vmat))
+    t = CliqueTable(vmat[shuffle], n, cfg)
+    assert np.array_equal(t.row_indices(), t.lookup(vmat[shuffle]))
+    assert np.array_equal(t.decode(t.row_indices()), vmat[shuffle])
+    assert np.array_equal(t.row_indices(), CliqueTable(vmat, n, cfg).row_indices()[shuffle])
+
+
+@pytest.mark.parametrize("first_level", ["array", "hash"])
+def test_row_indices_of_shuffled_rows_wide_ids(first_level):
+    """At n = 2^22 three ids take 66 bits, so ``row_ranks`` orders the
+    rows in two passes; a 3-level table of shuffled rows still maps each
+    input row to its own cell."""
+    n, r = 1 << 22, 3
+    assert n**r >= 2**63
+    g = np.random.default_rng(11)
+    vmat = g.choice(n, (600, r))
+    vmat[:200, 0] = g.choice(4, 200)  # shared small ids: regions with many keys
+    vmat = np.sort(vmat, axis=1)
+    vmat = np.unique(vmat[np.all(np.diff(vmat, axis=1) > 0, axis=1)], axis=0)
+    shuffle = g.permutation(len(vmat))
+    cfg = TableConfig(levels=3, first_level=first_level)
+    t = CliqueTable(vmat[shuffle], n, cfg)
+    assert np.array_equal(t.row_indices(), t.lookup(vmat[shuffle]))
+    assert np.array_equal(t.decode(t.row_indices()), vmat[shuffle])
+    assert np.array_equal(t.row_indices(), CliqueTable(vmat, n, cfg).row_indices()[shuffle])
+
+
+def test_duplicate_rows_rejected():
+    vmat = np.array([[0, 1, 2], [1, 2, 3], [0, 1, 2]])
+    with pytest.raises(ValueError, match="distinct"):
+        CliqueTable(vmat, 5, TableConfig(levels=1))

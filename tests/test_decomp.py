@@ -267,3 +267,14 @@ def test_k_cores_match_classic_peeling():
             if int(w) in alive:
                 deg[int(w)] -= 1
     assert got == core
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+@pytest.mark.parametrize("name,r,s", [("comm", 3, 4), ("er40", 2, 3), ("rmat6", 2, 4)])
+def test_result_sorted_with_and_without_relabeling(relabel, name, r, s):
+    """Without relabeling the output keeps counting's lexicographic order;
+    with it, rows mapped back to original ids are re-sorted, cores aligned."""
+    res = nucleus_decomposition(SMALL_GRAPHS[name], r, s, DecompConfig(relabel=relabel))
+    rows = [tuple(v) for v in res.vmat.tolist()]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert res.core_dict() == reference_nucleus(SMALL_GRAPHS[name], r, s)

@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from repro.cliques import listing
 from repro.cliques.listing import (
     count_cliques,
     enumerate_cliques,
@@ -231,3 +232,24 @@ def test_sum_by_row_matches_dict_sum(n, k, N):
         want[row] = want.get(row, 0.0) + w
     assert [tuple(u) for u in uniq.tolist()] == sorted(want)
     assert sums.tolist() == [want[row] for row in sorted(want)]
+
+
+def _strictly_lex_increasing(vmat: np.ndarray) -> bool:
+    rows = [tuple(v) for v in vmat.tolist()]
+    return all(a < b for a, b in zip(rows, rows[1:]))
+
+
+@pytest.mark.parametrize("name", ["fig1", "comm", "er30", "rmat6"])
+@pytest.mark.parametrize("r,s", [(1, 2), (2, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_s_counts_vmat_lex_sorted(monkeypatch, name, r, s, chunk):
+    """Counting returns its r-cliques in lexicographic order, one chunk
+    or many, all roots or a range of them: the decomposition's output
+    order and table T's build rely on it."""
+    if chunk is not None:
+        monkeypatch.setattr(listing, "CHUNK", chunk)
+    _, dg = setup(name, "degeneracy")
+    vmat, _ = s_counts_per_r_clique(dg, r, s)
+    assert len(vmat) and _strictly_lex_increasing(vmat)
+    part, _ = s_counts_per_r_clique(dg, r, s, roots=np.arange(dg.n // 3, dg.n))
+    assert _strictly_lex_increasing(part)

@@ -1,13 +1,13 @@
 """Property-based testing: random graphs vs the brute-force oracle."""
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cliques.listing import s_counts_per_r_clique
 from repro.cliques.spark_count import spark_s_counts
 from repro.experiments import _best_config
 from repro.graphs.csr import build_csr, orient_csr
-from repro.graphs.orient import degeneracy_order, make_rank
+from repro.graphs.orient import degeneracy_order, make_rank, relabel
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
 from repro.tables.clique_table import TableConfig
@@ -159,3 +159,95 @@ def test_spark_counts_match_local_random(spark, edges, rs, n_slices):
 @settings(max_examples=40, deadline=None)
 def test_degeneracy_is_max_k_core_random(edges):
     assert degeneracy_order(build_csr(edges))[1] == max(reference_nucleus(edges, 1, 2).values())
+
+
+@st.composite
+def messy_edges(draw, max_id=15):
+    """(edges, n): a list of up to 40 edges among ids up to ``max_id``,
+    with duplicates, self loops and both orientations of an edge drawn
+    freely, and n up to 3 above the largest id (isolated vertices)."""
+    ids = st.integers(0, draw(st.integers(0, max_id)))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    top = int(edges.max()) + 1 if len(edges) else 0
+    return edges, top + draw(st.integers(0, 3))
+
+
+def _round_synchronous_degeneracy(edges: np.ndarray, n: int) -> tuple[list[int], int]:
+    """Plain reference peel: k = max(k, min live degree), then every live
+    vertex of degree <= k is ranked in id order and removed."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges.tolist():
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    deg = [len(a) for a in adj]
+    live, rank, pos, k = set(range(n)), [0] * n, 0, 0
+    while live:
+        k = max(k, min(deg[v] for v in live))
+        peel = sorted(v for v in live if deg[v] <= k)
+        live -= set(peel)
+        for v in peel:
+            rank[v], pos = pos, pos + 1
+            for w in adj[v] & live:
+                deg[w] -= 1
+    return rank, k
+
+
+@given(messy_edges())
+@example((np.empty((0, 2), dtype=np.int64), 0))
+@example((np.empty((0, 2), dtype=np.int64), 3))
+@example((np.array([[0, 1]]), 2))
+@example((np.array([[3, 1]]), 6))
+@settings(max_examples=150, deadline=None)
+def test_degeneracy_order_matches_round_synchronous_reference(graph):
+    edges, n = graph
+    rank, d = degeneracy_order(build_csr(edges, n))
+    want_rank, want_d = _round_synchronous_degeneracy(edges, n)
+    assert rank.tolist() == want_rank and d == want_d
+
+
+def _unique_lexsort_csr(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR construction of one ``np.unique`` of the normalized edges
+    followed by a ``lexsort`` of both arc directions."""
+    u = np.minimum(edges[:, 0], edges[:, 1])
+    v = np.maximum(edges[:, 0], edges[:, 1])
+    keep = u != v
+    uniq = np.unique(u[keep] * n + v[keep])
+    u, v = uniq // n, uniq % n
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((dst, src))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, dst[order]
+
+
+@given(messy_edges())
+@example((np.empty((0, 2), dtype=np.int64), 0))
+@example((np.array([[2, 2], [1, 2], [2, 1], [1, 2]]), 4))
+@settings(max_examples=150, deadline=None)
+def test_build_csr_matches_unique_lexsort(graph):
+    edges, n = graph
+    offsets, nbrs = _unique_lexsort_csr(edges, n)
+    for und in (build_csr(edges, n), build_csr(edges[::-1, ::-1], n)):
+        assert und.offsets.dtype == und.nbrs.dtype == np.int64
+        assert np.array_equal(und.offsets, offsets) and np.array_equal(und.nbrs, nbrs)
+        assert np.array_equal(und.arc_keys, und.arc_src * n + und.nbrs)
+    if len(edges) and n == edges.max() + 1:
+        assert np.array_equal(build_csr(edges).nbrs, nbrs)
+
+
+@given(messy_edges(), st.sampled_from(["degree", "degeneracy", "goodrich-pszona"]))
+@settings(max_examples=60, deadline=None)
+def test_relabel_csr_matches_rebuilt_csr(graph, kind):
+    """Relabeling a CSR by its renamed arc keys gives the CSR built from
+    the relabeled edges, and the same perm."""
+    edges, n = graph
+    und = build_csr(edges, n)
+    rank = make_rank(und, kind)
+    new_edges, perm = relabel(edges, rank)
+    got, got_perm = relabel(und, rank)
+    want = build_csr(new_edges, n)
+    assert np.array_equal(got_perm, perm)
+    assert np.array_equal(got.offsets, want.offsets) and np.array_equal(got.nbrs, want.nbrs)
+    assert np.array_equal(got.arc_src, want.arc_src) and np.array_equal(got.arc_keys, want.arc_keys)

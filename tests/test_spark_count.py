@@ -197,3 +197,13 @@ def test_spark_counts_vs_duckdb_oracle(spark):
         """,
         raw=raw,
     )
+
+
+@pytest.mark.parametrize("r,s,n_slices", [(2, 3, 3), (3, 4, 4), (1, 2, 5)])
+def test_spark_counts_vmat_lex_sorted(spark, r, s, n_slices):
+    """The merged Spark partials come back in lexicographic row order,
+    which the decomposition's output path relies on."""
+    _, dg = _dg(rmat(8, 900, seed=23))
+    vmat, _ = spark_s_counts(spark, dg, r, s, n_slices=n_slices)
+    rows = [tuple(v) for v in vmat.tolist()]
+    assert len(rows) and all(a < b for a, b in zip(rows, rows[1:]))
