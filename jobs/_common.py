@@ -1,22 +1,17 @@
-"""Shared spark-submit bootstrapping for the job entrypoints."""
+"""Shared bootstrapping for the job entrypoints: ``repro`` on the path,
+a SparkSession for the one job that uses Spark, and table output."""
 from __future__ import annotations
 
 import sys
 from pathlib import Path
 
-from pyspark.sql import SparkSession
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 
-def get_spark(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+def get_spark(app: str):
+    from pyspark.sql import SparkSession
+
+    return SparkSession.builder.appName(app).getOrCreate()
 
 
 def emit(df, name: str) -> None:

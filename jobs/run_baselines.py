@@ -1,15 +1,11 @@
 """Fig 12 table: ARB vs ND / PND / AND / AND-NN / PKT."""
-from _common import emit, get_spark  # noqa: E402
+from _common import emit  # noqa: E402
 
 from repro.experiments import table_baselines  # noqa: E402
 
 
 def main() -> None:
-    spark = get_spark("repro-baselines")
-    try:
-        emit(table_baselines(), "t4_baselines")
-    finally:
-        spark.stop()
+    emit(table_baselines(), "t4_baselines")
 
 
 if __name__ == "__main__":

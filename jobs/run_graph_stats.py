@@ -1,19 +1,14 @@
 """Fig 7 table: graph sizes, peeling complexity rho, and max core numbers.
 
-Usage: spark-submit jobs/run_graph_stats.py  (Spark is used by the
-counting fan-out when REPRO_SPARK_COUNTING=1 is set; default local).
+Usage: python jobs/run_graph_stats.py  (counting runs locally).
 """
-from _common import emit, get_spark  # noqa: E402
+from _common import emit  # noqa: E402
 
 from repro.experiments import table_graph_stats  # noqa: E402
 
 
 def main() -> None:
-    spark = get_spark("repro-graph-stats")
-    try:
-        emit(table_graph_stats(), "t1_graph_stats")
-    finally:
-        spark.stop()
+    emit(table_graph_stats(), "t1_graph_stats")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,11 @@
 """Fig 11 table: relabeling / update-aggregation / contraction speedups."""
-from _common import emit, get_spark  # noqa: E402
+from _common import emit  # noqa: E402
 
 from repro.experiments import table_other_optimizations  # noqa: E402
 
 
 def main() -> None:
-    spark = get_spark("repro-other-opts")
-    try:
-        emit(table_other_optimizations(), "t3_other_opts")
-    finally:
-        spark.stop()
+    emit(table_other_optimizations(), "t3_other_opts")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,11 @@
 """Fig 15 table: rMAT graphs of varying size and density."""
-from _common import emit, get_spark  # noqa: E402
+from _common import emit  # noqa: E402
 
 from repro.experiments import table_rmat_scaling  # noqa: E402
 
 
 def main() -> None:
-    spark = get_spark("repro-rmat")
-    try:
-        emit(table_rmat_scaling(), "t7_rmat_scaling")
-    finally:
-        spark.stop()
+    emit(table_rmat_scaling(), "t7_rmat_scaling")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,11 @@
 """Fig 13 table: relative times across (r, s) values per graph."""
-from _common import emit, get_spark  # noqa: E402
+from _common import emit  # noqa: E402
 
 from repro.experiments import table_rs_sweep  # noqa: E402
 
 
 def main() -> None:
-    spark = get_spark("repro-rs-sweep")
-    try:
-        emit(table_rs_sweep(), "t5_rs_sweep")
-    finally:
-        spark.stop()
+    emit(table_rs_sweep(), "t5_rs_sweep")
 
 
 if __name__ == "__main__":

@@ -1,108 +1,77 @@
-"""The three options for aggregating the set U of updated r-cliques (§5.5).
+"""The set U of r-cliques updated in a peeling round, and its §5.5 cost.
 
-All three produce identical round results (the sorted unique ids whose
-counts changed); they differ in how parallel threads would reserve
-space, which we model with contention counters consumed by the
-work-span simulator (instrument.py):
+Paper §5.5 offers three structures for U: a simple array, a list buffer
+and a hash table. All three produce the same U, the sorted distinct ids
+whose counts changed this round, so one U serves every kind. They differ
+only in how parallel threads would contend for space, which
+``contention`` gives to the work-span simulator (instrument.py):
 
-* ``SimpleArrayU``  — one shared next-slot cursor: every first-touch of
-  an r-clique performs a fetch-and-add on the same variable, so all
-  insertions serialize: ``serialized_ops`` grows by #insertions.
-* ``ListBufferU``   — per-thread cursors over per-thread blocks; threads
-  only contend when reserving a fresh block: ``serialized_ops`` grows by
-  #block reservations (#insertions / buffer_size).
-* ``HashTableU``    — no reservation at all (hashing spreads insertions)
-  but the table must be sized for the round and cleared afterwards:
-  ``clear_work`` grows by the allocated capacity.
-
-First-touch detection uses a round-stamp array, the practical
-equivalent of "if this is the first modification of the r-clique's
-count this round".
+* ``array``       — one shared next-slot cursor: every insertion is a
+  fetch-and-add on the same variable, so all of them serialize.
+* ``list-buffer`` — per-thread blocks of ``BUFFER_SIZE`` slots, the first
+  block per thread pre-assigned: only further block reservations
+  serialize, and unused slots are filtered out (work |U|) before U is
+  returned.
+* ``hash``        — hashing spreads insertions, so nothing serializes,
+  but the table is sized from the round's peeled r-cliques and cleared
+  for reuse.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_aggregator", "SimpleArrayU", "ListBufferU", "HashTableU"]
+__all__ = ["KINDS", "check_kind", "contention", "make_aggregator"]
+
+KINDS = ("array", "list-buffer", "hash")
+BUFFER_SIZE = 64  # list-buffer block size
+N_THREADS = 60  # threads of the paper's machine
 
 
+def check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"aggregation must be one of {KINDS}, got {kind!r}")
+
+
+def contention(kind: str, inserted: int, n_peeled: int, per_peel: int, capacity: int) -> tuple[int, int]:
+    """(serialized_ops, clear_work) of one round that inserts ``inserted``
+    distinct ids after peeling ``n_peeled`` r-cliques, each updating at
+    most ``per_peel`` others, in a table of ``capacity`` cells."""
+    check_kind(kind)
+    if kind == "array":
+        return inserted, 0
+    if kind == "list-buffer":
+        return max(0, -(-inserted // BUFFER_SIZE) - N_THREADS), inserted
+    return 0, min(2 * max(1, n_peeled * per_peel), capacity)
+
+
+# A class only because nucbench/spans.py wraps begin_round, record and drain by name.
 class _BaseU:
-    def __init__(self, capacity: int):
-        self.stamp = np.full(capacity, -1, dtype=np.int64)
-        self.round = -1
+    def __init__(self, kind: str, capacity: int):
+        check_kind(kind)
+        self.kind = kind
+        self.capacity = capacity
         self.serialized_ops = 0  # ops that serialize across threads (span cost)
         self.clear_work = 0  # extra parallel work (work cost)
         self._parts: list[np.ndarray] = []
+        self._n_peeled = self._per_peel = 0
 
-    def begin_round(self, round_no: int, n_peeled: int, max_updates_per_peel: int) -> None:
-        self.round = round_no
+    def begin_round(self, n_peeled: int, max_updates_per_peel: int) -> None:
         self._parts = []
+        self._n_peeled, self._per_peel = n_peeled, max_updates_per_peel
 
     def record(self, ids: np.ndarray) -> None:
         """Register ids whose count changed (duplicates allowed)."""
-        ids = np.unique(np.asarray(ids, dtype=np.int64))
-        fresh = ids[self.stamp[ids] != self.round]
-        self.stamp[fresh] = self.round
-        if len(fresh):
-            self._parts.append(fresh)
-            self._on_insert(len(fresh))
+        self._parts.append(np.asarray(ids, dtype=np.int64))
 
     def drain(self) -> np.ndarray:
-        out = (
-            np.unique(np.concatenate(self._parts))
-            if self._parts
-            else np.empty(0, dtype=np.int64)
-        )
+        """The round's U, sorted and distinct; adds the round's contention."""
+        out = np.unique(np.concatenate(self._parts)) if self._parts else np.empty(0, dtype=np.int64)
         self._parts = []
-        return out
-
-    def _on_insert(self, k: int) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SimpleArrayU(_BaseU):
-    def _on_insert(self, k: int) -> None:
-        self.serialized_ops += k  # one shared fetch-and-add per insertion
-
-
-class ListBufferU(_BaseU):
-    def __init__(self, capacity: int, *, buffer_size: int = 64, n_threads: int = 60):
-        super().__init__(capacity)
-        self.buffer_size = buffer_size
-        self.n_threads = n_threads
-
-    def _on_insert(self, k: int) -> None:
-        # Threads only contend when a per-thread block fills up; the first
-        # block per thread is pre-assigned.
-        blocks = max(0, int(np.ceil(k / self.buffer_size)) - self.n_threads)
-        self.serialized_ops += blocks
-
-    def drain(self) -> np.ndarray:
-        out = super().drain()
-        self.clear_work += len(out)  # filter of unused slots before returning U
-        return out
-
-
-class HashTableU(_BaseU):
-    def begin_round(self, round_no: int, n_peeled: int, max_updates_per_peel: int) -> None:
-        super().begin_round(round_no, n_peeled, max_updates_per_peel)
-        # Space sized from the number of peeled r-cliques this round.
-        self._alloc = 2 * max(1, n_peeled * max_updates_per_peel)
-
-    def _on_insert(self, k: int) -> None:
-        pass  # hashing spreads insertions; no shared cursor
-
-    def drain(self) -> np.ndarray:
-        out = super().drain()
-        self.clear_work += min(self._alloc, len(self.stamp))  # clear U for reuse
+        ser, clear = contention(self.kind, len(out), self._n_peeled, self._per_peel, self.capacity)
+        self.serialized_ops += ser
+        self.clear_work += clear
         return out
 
 
 def make_aggregator(kind: str, capacity: int) -> _BaseU:
-    if kind == "array":
-        return SimpleArrayU(capacity)
-    if kind == "list-buffer":
-        return ListBufferU(capacity)
-    if kind == "hash":
-        return HashTableU(capacity)
-    raise ValueError(f"unknown aggregation kind: {kind}")
+    return _BaseU(kind, capacity)

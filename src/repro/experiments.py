@@ -4,7 +4,7 @@ One function per evaluation table (the paper presents most numbers in
 figures; each is a table of numbers which we regenerate as printed
 rows — see DESIGN.md §4 for the mapping). Every function returns a
 pandas DataFrame and optionally writes a markdown copy under
-``results/``. ``jobs/*.py`` are the spark-submit wrappers and
+``results/``. ``jobs/*.py`` are the command-line wrappers and
 ``benchmarks/bench_t*.py`` the pytest-benchmark harnesses over these.
 
 Times: ``wall_s`` is single-process wall-clock, the median of

@@ -29,7 +29,7 @@ from math import comb, log2
 
 import numpy as np
 
-from ..aggregation import make_aggregator
+from ..aggregation import check_kind, make_aggregator
 from ..bucketing import Bucketing
 from ..cliques.listing import extend_cliques, row_ranks, s_counts_per_r_clique
 from ..graphs.csr import build_csr, orient_csr
@@ -46,7 +46,7 @@ class DecompConfig:
     table: TableConfig = field(default_factory=TableConfig)
     orientation: str = "degeneracy"  # 'degree' | 'degeneracy' | 'goodrich-pszona'
     relabel: bool = False  # §5.4 graph relabeling
-    aggregation: str = "list-buffer"  # §5.5: 'array' | 'list-buffer' | 'hash'
+    aggregation: str = "list-buffer"  # §5.5: one of aggregation.KINDS
     contraction: bool = False  # §5.6, (2,3) only
     counting: str = "local"  # 'local' | 'spark'
     spark_slices: int = 64
@@ -86,6 +86,7 @@ def nucleus_decomposition(
         raise ValueError(f"counting must be 'local' or 'spark', got {config.counting!r}")
     if config.counting == "spark" and spark is None:
         raise ValueError("counting='spark' needs a SparkSession, got spark=None")
+    check_kind(config.aggregation)
     t_start = time.perf_counter()
     counters = Counters()
 
@@ -140,7 +141,7 @@ def nucleus_decomposition(
         counters.rounds += 1
         counters.span_logs += log2n
         counters.work += len(A)
-        agg.begin_round(round_no, len(A), est_per_peel * max(1, k))
+        agg.begin_round(len(A), est_per_peel * max(1, k))
 
         A_rows = table.decode(A)
         s_mat = np.empty((0, s), dtype=np.int64)
