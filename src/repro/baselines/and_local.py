@@ -58,7 +58,7 @@ def and_decomposition(
     """Run AND (notification=False) or AND-NN (True) to convergence."""
     t0 = time.perf_counter()
     und = build_csr(edges)
-    rank = make_rank(und, "degeneracy")
+    rank = make_rank(und)
     dg = orient_csr(und, rank)
     vmat, tau = s_counts_per_r_clique(dg, r, s)
     n_r = len(vmat)

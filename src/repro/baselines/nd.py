@@ -33,7 +33,7 @@ def nd_decomposition(edges: np.ndarray, r: int, s: int):
     counters.rounds is the number of peels, which dominates PND's span."""
     t0 = time.perf_counter()
     und = build_csr(edges)
-    rank = make_rank(und, "degeneracy")
+    rank = make_rank(und)
     dg = orient_csr(und, rank)
     counters = Counters()
     vmat, cnts = s_counts_per_r_clique(dg, r, s, counters=counters)

@@ -344,7 +344,7 @@ def table_spark_counting_scalability(
 
     edges = surrogate(graph)
     und = build_csr(edges)
-    dg = orient_csr(und, make_rank(und, "degeneracy"))
+    dg = orient_csr(und, make_rank(und))
     r, s = rs
     slices = slices or [1, 2, 4, 8, 16]
     # Untimed, at the most slices: starts every Python worker the timed calls use.

@@ -126,8 +126,8 @@ def build_csr(edges: np.ndarray, n: int | None = None) -> CSR:
 def orient_csr(csr: CSR, rank: np.ndarray) -> CSR:
     """Directed CSR keeping only arcs u -> v with rank[u] < rank[v].
 
-    This is the a-orientation of §3: with ``rank`` from a degeneracy or
-    Goodrich-Pszona ordering, out-degrees are O(alpha). Neighbour lists
+    This is the a-orientation of §3: with ``rank`` from the degeneracy
+    order, out-degrees are at most d <= 2*alpha - 1. Neighbour lists
     stay sorted by vertex id so intersections remain merge-based.
     """
     src = csr.arc_src

@@ -1,21 +1,22 @@
 """Low out-degree orientations (§3 "O(alpha)-Orientation") and relabeling.
 
-Three orderings are provided, mirroring the options in Shi et al. [60]:
+Two orderings are provided:
 
-* ``degree_order``   — order by (degree, id); the cheap heuristic.
+* ``degree_order``   — order by (degree, id); the cheap heuristic, used by
+  the PKT baseline.
 * ``degeneracy_order`` — exact minimum-degree peeling (k-core order),
   the (1,2) nucleus peel run as a frontier peel of its own: a round's
   candidates are the live neighbours of the previous round's peeled
   vertices, and only when none qualifies does the level rise, by one
   scan of the live vertices (at most d + 1 scans); out-degree bounded
-  by the degeneracy d <= 2*alpha - 1.
-* ``goodrich_pszona_order`` — round-based: repeatedly remove the
-  epsilon-fraction of lowest-degree vertices; O(log n) rounds, constant-
-  factor approximation of the degeneracy ordering (the parallel-friendly
-  variant analysed in the paper).
+  by the degeneracy d <= 2*alpha - 1. The peel is vectorized per round:
+  the neighbours of every vertex peeled in a round are read with one
+  ``CSR.gather``.
 
-Both peels are vectorized per round: the neighbours of every vertex
-peeled in a round are read with one ``CSR.gather``.
+The decomposition orients by degeneracy (``make_rank``): it is the
+O(alpha)-orientation the paper's work bound needs. The paper's
+Goodrich-Pszona order only improves span, which this implementation
+does not charge to orientation, so it is not provided.
 
 ``relabel`` renames vertices by orientation rank (§5.4 graph
 relabeling), so clique vertices are discovered in increasing label order
@@ -32,7 +33,6 @@ from .csr import CSR
 __all__ = [
     "degree_order",
     "degeneracy_order",
-    "goodrich_pszona_order",
     "make_rank",
     "relabel",
 ]
@@ -44,15 +44,6 @@ def degree_order(csr: CSR) -> np.ndarray:
     rank = np.empty(csr.n, dtype=np.int64)
     rank[order] = np.arange(csr.n)
     return rank
-
-
-def _live_neighbour_counts(
-    csr: CSR, vs: np.ndarray, alive: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct live neighbours of the vertices ``vs``, and how many of
-    ``vs`` each one is adjacent to."""
-    _, w = csr.gather(vs)
-    return np.unique(w[alive[w]], return_counts=True)
 
 
 def degeneracy_order(csr: CSR) -> tuple[np.ndarray, int]:
@@ -89,42 +80,16 @@ def degeneracy_order(csr: CSR) -> tuple[np.ndarray, int]:
         rank[peeled] = pos + np.arange(len(peeled))
         pos += len(peeled)
         alive[peeled] = False
-        nb, lost = _live_neighbour_counts(csr, peeled, alive)
+        _, w = csr.gather(peeled)  # the live neighbours lose one degree per peeled neighbour
+        nb, lost = np.unique(w[alive[w]], return_counts=True)
         deg[nb] -= lost
         peeled = nb[deg[nb] <= k]
     return rank, k
 
 
-def goodrich_pszona_order(csr: CSR, *, eps: float = 1.0) -> np.ndarray:
-    """Round-based peeling: each round removes the lowest-degree
-    n_live * eps / (1 + eps) vertices (at least 1). O(log n) rounds."""
-    n = csr.n
-    deg = csr.degrees()
-    alive = np.ones(n, dtype=bool)
-    rank = np.empty(n, dtype=np.int64)
-    pos = 0
-    frac = eps / (1.0 + eps)
-    while alive.any():
-        live = np.flatnonzero(alive)
-        k = max(1, int(len(live) * frac))
-        order = live[np.lexsort((live, deg[live]))][:k]
-        rank[order] = pos + np.arange(len(order))
-        pos += len(order)
-        alive[order] = False
-        nb, lost = _live_neighbour_counts(csr, order, alive)
-        deg[nb] -= lost
-    return rank
-
-
-def make_rank(csr: CSR, kind: str = "degeneracy") -> np.ndarray:
-    """Factory over the three orderings."""
-    if kind == "degree":
-        return degree_order(csr)
-    if kind == "degeneracy":
-        return degeneracy_order(csr)[0]
-    if kind == "goodrich-pszona":
-        return goodrich_pszona_order(csr)
-    raise ValueError(f"unknown orientation kind: {kind}")
+def make_rank(csr: CSR) -> np.ndarray:
+    """The orientation rank of the decomposition: the degeneracy order."""
+    return degeneracy_order(csr)[0]
 
 
 def relabel(graph: np.ndarray | CSR, rank: np.ndarray) -> tuple[np.ndarray | CSR, np.ndarray]:

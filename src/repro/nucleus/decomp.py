@@ -2,8 +2,8 @@
 
 Phases:
 
-1. Orient the graph with a low out-degree ordering (optionally relabel
-   vertices by orientation rank, §5.4).
+1. Orient the graph by its degeneracy order, an O(alpha)-orientation
+   (optionally relabel vertices by orientation rank, §5.4).
 2. Count the s-cliques incident on every r-clique with REC-LIST-CLIQUES
    — locally, or fanned out over Spark partitions (cliques/spark_count).
 3. Store counts in the configurable multi-level hash table T (§5.1-5.3);
@@ -44,7 +44,6 @@ __all__ = ["DecompConfig", "DecompResult", "nucleus_decomposition"]
 @dataclass
 class DecompConfig:
     table: TableConfig = field(default_factory=TableConfig)
-    orientation: str = "degeneracy"  # 'degree' | 'degeneracy' | 'goodrich-pszona'
     relabel: bool = False  # §5.4 graph relabeling
     aggregation: str = "list-buffer"  # §5.5: one of aggregation.KINDS
     contraction: bool = False  # §5.6, (2,3) only
@@ -86,13 +85,15 @@ def nucleus_decomposition(
         raise ValueError(f"counting must be 'local' or 'spark', got {config.counting!r}")
     if config.counting == "spark" and spark is None:
         raise ValueError("counting='spark' needs a SparkSession, got spark=None")
+    if config.counting == "spark" and config.spark_slices < 1:
+        raise ValueError(f"spark_slices must be >= 1, got {config.spark_slices}")
     check_kind(config.aggregation)
     t_start = time.perf_counter()
     counters = Counters()
 
     und = build_csr(edges, n)
     n_verts = und.n
-    rank = make_rank(und, config.orientation)
+    rank = make_rank(und)
     perm = None
     if config.relabel:
         und, perm = relabel(und, rank)

@@ -35,18 +35,30 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .open_addr import EMPTY_BIT, PAYLOAD_MASK, capacity_for, insert, region_find
-from .packing import fits, pack, row_ranks, unpack
+from .packing import fits, pack, unpack
 
 __all__ = ["TableConfig", "CliqueTable", "make_table", "min_levels"]
 
 
 @dataclass(frozen=True)
 class TableConfig:
+    """The §5.1-5.3 options of T, checked where they are written, before
+    any graph work."""
+
     levels: int = 1
     first_level: str = "array"  # 'array' | 'hash'; relevant for levels >= 2
     contiguous: bool = True
     decode: str = "pointer"  # 'pointer' | 'binsearch'
-    load: float = 0.5
+
+    def __post_init__(self):
+        if self.levels < 1:
+            raise ValueError(f"levels must be >= 1, got {self.levels!r}")
+        if self.first_level not in ("array", "hash"):
+            raise ValueError(f"first_level must be 'array' or 'hash', got {self.first_level!r}")
+        if self.decode not in ("pointer", "binsearch"):
+            raise ValueError(f"decode must be 'pointer' or 'binsearch', got {self.decode!r}")
+        if self.decode == "pointer" and not self.contiguous:
+            raise ValueError("stored-pointer decode requires contiguous last level")
 
     def label(self) -> str:
         if self.levels == 1:
@@ -73,8 +85,8 @@ class _Level:
 
     __slots__ = ("cells", "starts", "caps", "parent_abs", "vals", "blocks")
 
-    def __init__(self, counts: np.ndarray, parent_abs: np.ndarray, load: float):
-        self.caps = capacity_for(counts, load)
+    def __init__(self, counts: np.ndarray, parent_abs: np.ndarray):
+        self.caps = capacity_for(counts)
         self.starts = np.cumsum(self.caps + 1) - (self.caps + 1)
         up_ptr = np.maximum(parent_abs, 0).astype(np.uint64)
         self.cells = EMPTY_BIT | np.repeat(up_ptr, self.caps + 1)
@@ -127,7 +139,9 @@ class _Level:
 
 
 class CliqueTable:
-    """See module docstring. Build once from the full set of r-cliques."""
+    """See module docstring. Build once from the full set of r-cliques,
+    given as distinct sorted-vertex rows in lexicographic order, the
+    order counting returns them in."""
 
     def __init__(self, vmat: np.ndarray, n: int, config: TableConfig | None = None):
         config = config or TableConfig()
@@ -138,8 +152,6 @@ class CliqueTable:
         self.r = int(vmat.shape[1]) if vmat.size else (vmat.shape[1] or 1)
         if config.levels > self.r:  # the paper requires l <= r
             config = replace(config, levels=self.r)
-        if config.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {config.levels!r}")
         self.config = config
         self.suffix_w = self.r - config.levels + 1
         if not fits(n, self.suffix_w):
@@ -147,26 +159,16 @@ class CliqueTable:
                 f"last-level key of {self.suffix_w} vertices does not fit for n={n}; "
                 f"need levels >= {min_levels(n, self.r)}"
             )
-        if config.first_level not in ("array", "hash"):
-            raise ValueError(f"first_level must be 'array' or 'hash', got {config.first_level!r}")
-        if config.decode not in ("pointer", "binsearch"):
-            raise ValueError(f"decode must be 'pointer' or 'binsearch', got {config.decode!r}")
-        if not (0 < config.load <= 1):
-            raise ValueError(f"load must be in (0, 1], got {config.load!r}")
-        if config.decode == "pointer" and not config.contiguous:
-            raise ValueError("stored-pointer decode requires contiguous last level")
+        if not _strictly_increasing(vmat):
+            raise ValueError("r-clique rows must be distinct and in lexicographic order")
         self.n_cliques = int(len(vmat))
-        rank, rows = row_ranks(vmat, n)
-        if len(rows) != self.n_cliques:
-            raise ValueError("r-clique rows must be distinct")
-        self._build(rows, rank)
+        self._build(vmat)
 
     # ------------------------------------------------------------------ build
-    def _build(self, vmat: np.ndarray, rank: np.ndarray) -> None:
+    def _build(self, vmat: np.ndarray) -> None:
         """Lay out every level's regions back to back and fill each level
         with one batched insert; ``vmat`` holds the distinct rows in
-        lexicographic order, ``rank`` each input row's position there.
-        The level at column ``col`` has one region
+        lexicographic order. The level at column ``col`` has one region
         per distinct col-prefix; an inner level holds the vertex at ``col``
         of each distinct (col+1)-prefix, the last level the packed suffix
         of each row."""
@@ -188,7 +190,7 @@ class CliqueTable:
             inner = col < L - 1
             rows = vmat[_new_prefix(vmat, col + 1)] if inner else vmat
             region = np.cumsum(_new_prefix(rows, col)) - 1
-            lvl = _Level(np.bincount(region, minlength=len(parent)), parent, cfg.load)
+            lvl = _Level(np.bincount(region, minlength=len(parent)), parent)
             keys = pack(rows[:, col : col + 1 if inner else self.r], self.n)
             pos, probe = insert(lvl.cells, lvl.starts[region], lvl.caps[region], keys)
             self.max_probe = max(self.max_probe, probe)
@@ -200,19 +202,15 @@ class CliqueTable:
 
         self.last = lvl
         self.capacity = len(lvl.cells)
-        self._row_index = pos[rank]
+        self._row_index = pos
         if not cfg.contiguous:  # separately allocated per-region tables (§5.2)
             lvl.blocks = [lvl.cells[a : a + c + 1].copy() for a, c in zip(lvl.starts, lvl.caps)]
             lvl.cells = None
 
     # ------------------------------------------------------------------ query
     def row_indices(self) -> np.ndarray:
-        """Cell index of each input row, in original input order."""
+        """Cell index of each input row, in input order."""
         return self._row_index
-
-    def occupied_indices(self) -> np.ndarray:
-        """Sorted cell indices of all stored r-cliques."""
-        return np.flatnonzero(self.last.values(np.arange(self.capacity)) < EMPTY_BIT)
 
     def lookup(self, vmat: np.ndarray) -> np.ndarray:
         """Cell index of each query r-clique (rows sorted asc); -1 if absent."""
@@ -254,6 +252,19 @@ class CliqueTable:
         return fl_cells + sum(int((lvl.caps + 1).sum()) for lvl in self.levels)
 
 
+def _strictly_increasing(mat: np.ndarray) -> bool:
+    """Whether each row of ``mat`` is lexicographically greater than the
+    one before it, found one column at a time in O(N * r): ``lt`` marks
+    the adjacent pairs already ordered, ``eq`` those equal so far."""
+    a, b = mat[:-1], mat[1:]
+    lt = np.zeros(len(a), dtype=bool)
+    eq = np.ones(len(a), dtype=bool)
+    for col in range(mat.shape[1]):
+        lt |= eq & (a[:, col] < b[:, col])
+        eq &= a[:, col] == b[:, col]
+    return bool(lt.all())
+
+
 def _new_prefix(mat: np.ndarray, j: int) -> np.ndarray:
     """Whether each row of a lex-sorted matrix starts a new distinct j-prefix."""
     first = np.ones(len(mat), dtype=bool)
@@ -272,7 +283,5 @@ def _groups(rid: np.ndarray, sel: np.ndarray):
 def make_table(vmat: np.ndarray, n: int, config: TableConfig | None = None) -> CliqueTable:
     """Factory; auto-raises the level count when the key would not fit."""
     config = config or TableConfig()
-    if config.levels < 1:
-        raise ValueError(f"levels must be >= 1, got {config.levels!r}")
     r = vmat.shape[1] if vmat.ndim == 2 else 1
     return CliqueTable(vmat, n, replace(config, levels=max(config.levels, min_levels(n, r))))

@@ -51,10 +51,10 @@ def home(keys: np.ndarray, caps) -> np.ndarray:
     return h.view(np.int64)
 
 
-def capacity_for(count: int | np.ndarray, load: float = 0.5) -> np.ndarray:
-    """Probe-able capacity guaranteeing >= 1 empty cell (load < 1);
-    elementwise over an array of counts."""
-    return np.maximum(2, np.ceil(np.asarray(count) / load).astype(np.int64) + 1)
+def capacity_for(count: int | np.ndarray) -> np.ndarray:
+    """Probe-able capacity 2 * count + 1 (at least 2): load below 1/2 and
+    >= 1 empty cell; elementwise over an array of counts."""
+    return np.maximum(2, 2 * np.asarray(count, dtype=np.int64) + 1)
 
 
 def insert(cells: np.ndarray, starts, caps, keys: np.ndarray) -> tuple[np.ndarray, int]:

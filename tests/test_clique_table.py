@@ -14,9 +14,12 @@ ALL = {**SMALL_GRAPHS, **MEDIUM_GRAPHS}
 
 
 def cliques_of(name: str, r: int) -> tuple[np.ndarray, int]:
+    """The r-cliques as T takes them, in lexicographic order; the kernel
+    lists them in orientation order."""
     und = build_csr(ALL[name])
     dg = orient_csr(und, degree_order(und))
-    return enumerate_cliques(dg, r), und.n
+    vmat = enumerate_cliques(dg, r)
+    return vmat[np.lexsort(vmat.T[::-1])], und.n
 
 
 CONFIGS = [
@@ -52,15 +55,6 @@ def test_row_indices_match_lookup(cfg):
     vmat, n = cliques_of("er30", 3)
     t = CliqueTable(vmat, n, cfg)
     assert np.array_equal(t.row_indices(), t.lookup(vmat))
-
-
-@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
-def test_occupied_indices(cfg):
-    vmat, n = cliques_of("comm", 3)
-    t = CliqueTable(vmat, n, cfg)
-    occ = t.occupied_indices()
-    assert len(occ) == len(vmat)
-    assert np.array_equal(np.sort(t.row_indices()), occ)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
@@ -146,7 +140,7 @@ def test_min_levels_and_factory_auto_raise():
     assert min_levels(n, 6) == 4
     g = np.random.default_rng(0)
     vmat = np.sort(g.integers(0, n, (20, 6)), axis=1)
-    vmat = vmat[np.all(np.diff(vmat, axis=1) > 0, axis=1)]
+    vmat = np.unique(vmat[np.all(np.diff(vmat, axis=1) > 0, axis=1)], axis=0)
     t = make_table(vmat, n, TableConfig(levels=1))
     assert t.config.levels >= 4
     assert np.array_equal(t.decode(t.lookup(vmat)), vmat)
@@ -162,8 +156,8 @@ def test_r1_table():
 
 def test_empty_table():
     t = CliqueTable(np.empty((0, 3), dtype=np.int64), 5, TableConfig(levels=2))
-    assert t.n_cliques == 0
-    assert len(t.occupied_indices()) == 0
+    assert t.n_cliques == 0 and len(t.row_indices()) == 0
+    assert t.lookup(np.array([[0, 1, 2]]))[0] == -1
 
 
 def test_levels_equal_r():
@@ -198,23 +192,28 @@ def test_table_sizes_pinned():
         assert (t.capacity, t.allocated_cells(), t.memory_units()) == PINNED_SIZES[label], label
 
 
+UNSORTED = "distinct and in lexicographic order"
+
+
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
-def test_row_indices_of_shuffled_rows(cfg):
-    """Input rows in any order: ``row_indices`` follows the input order,
-    and the layout is that of the lexicographically sorted rows."""
+def test_unsorted_rows_rejected(cfg):
+    """T takes its rows in counting's lexicographic order and checks it:
+    shuffled rows, or two rows swapped, are refused."""
     vmat, n = cliques_of("comm", 3)
     shuffle = np.random.default_rng(5).permutation(len(vmat))
-    t = CliqueTable(vmat[shuffle], n, cfg)
-    assert np.array_equal(t.row_indices(), t.lookup(vmat[shuffle]))
-    assert np.array_equal(t.decode(t.row_indices()), vmat[shuffle])
-    assert np.array_equal(t.row_indices(), CliqueTable(vmat, n, cfg).row_indices()[shuffle])
+    with pytest.raises(ValueError, match=UNSORTED):
+        CliqueTable(vmat[shuffle], n, cfg)
+    swapped = vmat.copy()
+    swapped[[7, 8]] = vmat[[8, 7]]
+    with pytest.raises(ValueError, match=UNSORTED):
+        CliqueTable(swapped, n, cfg)
 
 
 @pytest.mark.parametrize("first_level", ["array", "hash"])
-def test_row_indices_of_shuffled_rows_wide_ids(first_level):
-    """At n = 2^22 three ids take 66 bits, so ``row_ranks`` orders the
-    rows in two passes; a 3-level table of shuffled rows still maps each
-    input row to its own cell."""
+def test_wide_ids_roundtrip(first_level):
+    """At n = 2^22 three ids take 66 bits, too many for one packed key; a
+    3-level table of the sorted rows maps each row to its own cell, and
+    shuffled rows are refused."""
     n, r = 1 << 22, 3
     assert n**r >= 2**63
     g = np.random.default_rng(11)
@@ -222,15 +221,16 @@ def test_row_indices_of_shuffled_rows_wide_ids(first_level):
     vmat[:200, 0] = g.choice(4, 200)  # shared small ids: regions with many keys
     vmat = np.sort(vmat, axis=1)
     vmat = np.unique(vmat[np.all(np.diff(vmat, axis=1) > 0, axis=1)], axis=0)
-    shuffle = g.permutation(len(vmat))
     cfg = TableConfig(levels=3, first_level=first_level)
-    t = CliqueTable(vmat[shuffle], n, cfg)
-    assert np.array_equal(t.row_indices(), t.lookup(vmat[shuffle]))
-    assert np.array_equal(t.decode(t.row_indices()), vmat[shuffle])
-    assert np.array_equal(t.row_indices(), CliqueTable(vmat, n, cfg).row_indices()[shuffle])
+    t = CliqueTable(vmat, n, cfg)
+    assert np.array_equal(t.row_indices(), t.lookup(vmat))
+    assert len(np.unique(t.row_indices())) == len(vmat)
+    assert np.array_equal(t.decode(t.row_indices()), vmat)
+    with pytest.raises(ValueError, match=UNSORTED):
+        CliqueTable(vmat[g.permutation(len(vmat))], n, cfg)
 
 
 def test_duplicate_rows_rejected():
-    vmat = np.array([[0, 1, 2], [1, 2, 3], [0, 1, 2]])
-    with pytest.raises(ValueError, match="distinct"):
-        CliqueTable(vmat, 5, TableConfig(levels=1))
+    for vmat in ([[0, 1, 2], [1, 2, 3], [0, 1, 2]], [[0, 1, 2], [0, 1, 2], [1, 2, 3]]):
+        with pytest.raises(ValueError, match="distinct"):
+            CliqueTable(np.array(vmat), 5, TableConfig(levels=1))

@@ -83,7 +83,7 @@ def test_multiple_regions_shared_array():
 
 def test_negative_start_is_not_found():
     """A negative region (no such region) is not found; its key is."""
-    lvl = _Level(np.array([1]), np.array([-1]), 0.5)
+    lvl = _Level(np.array([1]), np.array([-1]))
     pos, _ = insert(lvl.cells, lvl.starts, lvl.caps, np.array([1], np.uint64))
     out = lvl.find(np.array([-1, 0]), np.array([1, 1], np.uint64))
     assert out[0] == -1 and out[1] == pos[0]

@@ -6,7 +6,6 @@ from repro.graphs.csr import build_csr, orient_csr
 from repro.graphs.orient import (
     degeneracy_order,
     degree_order,
-    goodrich_pszona_order,
     make_rank,
     relabel,
 )
@@ -18,10 +17,10 @@ ALL = {**SMALL_GRAPHS, **MEDIUM_GRAPHS}
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
-@pytest.mark.parametrize("kind", ["degree", "degeneracy", "goodrich-pszona"])
+@pytest.mark.parametrize("kind", ["degree", "degeneracy"])
 def test_rank_is_permutation(name, kind):
     und = build_csr(ALL[name])
-    rank = make_rank(und, kind)
+    rank = {"degree": degree_order, "degeneracy": make_rank}[kind](und)
     assert sorted(rank.tolist()) == list(range(und.n))
 
 
@@ -32,15 +31,6 @@ def test_degeneracy_out_degree_bound(name):
     rank, d = degeneracy_order(und)
     dg = orient_csr(und, rank)
     assert int(dg.degrees().max(initial=0)) <= d
-
-
-@pytest.mark.parametrize("name", sorted(ALL))
-def test_goodrich_pszona_out_degree_reasonable(name):
-    """GP is an O(alpha) orientation: out-degree O(degeneracy) with small constant."""
-    und = build_csr(ALL[name])
-    _, d = degeneracy_order(und)
-    dg = orient_csr(und, goodrich_pszona_order(und))
-    assert int(dg.degrees().max(initial=0)) <= max(4, 4 * d)
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
@@ -60,16 +50,10 @@ def test_degeneracy_of_path():
     assert degeneracy_order(und)[1] == 1
 
 
-def test_unknown_kind_raises():
-    und = build_csr(SMALL_GRAPHS["k4"])
-    with pytest.raises(ValueError):
-        make_rank(und, "nope")
-
-
 def test_relabel_roundtrip():
     edges = SMALL_GRAPHS["fig1"]
     und = build_csr(edges)
-    rank = make_rank(und, "degeneracy")
+    rank = make_rank(und)
     new_edges, perm = relabel(edges, rank)
     back = perm[new_edges]
     assert np.array_equal(
@@ -80,7 +64,7 @@ def test_relabel_roundtrip():
 def test_relabel_makes_identity_rank():
     edges = SMALL_GRAPHS["comm"]
     und = build_csr(edges)
-    rank = make_rank(und, "degeneracy")
+    rank = make_rank(und)
     new_edges, _ = relabel(edges, rank)
     und2 = build_csr(new_edges, und.n)
     dg2 = orient_csr(und2, np.arange(und.n))

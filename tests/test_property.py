@@ -7,10 +7,10 @@ from repro.cliques.listing import s_counts_per_r_clique
 from repro.cliques.spark_count import spark_s_counts
 from repro.experiments import _best_config
 from repro.graphs.csr import build_csr, orient_csr
-from repro.graphs.orient import degeneracy_order, make_rank, relabel
+from repro.graphs.orient import degeneracy_order, degree_order, make_rank, relabel
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
-from repro.tables.clique_table import TableConfig
+from repro.tables.clique_table import TableConfig, _strictly_increasing
 from repro.tables.open_addr import EMPTY_BIT, KeySet, insert, region_find
 
 
@@ -113,6 +113,19 @@ def test_table_levels_equivalent_random(edges, levels):
     assert res.core_dict() == reference_nucleus(edges, 3, 4)
 
 
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k), max_size=12)
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_row_order_check_matches_tuple_order_random(rows):
+    """T's column-by-column order check agrees with comparing the rows as
+    tuples; ids below 4 make long equal prefixes and equal rows common."""
+    mat = np.array(rows, dtype=np.int64).reshape(len(rows), -1 if rows else 1)
+    assert _strictly_increasing(mat) == all(tuple(a) < tuple(b) for a, b in zip(rows, rows[1:]))
+
+
 @given(random_edges(max_n=12), st.sampled_from([(2, 3), (2, 4), (3, 4), (2, 5)]))
 @settings(max_examples=20, deadline=None)
 def test_dedup_updates_match_reference_random(edges, rs):
@@ -148,7 +161,7 @@ def test_spark_counts_match_local_random(spark, edges, rs, n_slices):
     """Spark counting equals local counting bit for bit, dtype included."""
     r, s = rs
     und = build_csr(edges)
-    dg = orient_csr(und, make_rank(und, "degeneracy"))
+    dg = orient_csr(und, make_rank(und))
     vmat, cnts = spark_s_counts(spark, dg, r, s, n_slices=n_slices)
     local_vmat, local_cnts = s_counts_per_r_clique(dg, r, s)
     assert np.array_equal(vmat, local_vmat) and np.array_equal(cnts, local_cnts)
@@ -237,14 +250,14 @@ def test_build_csr_matches_unique_lexsort(graph):
         assert np.array_equal(build_csr(edges).nbrs, nbrs)
 
 
-@given(messy_edges(), st.sampled_from(["degree", "degeneracy", "goodrich-pszona"]))
+@given(messy_edges(), st.sampled_from([degree_order, make_rank]))
 @settings(max_examples=60, deadline=None)
-def test_relabel_csr_matches_rebuilt_csr(graph, kind):
+def test_relabel_csr_matches_rebuilt_csr(graph, order):
     """Relabeling a CSR by its renamed arc keys gives the CSR built from
     the relabeled edges, and the same perm."""
     edges, n = graph
     und = build_csr(edges, n)
-    rank = make_rank(und, kind)
+    rank = order(und)
     new_edges, perm = relabel(edges, rank)
     got, got_perm = relabel(und, rank)
     want = build_csr(new_edges, n)

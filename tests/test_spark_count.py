@@ -24,7 +24,7 @@ from .fixtures import FIG1_EDGES, SMALL_GRAPHS
 
 def _dg(edges):
     und = build_csr(edges)
-    return und, orient_csr(und, make_rank(und, "degeneracy"))
+    return und, orient_csr(und, make_rank(und))
 
 
 # 64 slices are more than fig1's 7 vertices. The 4-slice cases keep
