@@ -1,28 +1,37 @@
 """Level-synchronous clique listing: REC-LIST-CLIQUES (Algorithm 1) and
 the UPDATE listing of Algorithm 2 (lines 15-17), as one frontier kernel.
 
-A frontier holds k-cliques as an (N, k) matrix whose rows are in
-orientation order (every v_i -> v_j with i < j is an arc of the
-O(alpha)-oriented graph DG), and one step extends all rows at once:
-gather the out-neighbours w of each row's last vertex, and keep w only
-if (v_j, w) is an arc for every other column j. Arc membership is a
-probe of the graph's hash set of ``src * n + dst`` keys
-(``CSR.arc_set``), O(1) expected per probe, as with the paper's
-adjacency hash tables. Each c-clique is listed exactly once, by its
-orientation-order prefix; the level-wide batch is the parallel loop of
-Algorithm 1 line 7.
+A frontier is Algorithm 1's recursion state for many calls at once: an
+(N, k) matrix of k-cliques (``rows``) and, flat and grouped by row, the
+candidate set I of every row (``grp``, ``cand``): the vertices adjacent
+to all of the row. One step (``_step``) runs the loop of Algorithm 1
+line 7 for every row together: each candidate p becomes a child row
+``rows[grp[p]] ++ cand[p]``, and its candidate set I ∩ N+(cand[p]) is
+the later candidates q of its group with an arc ``cand[p] -> cand[q]``,
+one probe of the graph's hash set of ``src * n + dst`` keys
+(``CSR.arc_set``) per pair, O(1) expected, as with the paper's
+adjacency hash tables. Children keep their group's candidate order, so
+the order holds at every level. The last level takes no step: its
+cliques are the child rows themselves (``_grow``).
 
-Work matches O(m * alpha^(c-2)) per Shi et al. [60]: every step gathers
-O(alpha) candidates per row. The kernel adds its operation count
-(candidates gathered plus membership probes) to ``Counters.work``.
-``CHUNK`` bounds the frontier: counting runs over root ranges of that
-many vertices, UPDATE over blocks of that many peeled r-cliques.
+Counting starts from the roots with I = N+(root) in DG, whose out-lists
+``orient_csr`` keeps in rank order: a later candidate q of p is then an
+arc p -> q exactly when the two are adjacent, and each c-clique is
+listed once, by its orientation-order prefix. UPDATE starts from each
+peeled r-clique with I = I_R, its common neighbourhood in id order, and
+probes the undirected arc set, where adjacency needs no order.
+
+Work matches O(m * alpha^(c-2)) per Shi et al. [60]: a child row probes
+at most d <= 2*alpha - 1 later candidates (they are out-neighbours of
+one vertex), and listing c-cliques steps over (c-1)-cliques at most.
+The kernel adds its operation count (candidates gathered plus pair
+probes) to ``Counters.work``. ``CHUNK`` bounds the frontier: counting
+runs over root ranges of that many vertices, UPDATE over blocks of
+that many peeled r-cliques.
 """
 from __future__ import annotations
 
-from functools import partial
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
 
@@ -43,47 +52,49 @@ __all__ = [
 CHUNK = 2048  # roots per counting chunk; peeled r-cliques per UPDATE block
 
 
-def _member(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Boolean mask: q[i] occurs in the sorted array ``keys``."""
-    if len(keys) == 0:
-        return np.zeros(len(q), dtype=bool)
-    i = np.searchsorted(keys, q)
-    return keys[np.minimum(i, len(keys) - 1)] == q
+def _grow(rows: np.ndarray, grp: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """The (k+1)-cliques of a frontier: every row followed by each of its
+    candidates."""
+    return np.column_stack([rows[grp], cand])
 
 
-def _filter(
-    contains: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    heads: list[np.ndarray],
-    i: np.ndarray,
-    w: np.ndarray,
-    counters: Counters,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the pairs (i, w) whose key ``head[i] * n + w`` passes the
-    membership test ``contains`` for every head column, probing only the
-    survivors of earlier columns."""
-    for head in heads:
-        counters.work += len(w)
-        ok = contains(head[i] * n + w)
-        i, w = i[ok], w[ok]
-    return i, w
+def _step(
+    graph: CSR, rows: np.ndarray, grp: np.ndarray, cand: np.ndarray, counters: Counters
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One level of Algorithm 1 for every row of the frontier at once.
+
+    Returns the child frontier: child row p is ``rows[grp[p]] ++ cand[p]``,
+    and its candidates are the later candidates q of its group with an
+    arc ``cand[p] -> cand[q]`` in ``graph``, in group order.
+    """
+    p = np.arange(len(cand))
+    later = np.cumsum(np.bincount(grp, minlength=len(rows)))[grp] - p - 1
+    child = np.repeat(p, later)
+    # pair t of child p probes q = p + 1 + (t - first pair of p)
+    q = np.arange(len(child)) - np.repeat(np.cumsum(later) - later - p - 1, later)
+    counters.work += len(child)
+    hit = graph.arc_set.contains(cand[child] * graph.n + cand[q]).nonzero()[0]
+    return _grow(rows, grp, cand), child[hit], cand[q[hit]]
 
 
-def _step(dg: CSR, rows: np.ndarray, counters: Counters) -> np.ndarray:
-    """One frontier step: every (k+1)-clique of DG whose orientation-order
-    prefix is a row of the (N, k) matrix ``rows``."""
-    i, w = dg.gather(rows[:, -1])
-    counters.work += len(w)
-    i, w = _filter(dg.arc_set.contains, dg.n, list(rows[:, :-1].T), i, w, counters)
-    return np.column_stack([rows[i], w])
+def _frontier(
+    dg: CSR, roots: np.ndarray, k: int, counters: Counters
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frontier of the k-cliques rooted at ``roots``, orientation order,
+    every one with its candidate set, including those with none."""
+    grp, cand = dg.gather(roots)
+    counters.work += len(cand)
+    frontier = roots.reshape(-1, 1), grp, cand
+    for _ in range(k - 1):
+        frontier = _step(dg, *frontier, counters)
+    return frontier
 
 
 def _cliques(dg: CSR, roots: np.ndarray, c: int, counters: Counters) -> np.ndarray:
     """(N, c) matrix of the c-cliques rooted at ``roots``, orientation order."""
-    rows = np.asarray(roots, dtype=np.int64).reshape(-1, 1)
-    for _ in range(c - 1):
-        rows = _step(dg, rows, counters)
-    return rows
+    if c == 1:
+        return roots.reshape(-1, 1)
+    return _grow(*_frontier(dg, roots, c - 1, counters))
 
 
 def _chunks(dg: CSR, roots: np.ndarray | None):
@@ -131,10 +142,12 @@ def s_counts_per_r_clique(
     Returns (vmat, cnts): the lexicographically sorted (n_r, r) matrix of
     r-cliques with sorted vertex rows, and their int64 s-clique counts.
     r-cliques with no incident s-clique are included (they form the
-    0-bucket). Every s-clique extends exactly one r-clique (its first r
-    vertices in orientation order), so the s-level frontier is grown from
-    the r-level one; each s-clique then adds 1 to each of its C(s, r)
-    r-subsets through one ``bincount`` over dense row ranks.
+    0-bucket): they are the rows of the level-r frontier, candidates or
+    not. Every s-clique extends exactly one r-clique (its first r
+    vertices in orientation order), so the s-cliques are grown from the
+    level-r frontier, by s - 1 - r steps and one ``_grow``; each then
+    adds 1 to each of its C(s, r) r-subsets through one ``bincount``
+    over dense row ranks.
 
     With ``roots`` (the Spark fan-out unit), only r- and s-cliques rooted
     there are listed, so an s-clique may add to an r-clique rooted
@@ -144,12 +157,11 @@ def s_counts_per_r_clique(
     subs = np.array(list(combinations(range(s), r)), dtype=np.int64)
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     for chunk in _chunks(dg, roots):
-        r_rows = _cliques(dg, chunk, r, counters)
-        s_rows = r_rows
-        for _ in range(s - r):
-            s_rows = _step(dg, s_rows, counters)
-        r_rows = np.sort(r_rows, axis=1)
-        sub_rows = np.sort(s_rows, axis=1)[:, subs].reshape(-1, r)
+        frontier = _frontier(dg, chunk, r, counters)
+        r_rows = np.sort(frontier[0], axis=1)
+        for _ in range(s - 1 - r):
+            frontier = _step(dg, *frontier, counters)
+        sub_rows = np.sort(_grow(*frontier), axis=1)[:, subs].reshape(-1, r)
         weights = np.zeros(len(r_rows) + len(sub_rows), dtype=np.int64)
         weights[len(r_rows) :] = 1
         parts.append(sum_by_row(np.concatenate([r_rows, sub_rows]), weights, dg.n))
@@ -174,19 +186,18 @@ def extend_cliques(
 
     Returns a (found, r + need) matrix: each row is its source row of
     ``A_rows`` followed by the extra vertices, so an s-clique appears once
-    per r-clique of A it contains. The first level is the undirected
-    neighbours of each row's minimum-degree vertex, filtered to the common
-    neighbourhood I_R of the row (the O(min_i deg(v_i)) work of Lemma
-    4.1); the extra vertices are then listed as cliques of DG inside I_R,
-    with candidates also tested for membership in their row's I_R. That
-    test stays a binary search over the chunk's sorted I_R keys: probing
-    ``und.arc_set`` once per vertex of the row instead measured 8.8%
-    slower on the dblp-25 graph at (2,5).
+    per r-clique of A it contains. Each row's candidate set is I_R, the
+    common neighbourhood of the row: the undirected neighbours of its
+    minimum-degree vertex, each probed against the other r - 1 vertices
+    (the O(min_i deg(v_i)) work of Lemma 4.1). The extra vertices are the
+    (need)-cliques inside I_R: need - 1 pair steps and one ``_grow``.
+    I_R comes in id order, not rank order, so its pairs are probed in
+    ``und``'s arc set, which holds both directions of every edge; ``dg``
+    is not read.
     """
     counters = counters if counters is not None else Counters()
     A_rows = np.asarray(A_rows, dtype=np.int64)
     r = A_rows.shape[1]
-    n = und.n
     parts = []
     for lo in range(0, len(A_rows), CHUNK):
         B = A_rows[lo : lo + CHUNK]
@@ -195,17 +206,14 @@ def extend_cliques(
         others[np.arange(len(B)), deg.argmin(axis=1)] = False
         i, w = und.gather(B[~others])
         counters.work += len(w)
-        heads = list(B[others].reshape(len(B), r - 1).T)
-        i, w = _filter(und.arc_set.contains, n, heads, i, w, counters)
-        in_first = partial(_member, i * n + w)  # keys sorted: i, then w ascending
-        src, ext = i, w.reshape(-1, 1)
+        for head in B[others].reshape(len(B), r - 1).T:
+            counters.work += len(w)
+            keep = und.arc_set.contains(head[i] * und.n + w).nonzero()[0]
+            i, w = i[keep], w[keep]
+        frontier = B, i, w
         for _ in range(need - 1):
-            j, x = dg.gather(ext[:, -1])
-            counters.work += len(x)
-            j, x = _filter(in_first, n, [src], j, x, counters)
-            j, x = _filter(dg.arc_set.contains, n, list(ext[:, :-1].T), j, x, counters)
-            src, ext = src[j], np.column_stack([ext[j], x])
-        parts.append(np.column_stack([B[src], ext]))
+            frontier = _step(und, *frontier, counters)
+        parts.append(_grow(*frontier))
     found = np.concatenate(parts) if parts else np.empty((0, r + need), dtype=np.int64)
     counters.scliques_discovered += len(found)
     return found

@@ -1,12 +1,15 @@
 """Compressed sparse row graph representation (§3 "Graph Storage").
 
 The CSR arc layout lives here and nowhere else: arcs are grouped by
-source vertex, ascending, with destinations ascending within a source,
-which is the ascending order of the packed arc keys ``src * n + dst``.
-``arc_src`` expands the offsets back to one source per arc,
-``from_arcs`` builds offsets from arcs already in that order,
-``from_keys`` builds a CSR from its sorted distinct arc keys, and
-``gather`` reads the neighbour lists of many vertices at once.
+source vertex, ascending, and each neighbour list has an order of its
+own graph's choosing. ``build_csr`` keeps destinations ascending within
+a source, the ascending order of the packed arc keys ``src * n + dst``;
+``orient_csr`` keeps each out-list in rank order, the order the clique
+kernel's candidate sets need. ``arc_src`` expands the offsets back to
+one source per arc, ``from_arcs`` builds offsets from arcs already
+grouped by source, ``from_keys`` builds a CSR from its sorted distinct
+arc keys, and ``gather`` reads the neighbour lists of many vertices at
+once.
 
 The paper stores graphs in CSR and adjacency hash tables. Here a CSR's
 ``src * n + dst`` arc keys go into one ``open_addr.KeySet`` per graph
@@ -27,7 +30,8 @@ __all__ = ["CSR", "build_csr", "orient_csr"]
 
 @dataclass
 class CSR:
-    """Adjacency structure: neighbours of v are nbrs[offsets[v]:offsets[v+1]], sorted."""
+    """Adjacency structure: neighbours of v are nbrs[offsets[v]:offsets[v+1]],
+    ascending by id (``build_csr``) or by rank (``orient_csr``)."""
 
     n: int
     offsets: np.ndarray  # int64, len n+1
@@ -35,8 +39,8 @@ class CSR:
 
     @classmethod
     def from_arcs(cls, n: int, src: np.ndarray, dst: np.ndarray) -> CSR:
-        """CSR over n vertices from arcs already in CSR order (``src``
-        ascending, ``dst`` ascending within a source)."""
+        """CSR over n vertices from arcs grouped by ``src``, ascending; each
+        source's destinations keep the order given."""
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
         return cls(n, offsets, dst)
@@ -65,7 +69,7 @@ class CSR:
         return np.diff(self.offsets)
 
     def gather(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(i, w) for every arc v[i] -> w, grouped by i, w ascending."""
+        """(i, w) for every arc v[i] -> w, grouped by i, w in list order."""
         lo = self.offsets[v]
         deg = self.offsets[v + 1] - lo
         i = np.repeat(np.arange(len(v)), deg)
@@ -79,8 +83,8 @@ class CSR:
 
     @cached_property
     def arc_keys(self) -> np.ndarray:
-        """``src * n + dst`` of every arc, ascending (CSR order is key order).
-        Computed once per graph."""
+        """``src * n + dst`` of every arc, in CSR order: ascending for an
+        id-ordered CSR. Computed once per graph."""
         return self.arc_src * self.n + self.nbrs
 
     @cached_property
@@ -124,12 +128,23 @@ def build_csr(edges: np.ndarray, n: int | None = None) -> CSR:
 
 
 def orient_csr(csr: CSR, rank: np.ndarray) -> CSR:
-    """Directed CSR keeping only arcs u -> v with rank[u] < rank[v].
+    """Directed CSR keeping only arcs u -> v with rank[u] < rank[v], each
+    out-list in rank order.
 
     This is the a-orientation of §3: with ``rank`` from the degeneracy
-    order, out-degrees are at most d <= 2*alpha - 1. Neighbour lists
-    stay sorted by vertex id so intersections remain merge-based.
+    order, out-degrees are at most d <= 2*alpha - 1. The clique kernel
+    relies on the rank order: a candidate set drawn from an out-list
+    keeps it, so an arc between two candidates always runs from the
+    earlier to the later one. The kept arcs stay grouped by source and
+    take one sort of ``src * n + rank[dst]``; under relabeling (rank ==
+    id) that is the id order they already have.
     """
+    n = csr.n
     src = csr.arc_src
     keep = rank[src] < rank[csr.nbrs]
-    return CSR.from_arcs(csr.n, src[keep], csr.nbrs[keep])
+    src = src[keep]
+    base = src * n
+    keys = np.sort(base + rank[csr.nbrs[keep]])
+    perm = np.empty(n, dtype=np.int64)
+    perm[rank] = np.arange(n)
+    return CSR.from_arcs(n, src, perm[keys - base])

@@ -34,9 +34,11 @@ from .packing import EMPTY_BIT, PAYLOAD_MASK
 
 __all__ = ["home", "capacity_for", "insert", "region_find", "KeySet", "EMPTY_BIT", "PAYLOAD_MASK"]
 
-FIB = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio: Fibonacci hashing
+# 0-d arrays, not numpy scalars: an array times a 0-d array skips numpy's
+# scalar-operand conversion, a fixed cost paid by every probe call
+FIB = np.array(0x9E3779B97F4A7C15, dtype=np.uint64)  # 2^64 / golden ratio: Fibonacci hashing
 MAX_CAP = 1 << 32  # home() multiplies a 32-bit hash by the capacity in 64 bits
-_32 = np.uint64(32)
+_32 = np.array(32, dtype=np.uint64)
 
 
 def home(keys: np.ndarray, caps) -> np.ndarray:

@@ -109,11 +109,13 @@ def test_unknown_kind_fails_before_any_work(monkeypatch):
         nucleus_decomposition(edges, 2, 3, DecompConfig(aggregation="bogus"))
 
 
-# (counters.work, counters.serialized_ops) as the former per-insertion
-# accounting gave them; they feed every sim_* column of T3 and T6a.
+# (counters.work, counters.serialized_ops): the work includes the clique
+# kernel's candidates gathered and pairs probed, and serialized_ops is what
+# the former per-insertion accounting gave; they feed every sim_* column
+# of T3 and T6a.
 PINNED = {
-    ("amazon-lite", 3, 4): {"array": (199706, 1991), "list-buffer": (201697, 0), "hash": (259180, 0)},
-    ("skitter-lite", 2, 3): {"array": (1357705, 5519), "list-buffer": (1363224, 0), "hash": (1514995, 0)},
+    ("amazon-lite", 3, 4): {"array": (165408, 1991), "list-buffer": (167399, 0), "hash": (224882, 0)},
+    ("skitter-lite", 2, 3): {"array": (822609, 5519), "list-buffer": (828128, 0), "hash": (979899, 0)},
 }
 
 

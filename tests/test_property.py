@@ -1,15 +1,18 @@
 """Property-based testing: random graphs vs the brute-force oracle."""
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cliques.listing import s_counts_per_r_clique
+from repro.cliques.listing import extend_cliques, s_counts_per_r_clique
 from repro.cliques.spark_count import spark_s_counts
 from repro.experiments import _best_config
 from repro.graphs.csr import build_csr, orient_csr
 from repro.graphs.orient import degeneracy_order, degree_order, make_rank, relabel
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
-from repro.nucleus.reference import reference_nucleus
+from repro.nucleus.reference import brute_force_cliques, reference_nucleus
 from repro.tables.clique_table import TableConfig, _strictly_increasing
 from repro.tables.open_addr import EMPTY_BIT, KeySet, insert, region_find
 
@@ -155,13 +158,15 @@ def test_renamed_vertices_give_same_cores_random(edges, rs, data):
     random_edges(max_n=12),
     st.sampled_from([(1, 2), (2, 3), (3, 4), (2, 4)]),
     st.integers(1, 8),
+    st.sampled_from([make_rank, degree_order]),
 )
-@settings(max_examples=20, deadline=None)
-def test_spark_counts_match_local_random(spark, edges, rs, n_slices):
-    """Spark counting equals local counting bit for bit, dtype included."""
+@settings(max_examples=30, deadline=None)
+def test_spark_counts_match_local_random(spark, edges, rs, n_slices, order):
+    """Spark counting equals local counting bit for bit, dtype included,
+    also on a DG oriented by degree, whose out-lists are not in id order."""
     r, s = rs
     und = build_csr(edges)
-    dg = orient_csr(und, make_rank(und))
+    dg = orient_csr(und, order(und))
     vmat, cnts = spark_s_counts(spark, dg, r, s, n_slices=n_slices)
     local_vmat, local_cnts = s_counts_per_r_clique(dg, r, s)
     assert np.array_equal(vmat, local_vmat) and np.array_equal(cnts, local_cnts)
@@ -264,3 +269,63 @@ def test_relabel_csr_matches_rebuilt_csr(graph, order):
     assert np.array_equal(got_perm, perm)
     assert np.array_equal(got.offsets, want.offsets) and np.array_equal(got.nbrs, want.nbrs)
     assert np.array_equal(got.arc_src, want.arc_src) and np.array_equal(got.arc_keys, want.arc_keys)
+
+
+@st.composite
+def ranked_graphs(draw, max_n=12):
+    """(und, rank): a random graph and an orientation rank, the degree
+    order or a random one, under which id order and rank order differ
+    (under relabeling they coincide, so relabeled runs never test this)."""
+    und = build_csr(draw(random_edges(max_n)))
+    if draw(st.booleans()):
+        return und, degree_order(und)
+    return und, np.array(draw(st.permutations(range(und.n))), dtype=np.int64)
+
+
+@given(ranked_graphs())
+@settings(max_examples=80, deadline=None)
+def test_orient_csr_rank_order_random(graph):
+    """Each out-list is in rank order, and the oriented arcs are the
+    undirected arcs that rise in rank, no more and no fewer."""
+    und, rank = graph
+    dg = orient_csr(und, rank)
+    for v in range(dg.n):
+        assert (np.diff(rank[dg.neighbors(v)]) > 0).all()
+    assert np.array_equal(dg.arc_src, np.sort(dg.arc_src))
+    want = und.arc_keys[rank[und.arc_src] < rank[und.nbrs]]
+    assert np.array_equal(np.sort(dg.arc_keys), want)
+    every = np.arange(und.n * und.n)
+    assert np.array_equal(dg.arc_set.contains(every), np.isin(every, want))
+
+
+@given(ranked_graphs(), st.sampled_from([(1, 2), (1, 3), (2, 4), (3, 4), (2, 5)]))
+@settings(max_examples=60, deadline=None)
+def test_counts_match_brute_force_any_rank_random(graph, rs):
+    """Counting lists every s-clique once under any orientation rank."""
+    und, rank = graph
+    r, s = rs
+    vmat, cnts = s_counts_per_r_clique(orient_csr(und, rank), r, s)
+    expected = {R: 0 for R in brute_force_cliques(und, r)}
+    for S in brute_force_cliques(und, s):
+        for R in combinations(S, r):
+            expected[R] += 1
+    assert [tuple(R) for R in vmat.tolist()] == list(expected)
+    assert cnts.tolist() == list(expected.values())
+
+
+@given(ranked_graphs(), st.sampled_from([(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_extend_deep_matches_brute_force_random(graph, rs, data):
+    """UPDATE with need >= 2 lists each s-clique once per r-clique of A
+    inside it, led by that r-clique, whatever the orientation rank."""
+    und, rank = graph
+    r, s = rs
+    r_cliques = brute_force_cliques(und, r)
+    picks = data.draw(st.lists(st.booleans(), min_size=len(r_cliques), max_size=len(r_cliques)))
+    A = [R for R, pick in zip(r_cliques, picks) if pick]
+    out = extend_cliques(und, orient_csr(und, rank), np.array(A, dtype=np.int64).reshape(-1, r), s - r)
+    got = Counter((tuple(row[:r]), tuple(sorted(row))) for row in out.tolist())
+    A = set(A)
+    expected = {(R, S) for S in brute_force_cliques(und, s) for R in combinations(S, r) if R in A}
+    assert set(got) == expected
+    assert set(got.values()) <= {1}
