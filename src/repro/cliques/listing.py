@@ -4,30 +4,37 @@ the UPDATE listing of Algorithm 2 (lines 15-17), as one frontier kernel.
 A frontier is Algorithm 1's recursion state for many calls at once: an
 (N, k) matrix of k-cliques (``rows``) and, flat and grouped by row, the
 candidate set I of every row (``grp``, ``cand``): the vertices adjacent
-to all of the row. One step (``_step``) runs the loop of Algorithm 1
-line 7 for every row together: each candidate p becomes a child row
-``rows[grp[p]] ++ cand[p]``, and its candidate set I ∩ N+(cand[p]) is
-the later candidates q of its group with an arc ``cand[p] -> cand[q]``,
-one probe of the graph's hash set of ``src * n + dst`` keys
-(``CSR.arc_set``) per pair, O(1) expected, as with the paper's
-adjacency hash tables. Children keep their group's candidate order, so
-the order holds at every level. The last level takes no step: its
-cliques are the child rows themselves (``_grow``).
+to all of the row. One step runs the loop of Algorithm 1 line 7 for
+every row together: each candidate p becomes a child row
+``rows[grp[p]] ++ cand[p]`` whose candidate set is I ∩ N+(cand[p]) in
+DG, tested by O(1)-expected hash probes, as with the paper's adjacency
+hash tables. The last level takes no step: its cliques are the child
+rows themselves (``_grow``).
 
-Counting starts from the roots with I = N+(root) in DG, whose out-lists
-``orient_csr`` keeps in rank order: a later candidate q of p is then an
-arc p -> q exactly when the two are adjacent, and each c-clique is
+A step forms I ∩ N+(p) one of two ways, each costing at most d
+operations per child, d <= 2*alpha - 1 the out-degree bound:
+
+* ``_step``, when I is already inside an out-list and so holds at most
+  d vertices in rank order: the later candidates q of p's group with an
+  arc ``p -> q``, one probe of DG's hash set of ``src * n + dst`` keys
+  (``CSR.arc_set``) per pair.
+* ``_enter``, when I is any set, possibly far larger than d: the
+  out-list of p (at most d vertices, in rank order), each probed for
+  membership in p's group's I.
+
+``orient_csr`` keeps out-lists in rank order and children keep their
+group's order, so the order holds at every level. Counting starts from
+the roots with I = N+(root) and only takes ``_step``s; each c-clique is
 listed once, by its orientation-order prefix. UPDATE starts from each
-peeled r-clique with I = I_R, its common neighbourhood in id order, and
-probes the undirected arc set, where adjacency needs no order.
+peeled r-clique with I = I_R, its common neighbourhood in the current
+undirected graph, which can hold a whole neighbourhood; its first step
+is ``_enter`` and the rest are ``_step``s.
 
-Work matches O(m * alpha^(c-2)) per Shi et al. [60]: a child row probes
-at most d <= 2*alpha - 1 later candidates (they are out-neighbours of
-one vertex), and listing c-cliques steps over (c-1)-cliques at most.
-The kernel adds its operation count (candidates gathered plus pair
-probes) to ``Counters.work``. ``CHUNK`` bounds the frontier: counting
-runs over root ranges of that many vertices, UPDATE over blocks of
-that many peeled r-cliques.
+Work matches O(m * alpha^(c-2)) per Shi et al. [60]. The kernel adds
+its operation count (candidates gathered plus hash probes) to
+``Counters.work``. ``CHUNK`` bounds the frontier: counting runs over
+root ranges of that many vertices, UPDATE over blocks of that many
+peeled r-cliques.
 """
 from __future__ import annotations
 
@@ -61,7 +68,8 @@ def _grow(rows: np.ndarray, grp: np.ndarray, cand: np.ndarray) -> np.ndarray:
 def _step(
     graph: CSR, rows: np.ndarray, grp: np.ndarray, cand: np.ndarray, counters: Counters
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One level of Algorithm 1 for every row of the frontier at once.
+    """One level of Algorithm 1 for every row of the frontier at once, for
+    candidate sets in rank order that lie inside one out-list each.
 
     Returns the child frontier: child row p is ``rows[grp[p]] ++ cand[p]``,
     and its candidates are the later candidates q of its group with an
@@ -75,6 +83,24 @@ def _step(
     counters.work += len(child)
     hit = graph.arc_set.contains(cand[child] * graph.n + cand[q]).nonzero()[0]
     return _grow(rows, grp, cand), child[hit], cand[q[hit]]
+
+
+def _enter(
+    dg: CSR, rows: np.ndarray, grp: np.ndarray, cand: np.ndarray, counters: Counters
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One level of Algorithm 1 for candidate sets of any size and order.
+
+    Returns the child frontier: child row p is ``rows[grp[p]] ++ cand[p]``,
+    and its candidates are the out-neighbours of ``cand[p]`` in ``dg``
+    that are candidates of its group, in rank order. Each child gathers
+    at most d out-neighbours, whatever the size of its group.
+    """
+    i, w = dg.gather(cand)
+    counters.work += 2 * len(w)  # gathered, then looked up
+    keys = np.sort(grp * dg.n + cand)
+    q = grp[i] * dg.n + w
+    ok = (keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q).nonzero()[0]
+    return _grow(rows, grp, cand), i[ok], w[ok]
 
 
 def _frontier(
@@ -187,13 +213,11 @@ def extend_cliques(
     Returns a (found, r + need) matrix: each row is its source row of
     ``A_rows`` followed by the extra vertices, so an s-clique appears once
     per r-clique of A it contains. Each row's candidate set is I_R, the
-    common neighbourhood of the row: the undirected neighbours of its
+    common neighbourhood of the row in ``und``: the neighbours of its
     minimum-degree vertex, each probed against the other r - 1 vertices
     (the O(min_i deg(v_i)) work of Lemma 4.1). The extra vertices are the
-    (need)-cliques inside I_R: need - 1 pair steps and one ``_grow``.
-    I_R comes in id order, not rank order, so its pairs are probed in
-    ``und``'s arc set, which holds both directions of every edge; ``dg``
-    is not read.
+    need-cliques of DG inside I_R: one ``_enter``, as I_R may be a whole
+    neighbourhood, then need - 2 ``_step``s and one ``_grow``.
     """
     counters = counters if counters is not None else Counters()
     A_rows = np.asarray(A_rows, dtype=np.int64)
@@ -211,8 +235,10 @@ def extend_cliques(
             keep = und.arc_set.contains(head[i] * und.n + w).nonzero()[0]
             i, w = i[keep], w[keep]
         frontier = B, i, w
-        for _ in range(need - 1):
-            frontier = _step(und, *frontier, counters)
+        if need > 1:
+            frontier = _enter(dg, *frontier, counters)
+        for _ in range(need - 2):
+            frontier = _step(dg, *frontier, counters)
         parts.append(_grow(*frontier))
     found = np.concatenate(parts) if parts else np.empty((0, r + need), dtype=np.int64)
     counters.scliques_discovered += len(found)

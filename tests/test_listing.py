@@ -162,7 +162,7 @@ def test_counters_count_cliques():
             lambda: community_graph(24, 6, 14, p_intra=0.9, inter_per_vertex=1.2, seed=12),
             2,
             5,
-            412_401,
+            467_951,
             39_800,
         ),
         (lambda: rmat(12, 20000, seed=14), 2, 3, 239_914, 7_164),
@@ -172,12 +172,38 @@ def test_counters_count_cliques():
 def test_kernel_accounting_pinned(graph, r, s, work, found):
     """The kernel's operation count and UPDATE discoveries on the
     benchmark graphs. The work count moves only with the kernel's
-    operations (candidates gathered, pairs probed); the discoveries are
+    operations (candidates gathered, probes made); the discoveries are
     the s-cliques UPDATE lists, which no change to how they are listed
     may move."""
     res = nucleus_decomposition(graph(), r, s, _best_config(r, s))
     assert res.counters.work == work
     assert res.counters.scliques_discovered == found
+
+
+def hub_graph(hubs: int, leaves: int) -> np.ndarray:
+    """Edges of ``hubs`` adjacent hubs, each adjacent to all of ``leaves``
+    leaves, which form a path: the hubs' common neighbourhood is every
+    leaf, while the out-degree bound d stays at most hubs + 1."""
+    e = [(a, b) for a in range(hubs) for b in range(a + 1, hubs)]
+    e += [(h, hubs + x) for h in range(hubs) for x in range(leaves)]
+    e += [(hubs + x, hubs + x + 1) for x in range(leaves - 1)]
+    return np.array(e, dtype=np.int64)
+
+
+@pytest.mark.parametrize("r,s", [(1, 3), (2, 4)])
+def test_update_work_bounded_on_hub(r, s):
+    """UPDATE over every r-clique stays within O(m * d^(s-2)) work when
+    I_R is a whole neighbourhood (the hubs' r-clique): its first level
+    gathers at most d out-neighbours per candidate instead of pairing all
+    of I_R, which would take C(|I_R|, 2) probes for that one r-clique."""
+    und = build_csr(hub_graph(r, 1000))
+    dg = orient_csr(und, make_rank(und))
+    m, d = len(und.nbrs) // 2, int(dg.degrees().max())
+    A = s_counts_per_r_clique(dg, r, s)[0]
+    counters = Counters()
+    out = extend_cliques(und, dg, A, s - r, counters)
+    assert len(out) == comb(s, r) * count_cliques(dg, s)
+    assert counters.work <= 8 * m * d ** (s - 2)
 
 
 def test_roots_partition_counts():
