@@ -7,20 +7,21 @@ candidate set I of every row (``grp``, ``cand``): the vertices adjacent
 to all of the row. One step runs the loop of Algorithm 1 line 7 for
 every row together: each candidate p becomes a child row
 ``rows[grp[p]] ++ cand[p]`` whose candidate set is I ∩ N+(cand[p]) in
-DG, tested by O(1)-expected hash probes, as with the paper's adjacency
-hash tables. The last level takes no step: its cliques are the child
-rows themselves (``_grow``).
+DG. The last level takes no step: its cliques are the child rows
+themselves (``_grow``).
 
-A step forms I ∩ N+(p) one of two ways, each costing at most d
-operations per child, d <= 2*alpha - 1 the out-degree bound:
+A step forms I ∩ N+(p) one of two ways, each testing at most d
+vertices per child, d <= 2*alpha - 1 the out-degree bound:
 
 * ``_step``, when I is already inside an out-list and so holds at most
   d vertices in rank order: the later candidates q of p's group with an
   arc ``p -> q``, one probe of DG's hash set of ``src * n + dst`` keys
-  (``CSR.arc_set``) per pair.
+  (``CSR.arc_set``) per pair, O(1) expected, as with the paper's
+  adjacency hash tables.
 * ``_enter``, when I is any set, possibly far larger than d: the
-  out-list of p (at most d vertices, in rank order), each probed for
-  membership in p's group's I.
+  out-list of p (at most d vertices, in rank order), each looked up in
+  p's group's I by a binary search of the sorted ``grp * n + cand``
+  keys.
 
 ``orient_csr`` keeps out-lists in rank order and children keep their
 group's order, so the order holds at every level. Counting starts from
@@ -31,7 +32,7 @@ undirected graph, which can hold a whole neighbourhood; its first step
 is ``_enter`` and the rest are ``_step``s.
 
 Work matches O(m * alpha^(c-2)) per Shi et al. [60]. The kernel adds
-its operation count (candidates gathered plus hash probes) to
+its operation count (candidates gathered plus probes and lookups) to
 ``Counters.work``. ``CHUNK`` bounds the frontier: counting runs over
 root ranges of that many vertices, UPDATE over blocks of that many
 peeled r-cliques.
