@@ -2,15 +2,21 @@
 a SparkSession for the one job that uses Spark, and table output."""
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 
 
 def get_spark(app: str):
+    """SparkSession whose Python workers can import ``repro``: the package
+    is not installed, and local-mode workers find it only through the
+    PYTHONPATH they inherit from this process, so it is set first."""
     from pyspark.sql import SparkSession
 
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
     return SparkSession.builder.appName(app).getOrCreate()
 
 

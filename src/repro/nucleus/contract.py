@@ -1,9 +1,15 @@
 """Graph contraction for (2,3) nucleus decomposition (paper §5.6).
 
-When the number of edges peeled since the last contraction reaches 2n,
-vertices that lost at least a quarter of their (post-last-contraction)
-neighbours get their adjacency lists filtered of peeled edges with a
-parallel-filter, shrinking future intersection work. Only valid for
+Every arc of the undirected CSR carries its edge's r-clique id in
+``arc_id``, so the peeling loop's ``peeled`` array (each id's peel
+round, -1 while live) is all the state the heuristic reads. A check
+runs once the edges peeled since the last check reach 2n. A vertex
+qualifies when the arcs it lost since the last contraction, those whose
+edge was peeled after that round, are at least a quarter of its
+degree; the degree is the current CSR's, since the graph changes only
+at a contraction. The adjacency lists of qualifying vertices are
+filtered of peeled edges with one masked copy, which drops the same
+arcs from ``arc_id``, shrinking later intersection work. Only valid for
 r = 2: a peeled r-clique for r > 2 has no single edge to remove.
 """
 from __future__ import annotations
@@ -16,44 +22,37 @@ __all__ = ["ContractionState", "maybe_contract"]
 
 
 class ContractionState:
-    def __init__(self, und: CSR):
-        self.deg_ref = und.degrees().copy()  # degrees at the last contraction
-        self.lost_since = np.zeros(und.n, dtype=np.int64)
-        self.peeled_since = 0
+    def __init__(self, und: CSR, row_ids: np.ndarray):
+        """``row_ids``: table T's id of each of und's edges (u, v), u < v, in
+        lexicographic order, the order counting lists the r-cliques at r = 2."""
+        src, nbrs = und.arc_src, und.nbrs
+        lower = src < nbrs  # arcs (u, v), u < v, already in that order
+        upper = np.flatnonzero(~lower)
+        self.arc_id = np.empty(len(nbrs), dtype=np.int64)
+        self.arc_id[lower] = row_ids
+        # an arc v -> u, u < v, keyed u*n + v sorts into the same order
+        self.arc_id[upper[np.argsort(nbrs[upper] * und.n + src[upper])]] = row_ids
+        self.checked = 0  # edges peeled at the last check
+        self.since = -1  # round of the last contraction
         self.contractions = 0
-
-    def note_peeled_edges(self, rows: np.ndarray) -> None:
-        """rows: (k, 2) peeled edge endpoints."""
-        np.add.at(self.lost_since, rows.ravel(), 1)
-        self.peeled_since += len(rows)
 
 
 def maybe_contract(
-    und: CSR,
-    state: ContractionState,
-    edge_peeled,  # callable: (k, 2) vertex rows -> bool mask of peeled edges
+    und: CSR, state: ContractionState, peeled: np.ndarray, round_no: int, finished: int
 ) -> CSR:
-    """Apply the §5.6 heuristic; returns the (possibly new) undirected CSR."""
-    if state.peeled_since < 2 * und.n:
+    """Apply the §5.6 heuristic after round ``round_no``, with ``finished``
+    edges peeled so far; returns the (possibly new) undirected CSR."""
+    if finished - state.checked < 2 * und.n:
         return und
-    qualify = state.lost_since * 4 >= np.maximum(state.deg_ref, 1)
-    qualify &= state.lost_since > 0
-    if not qualify.any():
-        state.peeled_since = 0
-        return und
-    # Vectorized parallel-filter of the qualifying adjacency lists: one
-    # batched peeled-edge lookup over all their arcs, then a masked copy.
+    state.checked = finished
     src = und.arc_src
-    cand = np.flatnonzero(qualify[src])
-    rows = np.stack(
-        [np.minimum(src[cand], und.nbrs[cand]), np.maximum(src[cand], und.nbrs[cand])],
-        axis=1,
-    )
-    keep = np.ones(len(und.nbrs), dtype=bool)
-    keep[cand[edge_peeled(rows)]] = False
-    contracted = CSR.from_arcs(und.n, src[keep], und.nbrs[keep])
+    at = peeled[state.arc_id]
+    lost = np.bincount(src[at > state.since], minlength=und.n)
+    qualify = (lost * 4 >= np.maximum(und.degrees(), 1)) & (lost > 0)
+    if not qualify.any():
+        return und
+    keep = ~qualify[src] | (at < 0)
+    state.arc_id = state.arc_id[keep]
+    state.since = round_no
     state.contractions += 1
-    state.peeled_since = 0
-    state.deg_ref = contracted.degrees()
-    state.lost_since[:] = 0
-    return contracted
+    return CSR.from_arcs(und.n, src[keep], und.nbrs[keep])

@@ -124,11 +124,7 @@ def nucleus_decomposition(
     est_per_peel = comb(s, r) - 1
 
     do_contract = config.contraction and r == 2 and s == 3
-    cstate = ContractionState(und) if do_contract else None
-
-    def edge_peeled(rows: np.ndarray) -> np.ndarray:
-        idx = table.lookup(rows)
-        return peeled[np.clip(idx, 0, None)] >= 0
+    cstate = ContractionState(und, idx_rows) if do_contract else None
 
     # ---- Phase 2: peel (Alg 2 lines 23-29) ----
     finished = 0
@@ -144,10 +140,9 @@ def nucleus_decomposition(
         counters.work += len(A)
         agg.begin_round(len(A), est_per_peel * max(1, k))
 
-        A_rows = table.decode(A)
         s_mat = np.empty((0, s), dtype=np.int64)
         if k > 0:  # a k = 0 bucket has no incident s-clique left to list
-            s_mat = extend_cliques(und_cur, dg, A_rows, s - r, counters)
+            s_mat = extend_cliques(und_cur, dg, table.decode(A), s - r, counters)
         counters.span_logs += (s - r) * log2n
 
         if len(s_mat):
@@ -173,8 +168,7 @@ def nucleus_decomposition(
         counters.work += len(u_ids)
 
         if do_contract:
-            cstate.note_peeled_edges(A_rows)
-            und_cur = maybe_contract(und_cur, cstate, edge_peeled)
+            und_cur = maybe_contract(und_cur, cstate, peeled, round_no, finished)
         round_no += 1
 
     counters.serialized_ops += agg.serialized_ops
