@@ -29,7 +29,8 @@ the roots with I = N+(root) and only takes ``_step``s; each c-clique is
 listed once, by its orientation-order prefix. UPDATE starts from each
 peeled r-clique with I = I_R, its common neighbourhood in the current
 undirected graph, which can hold a whole neighbourhood; its first step
-is ``_enter`` and the rest are ``_step``s.
+is ``_enter`` and the rest are ``_step``s. I_R leaves out the vertices
+that no live r-clique is on, since every s-clique through them is dead.
 
 Work matches O(m * alpha^(c-2)) per Shi et al. [60]. The kernel adds
 its operation count (candidates gathered plus probes and lookups) to
@@ -207,6 +208,7 @@ def extend_cliques(
     A_rows: np.ndarray,
     need: int,
     counters: Counters | None = None,
+    live_v: np.ndarray | None = None,
 ) -> np.ndarray:
     """Every s-clique containing each r-clique of A, where need = s - r
     (UPDATE, Algorithm 2 lines 15-17, batched over the peeled set A).
@@ -219,6 +221,14 @@ def extend_cliques(
     (the O(min_i deg(v_i)) work of Lemma 4.1). The extra vertices are the
     need-cliques of DG inside I_R: one ``_enter``, as I_R may be a whole
     neighbourhood, then need - 2 ``_step``s and one ``_grow``.
+
+    With ``live_v``, the number of not-yet-peeled r-cliques on each
+    vertex, a neighbour w with ``live_v[w] == 0`` is dropped as it is
+    gathered, before any probe: every r-clique through w is peeled, so
+    every s-clique through w had an r-subset peeled in an earlier round
+    and is already dead. The result is the unfiltered one less the rows
+    whose extra vertices include such a w; every later level draws from
+    I_R, so no other level tests it.
     """
     counters = counters if counters is not None else Counters()
     A_rows = np.asarray(A_rows, dtype=np.int64)
@@ -231,6 +241,9 @@ def extend_cliques(
         others[np.arange(len(B)), deg.argmin(axis=1)] = False
         i, w = und.gather(B[~others])
         counters.work += len(w)
+        if live_v is not None:
+            keep = (live_v[w] > 0).nonzero()[0]
+            i, w = i[keep], w[keep]
         for head in B[others].reshape(len(B), r - 1).T:
             counters.work += len(w)
             keep = und.arc_set.contains(head[i] * und.n + w).nonzero()[0]

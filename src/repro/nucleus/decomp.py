@@ -13,7 +13,11 @@ Phases:
    r-cliques (UPDATE), dedup them with a row rank and subtract 1 per
    distinct s-clique (the sum of UPDATE-FUNC's 1/a per listing);
    aggregate the updated set U with the chosen §5.5 structure, and
-   re-bucket.
+   re-bucket. ``live_v`` counts the not-yet-peeled r-cliques on each
+   vertex; UPDATE leaves out every vertex at 0, whose s-cliques all died
+   in earlier rounds, and each round then subtracts its peeled rows.
+   Only count-0 r-cliques are peeled at k = 0 and that round lists
+   nothing, so they are never counted.
 
 The peeling loop runs driver-side over numpy structures: with thousands
 of rounds, per-round Spark jobs would measure scheduler overhead rather
@@ -43,12 +47,22 @@ __all__ = ["DecompConfig", "DecompResult", "nucleus_decomposition"]
 
 @dataclass
 class DecompConfig:
+    """The options of one decomposition, checked where they are written,
+    before any graph work; only the Spark session is checked by the call."""
+
     table: TableConfig = field(default_factory=TableConfig)
     relabel: bool = False  # §5.4 graph relabeling
     aggregation: str = "list-buffer"  # §5.5: one of aggregation.KINDS
     contraction: bool = False  # §5.6, (2,3) only
     counting: str = "local"  # 'local' | 'spark'
     spark_slices: int = 64
+
+    def __post_init__(self):
+        check_kind(self.aggregation)
+        if self.counting not in ("local", "spark"):
+            raise ValueError(f"counting must be 'local' or 'spark', got {self.counting!r}")
+        if self.spark_slices < 1:
+            raise ValueError(f"spark_slices must be >= 1, got {self.spark_slices}")
 
 
 @dataclass
@@ -81,13 +95,8 @@ def nucleus_decomposition(
     if not (1 <= r < s):
         raise ValueError("need 1 <= r < s")
     config = config or DecompConfig()
-    if config.counting not in ("local", "spark"):
-        raise ValueError(f"counting must be 'local' or 'spark', got {config.counting!r}")
     if config.counting == "spark" and spark is None:
         raise ValueError("counting='spark' needs a SparkSession, got spark=None")
-    if config.counting == "spark" and config.spark_slices < 1:
-        raise ValueError(f"spark_slices must be >= 1, got {config.spark_slices}")
-    check_kind(config.aggregation)
     t_start = time.perf_counter()
     counters = Counters()
 
@@ -109,6 +118,7 @@ def nucleus_decomposition(
         vmat, cnts = s_counts_per_r_clique(dg, r, s, counters=counters)
     counters.span_logs += s * log2(max(2, n_verts))
     n_r = len(vmat)
+    live_v = np.bincount(vmat[cnts > 0].ravel(), minlength=n_verts)
 
     table = make_table(vmat, n_verts, config.table)
     idx_rows = table.row_indices()
@@ -142,7 +152,9 @@ def nucleus_decomposition(
 
         s_mat = np.empty((0, s), dtype=np.int64)
         if k > 0:  # a k = 0 bucket has no incident s-clique left to list
-            s_mat = extend_cliques(und_cur, dg, table.decode(A), s - r, counters)
+            A_rows = table.decode(A)
+            s_mat = extend_cliques(und_cur, dg, A_rows, s - r, counters, live_v)
+            np.subtract.at(live_v, A_rows.ravel(), 1)
         counters.span_logs += (s - r) * log2n
 
         if len(s_mat):

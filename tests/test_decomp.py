@@ -10,6 +10,7 @@ from repro.cliques import listing
 from repro.experiments import _best_config
 from repro.graphs.csr import build_csr, orient_csr
 from repro.graphs.orient import make_rank
+from repro.nucleus import decomp
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
 from repro.tables.clique_table import CliqueTable, TableConfig, make_table
@@ -157,6 +158,7 @@ def test_invalid_rs():
         (lambda: {"counting": "spark"}, "spark=None"),
         (lambda: {"table": TableConfig(levels=0)}, "levels must be >= 1, got 0"),
         (lambda: {"table": TableConfig(levels=-1)}, "levels must be >= 1, got -1"),
+        (lambda: {"aggregation": "Hash"}, "'Hash'"),
     ],
     ids=[
         "first_level",
@@ -165,27 +167,28 @@ def test_invalid_rs():
         "spark-without-session",
         "levels-zero",
         "levels-negative",
+        "aggregation",
     ],
 )
 def test_bad_config_rejected(kw, named):
-    """A bad config value fails up front with a ValueError naming it; a
-    bad ``TableConfig`` already fails where it is written."""
+    """A bad option fails where it is written, with a ValueError naming
+    it: a bad ``TableConfig`` or ``DecompConfig`` raises on construction.
+    Only the missing Spark session is found by the call."""
+    if named == "spark=None":
+        cfg = DecompConfig(**kw())
+        with pytest.raises(ValueError, match=re.escape(named)):
+            nucleus_decomposition(SMALL_GRAPHS["fig1"], 3, 4, cfg)
+        return
     with pytest.raises(ValueError, match=re.escape(named)):
-        run("fig1", 3, 4, **kw())
+        DecompConfig(**kw())
 
 
-def test_bad_spark_slices_fail_before_any_work(monkeypatch):
-    """``spark_slices < 1`` under Spark counting fails before the CSR
-    build; a stand-in session suffices, as none is started."""
-    from repro.nucleus import decomp
-
-    def never(*args, **kwargs):
-        raise AssertionError("work started before spark_slices was checked")
-
-    monkeypatch.setattr(decomp, "build_csr", never)
-    cfg = DecompConfig(counting="spark", spark_slices=0)
-    with pytest.raises(ValueError, match=re.escape("spark_slices must be >= 1, got 0")):
-        nucleus_decomposition(SMALL_GRAPHS["fig1"], 3, 4, cfg, spark=object())
+def test_bad_spark_slices_fail_before_any_work():
+    """``spark_slices < 1`` fails when the config is built, whatever the
+    counting mode, so no call can start on it."""
+    for counting in ("local", "spark"):
+        with pytest.raises(ValueError, match=re.escape("spark_slices must be >= 1, got 0")):
+            DecompConfig(counting=counting, spark_slices=0)
 
 
 @pytest.mark.parametrize("name,r,s", [("k7", 5, 6), ("k7", 6, 7), ("k7", 4, 7), ("fig1", 3, 4)])
@@ -276,3 +279,58 @@ def test_result_sorted_with_and_without_relabeling(relabel, name, r, s):
     rows = [tuple(v) for v in res.vmat.tolist()]
     assert all(a < b for a, b in zip(rows, rows[1:]))
     assert res.core_dict() == reference_nucleus(SMALL_GRAPHS[name], r, s)
+
+
+def dying_vertex_graph(s: int) -> np.ndarray:
+    """K7 on 0..6 plus vertices 7, 8 and 9, each adjacent to a different
+    (s - 1)-subset of it. Every r-clique through an extra vertex lies in
+    one s-clique and is peeled rounds before the K7's, whose UPDATE would
+    list those dead s-cliques again."""
+    edges = [(a, b) for a in range(7) for b in range(a + 1, 7)]
+    edges += [(7 + x, v) for x in range(3) for v in range(x, x + s - 1)]
+    return np.array(edges, dtype=np.int64)
+
+
+def unpruned(und, dg, A_rows, need, counters, live_v):
+    return listing.extend_cliques(und, dg, A_rows, need, counters)
+
+
+@pytest.mark.parametrize(
+    "r,s,contraction",
+    [(1, 3, False), (2, 3, False), (2, 3, True), (2, 4, False), (3, 4, False), (2, 5, False)],
+)
+def test_dead_vertices_pruned(monkeypatch, r, s, contraction):
+    """UPDATE skips the s-cliques through a vertex none of whose r-cliques
+    is live: discoveries fall strictly, and cores equal the reference."""
+    edges = dying_vertex_graph(s)
+    cfg = DecompConfig(contraction=contraction)
+    pruned = nucleus_decomposition(edges, r, s, cfg)
+    monkeypatch.setattr(decomp, "extend_cliques", unpruned)
+    full = nucleus_decomposition(edges, r, s, cfg)
+    assert pruned.core_dict() == full.core_dict() == reference_nucleus(edges, r, s)
+    assert pruned.counters.scliques_discovered < full.counters.scliques_discovered
+
+
+@pytest.mark.parametrize("name,s", [("dying", 3), ("dying", 4), ("comm", 3), ("rmat6", 3), ("er40", 4)])
+def test_no_dead_vertex_listed_at_r1(monkeypatch, name, s):
+    """At r = 1 the dead-vertex test is exact: no s-clique UPDATE lists
+    holds a vertex peeled in an earlier round. Without it some do."""
+    edges = dying_vertex_graph(s) if name == "dying" else SMALL_GRAPHS[name]
+    for listing_fn, dead_listed in ((listing.extend_cliques, False), (unpruned, True)):
+        calls = []
+
+        def spy(und, dg, A_rows, need, counters, live_v):
+            out = listing_fn(und, dg, A_rows, need, counters, live_v)
+            calls.append((A_rows[:, 0].copy(), out))
+            return out
+
+        monkeypatch.setattr(decomp, "extend_cliques", spy)
+        res = nucleus_decomposition(edges, 1, s)
+        assert res.core_dict() == reference_nucleus(edges, 1, s)
+        peeled = np.zeros(int(edges.max()) + 1, dtype=bool)
+        peeled[res.vmat[res.core == 0, 0]] = True  # the k = 0 round lists nothing
+        dead = []
+        for A, out in calls:
+            dead.append(peeled[out].any())
+            peeled[A] = True
+        assert any(dead) == dead_listed

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pandas as pd
@@ -18,6 +19,9 @@ from repro.experiments import (
     table_scalability,
     table_t_optimizations,
 )
+from repro.graphs.csr import build_csr
+from repro.graphs.gen import rmat
+from repro.nucleus.reference import brute_force_cliques
 
 
 def test_graph_stats_one_graph():
@@ -63,6 +67,19 @@ def test_rmat_scaling_small():
     df = table_rmat_scaling(log2_ns=[8], edges_per_vertex=[4, 8], rs_list=[(2, 3)])
     assert len(df) == 2
     assert df.sort_values("edges_per_vertex")["n_scliques"].is_monotonic_increasing
+
+
+def test_rmat_scaling_counts_scliques():
+    """``n_scliques`` is the graph's s-clique count, not what UPDATE
+    listed: T7's (2,3) cell at log2_n 9, epv 4 holds 285 triangles, which
+    UPDATE once listed 855 = 3 x 285 times."""
+    df = table_rmat_scaling(log2_ns=[9], edges_per_vertex=[4], rs_list=[(2, 3), (3, 4)])
+    edges = rmat(9, 4 << 9, seed=109)
+    und = build_csr(edges)
+    n3, n4 = df["n_scliques"].tolist()
+    assert [n3, n4] == [len(brute_force_cliques(und, s)) for s in (3, 4)]
+    assert n3 == 285
+    assert (df["scliques_discovered"] <= [comb(3, 2) * n3, comb(4, 3) * n4]).all()
 
 
 def test_save_table(tmp_path):
