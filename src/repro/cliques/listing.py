@@ -27,10 +27,17 @@ vertices per child, d <= 2*alpha - 1 the out-degree bound:
 group's order, so the order holds at every level. Counting starts from
 the roots with I = N+(root) and only takes ``_step``s; each c-clique is
 listed once, by its orientation-order prefix. UPDATE starts from each
-peeled r-clique with I = I_R, its common neighbourhood in the current
+peeled r-clique R with I = I_R, its common neighbourhood in the current
 undirected graph, which can hold a whole neighbourhood; its first step
-is ``_enter`` and the rest are ``_step``s. I_R leaves out the vertices
-that no live r-clique is on, since every s-clique through them is dead.
+is ``_enter`` and the rest are ``_step``s.
+
+UPDATE draws I_R from the completions of one face F of R (``Faces``):
+the vertices w that make F ∪ {w} an r-clique, each carrying that
+r-clique's table-T id. In the peeling loop F is R's (r-1)-face with the
+fewest completions (at r <= 2, its minimum-degree vertex), and a
+completion whose r-clique was peeled in an earlier round is dropped
+before any probe, since every s-clique through it is dead. Without the
+loop's state F is R's minimum-degree vertex and nothing is dropped.
 
 Work matches O(m * alpha^(c-2)) per Shi et al. [60]. The kernel adds
 its operation count (candidates gathered plus probes and lookups) to
@@ -41,6 +48,7 @@ peeled r-cliques.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +58,11 @@ from ..tables.packing import row_ranks
 
 __all__ = [
     "CHUNK",
+    "Faces",
+    "Peeled",
     "count_cliques",
     "enumerate_cliques",
+    "face_index",
     "row_ranks",
     "s_counts_per_r_clique",
     "sum_by_row",
@@ -202,13 +213,81 @@ def s_counts_per_r_clique(
     )
 
 
+class Faces(NamedTuple):
+    """The completions of every face, where UPDATE draws I_R from.
+
+    Face f's completions are ``csr.neighbors(f)``, and ``ids`` holds,
+    aligned with ``csr.nbrs``, the table-T id of the r-clique each one
+    completes. At r >= 3 (``face_index``) the faces are the (r-1)-subsets
+    of the r-cliques, and ``face`` and ``col`` give, by T id, each
+    r-clique's face with the fewest completions and the column of the
+    vertex it leaves out. At r <= 2 they are None: the faces are the
+    vertices and ``csr`` the current undirected graph; at r = 2 a
+    completion's id is its edge's, at r = 1 the completion's own.
+    """
+
+    csr: CSR
+    ids: np.ndarray
+    face: np.ndarray | None = None
+    col: np.ndarray | None = None
+
+
+class Peeled(NamedTuple):
+    """The peeling loop's state that lets UPDATE drop dead candidates."""
+
+    round: np.ndarray  # peel round of every T id, -1 while live
+    ids: np.ndarray  # T id of each r-clique listed, all peeled in one round
+    faces: Faces
+
+
+def _face_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """int64 keys in the lexicographic order of the rows: the rows packed
+    base n when they fit, their ``row_ranks`` otherwise."""
+    if int(n) ** rows.shape[1] >= 2**63:
+        return row_ranks(rows, n)[0]
+    key = rows[:, 0].copy()
+    for col in rows[:, 1:].T:
+        key = key * n + col
+    return key
+
+
+def face_index(vmat: np.ndarray, ids: np.ndarray, n: int, capacity: int) -> Faces:
+    """The (r-1)-faces of the r-cliques ``vmat`` (sorted rows, T ids
+    ``ids`` below ``capacity``), r >= 3, with their completions.
+
+    Every (r-clique R, column j) pair is an entry: the face R less R[j],
+    completed by R[j] into R. One sort of the faces' packed keys groups
+    the entries by face, which gives the CSR offsets over faces and each
+    entry's face id; each r-clique keeps the one of its r faces with the
+    fewest completions, at most the degree of any vertex of R.
+    """
+    n_r, r = vmat.shape
+    keep = ~np.eye(r, dtype=bool)
+    key = _face_keys(np.concatenate([vmat[:, keep[j]] for j in range(r)]), n)
+    order = np.argsort(key)
+    key = key[order]
+    start = np.ones(len(key), dtype=bool)
+    start[1:] = key[1:] != key[:-1]
+    entry_face = np.empty(len(key), dtype=np.int64)
+    entry_face[order] = np.cumsum(start) - 1
+    offsets = np.append(start.nonzero()[0], len(key))
+    of = entry_face.reshape(r, n_r).T  # of[R, j]: the face of R less R[j]
+    col = np.diff(offsets)[of].argmin(axis=1)
+    face = np.zeros(capacity, dtype=np.int64)
+    face[ids] = of[np.arange(n_r), col]
+    left_out = np.zeros(capacity, dtype=np.int8)
+    left_out[ids] = col
+    csr = CSR(len(offsets) - 1, offsets, vmat.T.ravel()[order])
+    return Faces(csr, np.tile(ids, r)[order], face, left_out)
+
+
 def extend_cliques(
     und: CSR,
     dg: CSR,
     A_rows: np.ndarray,
     need: int,
     counters: Counters | None = None,
-    live_v: np.ndarray | None = None,
+    peeled: Peeled | None = None,
 ) -> np.ndarray:
     """Every s-clique containing each r-clique of A, where need = s - r
     (UPDATE, Algorithm 2 lines 15-17, batched over the peeled set A).
@@ -216,35 +295,51 @@ def extend_cliques(
     Returns a (found, r + need) matrix: each row is its source row of
     ``A_rows`` followed by the extra vertices, so an s-clique appears once
     per r-clique of A it contains. Each row's candidate set is I_R, the
-    common neighbourhood of the row in ``und``: the neighbours of its
-    minimum-degree vertex, each probed against the other r - 1 vertices
-    (the O(min_i deg(v_i)) work of Lemma 4.1). The extra vertices are the
-    need-cliques of DG inside I_R: one ``_enter``, as I_R may be a whole
-    neighbourhood, then need - 2 ``_step``s and one ``_grow``.
+    common neighbourhood of the row in ``und``: the completions of one of
+    its faces F, each probed against the vertices of the row outside F.
+    The extra vertices are the need-cliques of DG inside I_R: one
+    ``_enter``, as I_R may be a whole neighbourhood, then need - 2
+    ``_step``s and one ``_grow``.
 
-    With ``live_v``, the number of not-yet-peeled r-cliques on each
-    vertex, a neighbour w with ``live_v[w] == 0`` is dropped as it is
-    gathered, before any probe: every r-clique through w is peeled, so
-    every s-clique through w had an r-subset peeled in an earlier round
-    and is already dead. The result is the unfiltered one less the rows
-    whose extra vertices include such a w; every later level draws from
-    I_R, so no other level tests it.
+    Without ``peeled``, F is the row's minimum-degree vertex, whose
+    neighbours are probed against the other r - 1 vertices (the
+    O(min_i deg(v_i)) work of Lemma 4.1). With it, F comes from
+    ``peeled.faces`` (r >= 3: the row's (r-1)-face with the fewest
+    completions, which are at most min_i deg(v_i); one vertex is left to
+    probe), and a completion is dropped before any probe if its r-clique
+    was peeled in a round before the row's, or is the row itself. Every
+    s-clique through a dropped completion holds that r-clique, so it is
+    dead; every later level draws from I_R, so no other level tests it.
     """
     counters = counters if counters is not None else Counters()
     A_rows = np.asarray(A_rows, dtype=np.int64)
     r = A_rows.shape[1]
+    faces = peeled.faces if peeled is not None else Faces(und, None)
+    src = faces.csr
     parts = []
     for lo in range(0, len(A_rows), CHUNK):
         B = A_rows[lo : lo + CHUNK]
-        deg = und.offsets[B + 1] - und.offsets[B]
-        others = np.ones(B.shape, dtype=bool)
-        others[np.arange(len(B)), deg.argmin(axis=1)] = False
-        i, w = und.gather(B[~others])
+        at = np.arange(len(B))
+        own = peeled.ids[lo : lo + CHUNK] if peeled is not None else None
+        if faces.face is not None:  # an (r-1)-face, completed by B[col]
+            i, pos = src.arcs(faces.face[own])
+            heads = B[at, faces.col[own]].reshape(-1, 1)
+        else:  # the minimum-degree vertex, completed by any neighbour
+            deg = src.offsets[B + 1] - src.offsets[B]
+            others = np.ones(B.shape, dtype=bool)
+            others[at, deg.argmin(axis=1)] = False
+            i, pos = src.arcs(B[~others])
+            heads = B[others].reshape(len(B), r - 1)
+        w = src.nbrs[pos]
         counters.work += len(w)
-        if live_v is not None:
-            keep = (live_v[w] > 0).nonzero()[0]
+        if peeled is not None:
+            rid = faces.ids[pos]
+            # as unsigned, -1 (live) is above every round: this keeps the
+            # completions not peeled before the rows' round
+            now = np.uint64(peeled.round[own[0]])
+            keep = ((peeled.round[rid].view(np.uint64) >= now) & (rid != own[i])).nonzero()[0]
             i, w = i[keep], w[keep]
-        for head in B[others].reshape(len(B), r - 1).T:
+        for head in heads.T:
             counters.work += len(w)
             keep = und.arc_set.contains(head[i] * und.n + w).nonzero()[0]
             i, w = i[keep], w[keep]

@@ -9,7 +9,7 @@ kernel's candidate sets need. ``arc_src`` expands the offsets back to
 one source per arc, ``from_arcs`` builds offsets from arcs already
 grouped by source, ``from_keys`` builds a CSR from its sorted distinct
 arc keys, and ``gather`` reads the neighbour lists of many vertices at
-once.
+once (``arcs`` gives their positions instead).
 
 The paper stores graphs in CSR and adjacency hash tables. Here a CSR's
 ``src * n + dst`` arc keys go into one ``open_addr.KeySet`` per graph
@@ -68,12 +68,17 @@ class CSR:
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def gather(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(i, w) for every arc v[i] -> w, grouped by i, w in list order."""
+    def arcs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(i, pos) for every arc v[i] -> nbrs[pos], grouped by i, in list
+        order."""
         lo = self.offsets[v]
         deg = self.offsets[v + 1] - lo
         i = np.repeat(np.arange(len(v)), deg)
-        pos = np.arange(len(i)) + np.repeat(lo - (np.cumsum(deg) - deg), deg)
+        return i, np.arange(len(i)) + np.repeat(lo - (np.cumsum(deg) - deg), deg)
+
+    def gather(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(i, w) for every arc v[i] -> w, grouped by i, w in list order."""
+        i, pos = self.arcs(v)
         return i, self.nbrs[pos]
 
     @cached_property

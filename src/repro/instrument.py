@@ -25,6 +25,7 @@ class Counters:
     serialized_ops: float = 0.0  # operations that serialize (span, not work/P)
     rounds: int = 0
     scliques_discovered: int = 0  # paper's AND-vs-ARB work metric
+    dead_scliques: int = 0  # distinct listed s-cliques the peeling loop discards
     wall_seconds: float = 0.0
 
 

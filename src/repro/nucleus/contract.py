@@ -11,6 +11,11 @@ at a contraction. The adjacency lists of qualifying vertices are
 filtered of peeled edges with one masked copy, which drops the same
 arcs from ``arc_id``, shrinking later intersection work. Only valid for
 r = 2: a peeled r-clique for r > 2 has no single edge to remove.
+
+The arc ids also serve UPDATE at every r = 2 call, contracting or not:
+they are the T ids of the completions that its faces, the vertices of
+the current graph, carry (``listing.Faces``), so the state is built
+whenever r = 2.
 """
 from __future__ import annotations
 

@@ -13,11 +13,13 @@ Phases:
    r-cliques (UPDATE), dedup them with a row rank and subtract 1 per
    distinct s-clique (the sum of UPDATE-FUNC's 1/a per listing);
    aggregate the updated set U with the chosen §5.5 structure, and
-   re-bucket. ``live_v`` counts the not-yet-peeled r-cliques on each
-   vertex; UPDATE leaves out every vertex at 0, whose s-cliques all died
-   in earlier rounds, and each round then subtracts its peeled rows.
-   Only count-0 r-cliques are peeled at k = 0 and that round lists
-   nothing, so they are never counted.
+   re-bucket. UPDATE draws each peeled r-clique's I_R from the
+   completions of one of its faces (``listing.Faces``), each carrying
+   the T id of the r-clique it completes, and drops those peeled in an
+   earlier round, whose s-cliques are all dead. The faces are built
+   once: at r >= 3 the (r-1)-faces of T's r-cliques (``face_index``),
+   at r = 2 the vertices of the current graph with the arc ids that
+   ``ContractionState`` keeps, at r = 1 the vertices of the graph.
 
 The peeling loop runs driver-side over numpy structures: with thousands
 of rounds, per-round Spark jobs would measure scheduler overhead rather
@@ -35,7 +37,14 @@ import numpy as np
 
 from ..aggregation import check_kind, make_aggregator
 from ..bucketing import Bucketing
-from ..cliques.listing import extend_cliques, row_ranks, s_counts_per_r_clique
+from ..cliques.listing import (
+    Faces,
+    Peeled,
+    extend_cliques,
+    face_index,
+    row_ranks,
+    s_counts_per_r_clique,
+)
 from ..graphs.csr import build_csr, orient_csr
 from ..graphs.orient import make_rank, relabel
 from ..instrument import Counters
@@ -48,7 +57,8 @@ __all__ = ["DecompConfig", "DecompResult", "nucleus_decomposition"]
 @dataclass
 class DecompConfig:
     """The options of one decomposition, checked where they are written,
-    before any graph work; only the Spark session is checked by the call."""
+    at construction or by a later assignment, before any graph work; only
+    the Spark session is checked by the call."""
 
     table: TableConfig = field(default_factory=TableConfig)
     relabel: bool = False  # §5.4 graph relabeling
@@ -57,12 +67,14 @@ class DecompConfig:
     counting: str = "local"  # 'local' | 'spark'
     spark_slices: int = 64
 
-    def __post_init__(self):
-        check_kind(self.aggregation)
-        if self.counting not in ("local", "spark"):
-            raise ValueError(f"counting must be 'local' or 'spark', got {self.counting!r}")
-        if self.spark_slices < 1:
-            raise ValueError(f"spark_slices must be >= 1, got {self.spark_slices}")
+    def __setattr__(self, name, value):
+        if name == "aggregation":
+            check_kind(value)
+        elif name == "counting" and value not in ("local", "spark"):
+            raise ValueError(f"counting must be 'local' or 'spark', got {value!r}")
+        elif name == "spark_slices" and value < 1:
+            raise ValueError(f"spark_slices must be >= 1, got {value}")
+        super().__setattr__(name, value)
 
 
 @dataclass
@@ -118,7 +130,6 @@ def nucleus_decomposition(
         vmat, cnts = s_counts_per_r_clique(dg, r, s, counters=counters)
     counters.span_logs += s * log2(max(2, n_verts))
     n_r = len(vmat)
-    live_v = np.bincount(vmat[cnts > 0].ravel(), minlength=n_verts)
 
     table = make_table(vmat, n_verts, config.table)
     idx_rows = table.row_indices()
@@ -134,7 +145,11 @@ def nucleus_decomposition(
     est_per_peel = comb(s, r) - 1
 
     do_contract = config.contraction and r == 2 and s == 3
-    cstate = ContractionState(und, idx_rows) if do_contract else None
+    cstate = ContractionState(und, idx_rows) if r == 2 else None
+    if r == 1:  # counting lists every vertex, in order
+        faces = Faces(und, idx_rows[und.nbrs])
+    elif r >= 3:
+        faces = face_index(vmat, idx_rows, n_verts, table.capacity)
 
     # ---- Phase 2: peel (Alg 2 lines 23-29) ----
     finished = 0
@@ -152,9 +167,11 @@ def nucleus_decomposition(
 
         s_mat = np.empty((0, s), dtype=np.int64)
         if k > 0:  # a k = 0 bucket has no incident s-clique left to list
-            A_rows = table.decode(A)
-            s_mat = extend_cliques(und_cur, dg, A_rows, s - r, counters, live_v)
-            np.subtract.at(live_v, A_rows.ravel(), 1)
+            if cstate is not None:
+                faces = Faces(und_cur, cstate.arc_id)
+            s_mat = extend_cliques(
+                und_cur, dg, table.decode(A), s - r, counters, Peeled(peeled, A, faces)
+            )
         counters.span_logs += (s - r) * log2n
 
         if len(s_mat):
@@ -169,6 +186,7 @@ def nucleus_decomposition(
             st = peeled[idxs]
             prev = (st >= 0) & (st < round_no)
             valid = ~prev.any(axis=1)
+            counters.dead_scliques += len(valid) - int(np.count_nonzero(valid))
             tgt = idxs[(st == -1) & valid[:, None]]
             np.subtract.at(counts, tgt, 1)
             if len(tgt):

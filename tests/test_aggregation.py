@@ -114,8 +114,8 @@ def test_unknown_kind_fails_before_any_work(monkeypatch):
 # the former per-insertion accounting gave; they feed every sim_* column
 # of T3 and T6a.
 PINNED = {
-    ("amazon-lite", 3, 4): {"array": (145687, 1991), "list-buffer": (147678, 0), "hash": (205161, 0)},
-    ("skitter-lite", 2, 3): {"array": (709925, 5519), "list-buffer": (715444, 0), "hash": (867215, 0)},
+    ("amazon-lite", 3, 4): {"array": (90740, 1991), "list-buffer": (92731, 0), "hash": (150214, 0)},
+    ("skitter-lite", 2, 3): {"array": (590583, 5519), "list-buffer": (596102, 0), "hash": (747873, 0)},
 }
 
 

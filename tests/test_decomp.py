@@ -1,6 +1,8 @@
 """ARB-NUCLEUS-DECOMP vs the brute-force reference, across graphs,
 (r, s) values, and every §5 optimization configuration."""
 import re
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -183,6 +185,33 @@ def test_bad_config_rejected(kw, named):
         DecompConfig(**kw())
 
 
+@pytest.mark.parametrize(
+    "name,value,named",
+    [
+        ("counting", "Spark", "counting must be 'local' or 'spark'"),
+        ("spark_slices", 0, "spark_slices must be >= 1, got 0"),
+        ("aggregation", "Hash", "aggregation must be one of"),
+    ],
+)
+def test_bad_assignment_rejected(name, value, named):
+    """An option assigned after construction is checked as at construction,
+    and a rejected value leaves the config as it was."""
+    cfg = DecompConfig()
+    before = DecompConfig()
+    with pytest.raises(ValueError, match=re.escape(named)):
+        setattr(cfg, name, value)
+    assert cfg == before
+
+
+def test_valid_assignment_accepted():
+    """Assigning valid options after construction works, one at a time or
+    several in one statement."""
+    cfg = DecompConfig()
+    cfg.counting, cfg.spark_slices = "spark", 4
+    cfg.aggregation = "hash"
+    assert (cfg.counting, cfg.spark_slices, cfg.aggregation) == ("spark", 4, "hash")
+
+
 def test_bad_spark_slices_fail_before_any_work():
     """``spark_slices < 1`` fails when the config is built, whatever the
     counting mode, so no call can start on it."""
@@ -291,17 +320,26 @@ def dying_vertex_graph(s: int) -> np.ndarray:
     return np.array(edges, dtype=np.int64)
 
 
-def unpruned(und, dg, A_rows, need, counters, live_v):
+def unpruned(und, dg, A_rows, need, counters, peeled):
     return listing.extend_cliques(und, dg, A_rows, need, counters)
 
 
 @pytest.mark.parametrize(
     "r,s,contraction",
-    [(1, 3, False), (2, 3, False), (2, 3, True), (2, 4, False), (3, 4, False), (2, 5, False)],
+    [
+        (1, 3, False),
+        (2, 3, False),
+        (2, 3, True),
+        (2, 4, False),
+        (3, 4, False),
+        (2, 5, False),
+        (3, 5, False),
+    ],
 )
 def test_dead_vertices_pruned(monkeypatch, r, s, contraction):
-    """UPDATE skips the s-cliques through a vertex none of whose r-cliques
-    is live: discoveries fall strictly, and cores equal the reference."""
+    """UPDATE skips the s-cliques through a completion peeled in an
+    earlier round: discoveries fall strictly, and cores equal the
+    reference."""
     edges = dying_vertex_graph(s)
     cfg = DecompConfig(contraction=contraction)
     pruned = nucleus_decomposition(edges, r, s, cfg)
@@ -309,18 +347,19 @@ def test_dead_vertices_pruned(monkeypatch, r, s, contraction):
     full = nucleus_decomposition(edges, r, s, cfg)
     assert pruned.core_dict() == full.core_dict() == reference_nucleus(edges, r, s)
     assert pruned.counters.scliques_discovered < full.counters.scliques_discovered
+    assert pruned.counters.dead_scliques < full.counters.dead_scliques
 
 
 @pytest.mark.parametrize("name,s", [("dying", 3), ("dying", 4), ("comm", 3), ("rmat6", 3), ("er40", 4)])
 def test_no_dead_vertex_listed_at_r1(monkeypatch, name, s):
-    """At r = 1 the dead-vertex test is exact: no s-clique UPDATE lists
+    """At r = 1 the completion test is exact: no s-clique UPDATE lists
     holds a vertex peeled in an earlier round. Without it some do."""
     edges = dying_vertex_graph(s) if name == "dying" else SMALL_GRAPHS[name]
     for listing_fn, dead_listed in ((listing.extend_cliques, False), (unpruned, True)):
         calls = []
 
-        def spy(und, dg, A_rows, need, counters, live_v):
-            out = listing_fn(und, dg, A_rows, need, counters, live_v)
+        def spy(und, dg, A_rows, need, counters, peeled):
+            out = listing_fn(und, dg, A_rows, need, counters, peeled)
             calls.append((A_rows[:, 0].copy(), out))
             return out
 
@@ -334,3 +373,47 @@ def test_no_dead_vertex_listed_at_r1(monkeypatch, name, s):
             dead.append(peeled[out].any())
             peeled[A] = True
         assert any(dead) == dead_listed
+        assert (res.counters.dead_scliques == 0) != dead_listed
+
+
+@pytest.mark.parametrize("name", GRAPHS + ["dying"])
+@pytest.mark.parametrize(
+    "r,s,contraction",
+    [(1, 3, False), (2, 3, False), (2, 3, True), (2, 4, False), (3, 4, False), (3, 5, False)],
+)
+def test_peeled_listing_is_subset(monkeypatch, name, r, s, contraction):
+    """In every round, UPDATE with ``peeled`` returns a sub-multiset of the
+    unfiltered rows over the same graph, and every row it drops holds an
+    r-subset peeled in an earlier round."""
+    edges = dying_vertex_graph(s) if name == "dying" else SMALL_GRAPHS[name]
+    dropped = []
+
+    def spy(und, dg, A_rows, need, counters, peeled):
+        out = listing.extend_cliques(und, dg, A_rows, need, counters, peeled)
+        full = listing.extend_cliques(und, dg, A_rows, need)
+        got, want = Counter(map(tuple, out.tolist())), Counter(map(tuple, full.tolist()))
+        assert got <= want
+        now = peeled.round[peeled.ids[0]]
+        assert (peeled.round[peeled.ids] == now).all()
+        for row in want - got:
+            subs = np.sort(np.array(row))[list(combinations(range(r + need), r))]
+            t = peeled.round[tables[0].lookup(subs)]
+            assert ((t >= 0) & (t < now)).any()
+        dropped.append(len(want) - len(got))
+        return out
+
+    make_table, tables = decomp.make_table, []
+    monkeypatch.setattr(decomp, "make_table", lambda *a: tables.append(make_table(*a)) or tables[0])
+    monkeypatch.setattr(decomp, "extend_cliques", spy)
+    res = nucleus_decomposition(edges, r, s, DecompConfig(contraction=contraction))
+    assert res.core_dict() == reference_nucleus(edges, r, s)
+    if name == "dying":
+        assert sum(dropped) > 0, "some round drops a dead s-clique"
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_no_dead_scliques_at_r1(name, s):
+    """At r = 1 UPDATE lists no s-clique the loop then discards."""
+    for cfg in (DecompConfig(), _best_config(1, s)):
+        assert nucleus_decomposition(SMALL_GRAPHS[name], 1, s, cfg).counters.dead_scliques == 0

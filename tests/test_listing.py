@@ -9,18 +9,22 @@ import pytest
 
 from repro.cliques import listing
 from repro.cliques.listing import (
+    Faces,
+    Peeled,
     count_cliques,
     enumerate_cliques,
     extend_cliques,
+    face_index,
     row_ranks,
     s_counts_per_r_clique,
     sum_by_row,
 )
 from repro.experiments import _best_config
-from repro.graphs.csr import build_csr, orient_csr
+from repro.graphs.csr import CSR, build_csr, orient_csr
 from repro.graphs.gen import community_graph, rmat
 from repro.graphs.orient import degree_order, make_rank
 from repro.instrument import Counters
+from repro.nucleus.contract import ContractionState
 from repro.nucleus.decomp import nucleus_decomposition
 from repro.nucleus.reference import brute_force_cliques
 
@@ -134,23 +138,95 @@ def test_batched_update_multiplicity(name, r, s):
         assert set(got.values()) <= {1}, "once per (source row, s-clique)"
 
 
+def faces_for(und, vmat, ids, capacity):
+    """UPDATE's faces over ``und`` for the r-cliques ``vmat`` with T ids
+    ``ids`` below ``capacity``, built as the peeling loop builds them."""
+    r = vmat.shape[1]
+    if r == 1:
+        return Faces(und, ids[und.nbrs])
+    if r == 2:
+        return Faces(und, ContractionState(und, ids).arc_id)
+    return face_index(vmat, ids, und.n, capacity)
+
+
+def chosen_face(und, faces, R, rid):
+    """The face UPDATE draws R's completions from."""
+    if faces.face is None:
+        return (min(R, key=und.degree),)
+    return tuple(v for j, v in enumerate(R) if j != faces.col[rid])
+
+
 @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
 @pytest.mark.parametrize("r,s", [(1, 3), (2, 3), (2, 4), (3, 4), (2, 5), (3, 5)])
 def test_extend_drops_dead_vertices(name, r, s):
-    """With ``live_v``, UPDATE returns exactly the rows of the unfiltered
-    call, in the same order, whose extra vertices all have a live count
-    above 0; the source rows may hold dead vertices."""
+    """With ``peeled``, UPDATE returns the rows of the unfiltered call
+    less exactly those with an extra vertex w whose completed r-clique,
+    F ∪ {w} for the chosen face F ({w} at r = 1), was peeled in an
+    earlier round; each dropped row so holds an r-subset peeled earlier.
+    With nothing peeled earlier it returns every row."""
     und, dg = setup(name, "degeneracy")
-    A_rows = s_counts_per_r_clique(dg, r, s)[0]
-    rng = np.random.default_rng(len(A_rows) * 31 + s)
-    full = extend_cliques(und, dg, A_rows, s - r)
+    vmat = s_counts_per_r_clique(dg, r, s)[0]
+    rng = np.random.default_rng(len(vmat) * 31 + s)
+    ids = rng.permutation(2 * len(vmat))[: len(vmat)]  # T ids are any distinct cells
+    faces = faces_for(und, vmat, ids, 2 * len(vmat))
+    of = dict(zip(map(tuple, vmat.tolist()), ids.tolist()))
     for frac in (0.0, 0.3, 0.7):
-        live_v = (rng.random(und.n) >= frac) * rng.integers(1, 4, und.n)
+        rounds = np.full(2 * len(vmat), -1, dtype=np.int64)
+        now = np.where(rng.random(len(vmat)) < frac, rng.integers(0, 3, len(vmat)), 3)
+        now[rng.random(len(vmat)) < 0.2] = -1
+        rounds[ids] = now
+        A = (now == 3).nonzero()[0]
+        full = extend_cliques(und, dg, vmat[A], s - r)
         counters = Counters()
-        out = extend_cliques(und, dg, A_rows, s - r, counters, live_v)
-        assert np.array_equal(out, full[(live_v[full[:, r:]] > 0).all(axis=1)])
+        out = extend_cliques(und, dg, vmat[A], s - r, counters, Peeled(rounds, ids[A], faces))
         assert counters.scliques_discovered == len(out)
-    assert len(extend_cliques(und, dg, A_rows, s - r, None, np.zeros(und.n, dtype=np.int64))) == 0
+        assert Counter(map(tuple, out.tolist())) <= Counter(map(tuple, full.tolist()))
+        earlier = {R for R, t in zip(of, rounds[ids].tolist()) if 0 <= t < 3}
+        kept = set(map(tuple, out.tolist()))
+        for row in full.tolist():
+            R, extra = tuple(row[:r]), row[r:]
+            F = chosen_face(und, faces, R, of[R]) if r > 1 else ()
+            dead = any(tuple(sorted(F + (w,))) in earlier for w in extra)
+            assert (tuple(row) not in kept) == dead
+            if dead:
+                assert any(sub in earlier for sub in combinations(sorted(row), r))
+        if frac == 0.0:
+            assert len(out) == len(full)
+
+
+@pytest.mark.parametrize("name", ["fig1", "k7", "er30", "comm", "rmat6"])
+@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("wide", [False, True])
+def test_face_index_matches_brute_force(name, r, wide):
+    """Each (r-1)-face lists exactly the vertices that complete it into an
+    r-clique, each with that r-clique's id, and each r-clique's chosen
+    face is one of its own with the fewest completions. With ``wide``,
+    ids reach 2^40, so the faces' keys take ``row_ranks``, not packing."""
+    und, dg = setup(name, "degeneracy")
+    vmat = s_counts_per_r_clique(dg, r, r + 1)[0]
+    n = und.n
+    if wide:
+        vmat, n = vmat + 2**40 - n, 2**40
+    ids = np.random.default_rng(r).permutation(3 * len(vmat))[: len(vmat)]
+    faces = face_index(vmat, ids, n, 3 * len(vmat))
+    want: dict[tuple, set] = {}
+    for R, rid in zip(map(tuple, vmat.tolist()), ids.tolist()):
+        for j in range(r):
+            want.setdefault(R[:j] + R[j + 1 :], set()).add((R[j], rid))
+    csr = faces.csr
+    got = {}
+    for f in range(csr.n):
+        pos = range(csr.offsets[f], csr.offsets[f + 1])
+        comp = {(int(csr.nbrs[p]), int(faces.ids[p])) for p in pos}
+        (F,) = {tuple(sorted(set(vmat[np.flatnonzero(ids == rid)[0]]) - {w})) for w, rid in comp}
+        got[F] = comp
+    assert got == want
+    face_of = {F: f for f, F in enumerate(sorted(want))}
+    for R, rid in zip(map(tuple, vmat.tolist()), ids.tolist()):
+        j = faces.col[rid]
+        F = R[:j] + R[j + 1 :]
+        assert faces.face[rid] == face_of[F]
+        assert len(want[F]) == min(len(want[R[:k] + R[k + 1 :]]) for k in range(r))
 
 
 def test_extend_fig1_common_neighbours():
@@ -176,15 +252,15 @@ def test_counters_count_cliques():
 @pytest.mark.parametrize(
     "graph,r,s,work,found",
     [
-        (lambda: rmat(9, 10000, seed=15), 3, 4, 696_911, 22_593),
+        (lambda: rmat(9, 10000, seed=15), 3, 4, 244_111, 14_399),
         (
             lambda: community_graph(24, 6, 14, p_intra=0.9, inter_per_vertex=1.2, seed=12),
             2,
             5,
-            315_216,
-            25_010,
+            246_307,
+            17_586,
         ),
-        (lambda: rmat(12, 20000, seed=14), 2, 3, 225_664, 6_145),
+        (lambda: rmat(12, 20000, seed=14), 2, 3, 208_253, 4_598),
     ],
     ids=["orkut-34", "dblp-25", "skitter-23"],
 )
@@ -193,8 +269,9 @@ def test_kernel_accounting_pinned(graph, r, s, work, found):
     benchmark graphs. The work count moves with the kernel's operations
     (candidates gathered, probes made). The discoveries are the s-cliques
     UPDATE lists. A live one is listed once per r-clique of A it holds; a
-    dead one is listed unless one of its vertices has no live r-clique
-    left. So they move with what UPDATE prunes, not with how it lists."""
+    dead one is listed unless one of the r-cliques that UPDATE's chosen
+    face completes in it was peeled in an earlier round. So they move
+    with what UPDATE prunes, not with how it lists."""
     res = nucleus_decomposition(graph(), r, s, _best_config(r, s))
     assert res.counters.work == work
     assert res.counters.scliques_discovered == found
@@ -210,20 +287,37 @@ def hub_graph(hubs: int, leaves: int) -> np.ndarray:
     return np.array(e, dtype=np.int64)
 
 
-@pytest.mark.parametrize("r,s", [(1, 3), (2, 4)])
-def test_update_work_bounded_on_hub(r, s):
+@pytest.mark.parametrize("r,s", [(1, 3), (2, 4), (3, 4), (3, 5)])
+def test_update_work_bounded_on_hub(monkeypatch, r, s):
     """UPDATE over every r-clique stays within O(m * d^(s-2)) work when
     I_R is a whole neighbourhood (the hubs' r-clique): its first level
     gathers at most d out-neighbours per candidate instead of pairing all
-    of I_R, which would take C(|I_R|, 2) probes for that one r-clique."""
+    of I_R, which would take C(|I_R|, 2) probes for that one r-clique.
+    With and without ``peeled``, the completions gathered for each
+    r-clique R are at most the minimum degree over R."""
     und = build_csr(hub_graph(r, 1000))
     dg = orient_csr(und, make_rank(und))
     m, d = len(und.nbrs) // 2, int(dg.degrees().max())
     A = s_counts_per_r_clique(dg, r, s)[0]
-    counters = Counters()
-    out = extend_cliques(und, dg, A, s - r, counters)
-    assert len(out) == comb(s, r) * count_cliques(dg, s)
-    assert counters.work <= 8 * m * d ** (s - 2)
+    ids = np.arange(len(A))
+    faces = faces_for(und, A, ids, len(A))
+    gathered = []
+    arcs = CSR.arcs
+
+    def spy(self, v):
+        out = arcs(self, v)
+        if self is not dg:  # the completions, not _enter's out-lists
+            gathered.append(np.bincount(out[0], minlength=len(v)))
+        return out
+
+    monkeypatch.setattr(CSR, "arcs", spy)
+    for peeled in (None, Peeled(np.zeros(len(A), dtype=np.int64), ids, faces)):
+        gathered.clear()
+        counters = Counters()
+        out = extend_cliques(und, dg, A, s - r, counters, peeled)
+        assert len(out) == comb(s, r) * count_cliques(dg, s)
+        assert counters.work <= 8 * m * d ** (s - 2)
+        assert (np.concatenate(gathered) <= und.degrees()[A].min(axis=1)).all()
 
 
 def test_roots_partition_counts():
