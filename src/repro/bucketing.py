@@ -1,24 +1,20 @@
-"""Julienne-style parallel bucketing structure (Dhulipala et al. [20]).
+"""Frontier peeling of r-cliques by s-clique count (paper §4, Algorithm 2).
 
-Maintains the mapping r-clique-id -> bucket (= current s-clique count)
-and repeatedly extracts the minimum non-empty bucket. As in Julienne,
-only a constant window of the lowest buckets is materialized; ids whose
-bucket lies beyond the window sit in an overflow pool and are only
-re-bucketed when the window advances past them, which both bounds the
-number of bucket moves per id and skips large empty bucket ranges.
-
-Updates are *clamped* at the current level k: peeling can drive a
-stored count below k, but the peeling process assigns such ids to the
-current bucket (this is what makes batch peeling produce the same core
-numbers as one-at-a-time peeling).
+Each round extracts every live id in the minimum bucket, with values
+clamped at the current level k: an id whose count drops below k joins
+the current bucket, so batch peeling gives one-at-a-time core numbers.
+After every extraction no live id is at or below k, so the next bucket
+is the frontier: the ids updates brought to k, re-checked as a later
+update may raise them. Only an empty frontier scans the compacted live
+ids, raising k to their minimum and taking every id at it. An id is
+scanned only at level rises up to its core number: at most rho scans,
+costing sum_R (core(R) + 1) <= C(s, r) * n_s + n_r, within counting's work.
 """
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = ["Bucketing"]
-
-NUM_OPEN = 16  # width of the materialized window of lowest buckets
 
 
 class Bucketing:
@@ -33,75 +29,37 @@ class Bucketing:
         self.alive[ids] = True
         self.k = 0
         self.n_remaining = len(ids)
-        self.rematerializations = 0
-        self.bucket_moves = 0
-        self._window: dict[int, list[np.ndarray]] = {}
-        self._far: list[np.ndarray] = [ids]
-        self._lo = 0  # window covers [_lo, _lo + NUM_OPEN)
-        self._materialize(int(values.min()) if len(values) else 0)
-
-    def _materialize(self, lo: int) -> None:
-        """Re-bucket the overflow pool for the window [lo, lo+NUM_OPEN)."""
-        self.rematerializations += 1
-        self._lo = lo
-        pool = (
-            np.unique(np.concatenate(self._far)) if self._far else np.empty(0, np.int64)
-        )
-        self._far = []
-        pool = pool[self.alive[pool]]
-        vals = self.bucket_of[pool]
-        in_window = vals < lo + NUM_OPEN
-        self._window = {}
-        for b in range(lo, lo + NUM_OPEN):
-            sel = pool[vals == b]
-            if len(sel):
-                self._window[b] = [sel]
-        rest = pool[~in_window]
-        if len(rest):
-            self._far = [rest]
-        self.bucket_moves += int(in_window.sum())
+        self.bucket_moves = 0  # ids whose value an update changed
+        self.rematerializations = 0  # level-rise scans of the live ids
+        self._live = np.sort(ids)
+        self._frontier = [ids[values <= 0]]  # ids at or below the level k = 0
 
     def empty(self) -> bool:
         return self.n_remaining == 0
 
     def next_bucket(self) -> tuple[int, np.ndarray]:
-        """Extract all ids in the minimum non-empty bucket; marks them dead."""
-        while True:
-            for b in range(max(self.k, self._lo), self._lo + NUM_OPEN):
-                if b in self._window:
-                    parts = self._window.pop(b)
-                    ids = np.unique(np.concatenate(parts))
-                    ids = ids[self.alive[ids] & (self.bucket_of[ids] == b)]
-                    if len(ids) == 0:
-                        continue
-                    self.k = b
-                    self.alive[ids] = False
-                    self.n_remaining -= len(ids)
-                    return b, ids
-            if not self._far:
+        """Extract all ids in the minimum clamped bucket; marks them dead."""
+        ids = np.unique(np.concatenate([self._live[:0], *self._frontier]))  # [:0]: typed if empty
+        ids = ids[self.alive[ids] & (self.bucket_of[ids] <= self.k)]
+        self._frontier = []
+        if not len(ids):  # frontier empty: k rises to the minimum live value
+            live = self._live = self._live[self.alive[self._live]]
+            if not len(live):
                 raise RuntimeError("next_bucket on empty structure")
-            far_ids = np.unique(np.concatenate(self._far))
-            far_ids = far_ids[self.alive[far_ids]]
-            if len(far_ids) == 0:
-                raise RuntimeError("next_bucket on empty structure")
-            self._far = [far_ids]
-            lo = int(self.bucket_of[far_ids].min())  # skips empty ranges
-            self._materialize(max(lo, self.k))
+            self.rematerializations += 1
+            vals = self.bucket_of[live]
+            self.k = int(vals.min())
+            ids = live[vals == self.k]
+        self.alive[ids] = False
+        self.n_remaining -= len(ids)
+        return self.k, ids
 
     def update(self, ids: np.ndarray, values: np.ndarray) -> None:
-        """Move live ids to new buckets, clamped at the current level k."""
+        """Store live ids' values clamped at k; those at k join the frontier."""
         ids = np.asarray(ids, dtype=np.int64)
-        if len(ids) == 0:
-            return
         values = np.maximum(np.asarray(values, dtype=np.int64), self.k)
         live = self.alive[ids]
         ids, values = ids[live], values[live]
-        changed = self.bucket_of[ids] != values
-        ids, values = ids[changed], values[changed]
+        self.bucket_moves += int(np.count_nonzero(self.bucket_of[ids] != values))
         self.bucket_of[ids] = values
-        in_window = values < self._lo + NUM_OPEN
-        for b in np.unique(values[in_window]):
-            self._window.setdefault(int(b), []).append(ids[values == b])
-        if (~in_window).any():
-            self._far.append(ids[~in_window])
-        self.bucket_moves += len(ids)
+        self._frontier.append(ids[values == self.k])

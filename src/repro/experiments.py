@@ -27,7 +27,7 @@ from .cliques.listing import count_cliques
 from .graphs.csr import build_csr, orient_csr
 from .graphs.gen import rmat, surrogate
 from .graphs.orient import make_rank
-from .instrument import simulated_time
+from .instrument import self_relative_speedup, simulated_time
 from .nucleus.decomp import DecompConfig, DecompResult, nucleus_decomposition
 from .tables.clique_table import TableConfig
 
@@ -318,7 +318,6 @@ def table_scalability(
         edges = surrogate(name)
         for r, s in rs_list or [(2, 3), (2, 4), (3, 4)]:
             res = nucleus_decomposition(edges, r, s, _best_config(r, s))
-            t1 = simulated_time(res.counters, 1)
             for p in threads or [1, 2, 4, 8, 16, 30, 60]:
                 rows.append(
                     {
@@ -326,7 +325,7 @@ def table_scalability(
                         "r": r,
                         "s": s,
                         "threads": p,
-                        "sim_speedup": t1 / simulated_time(res.counters, p),
+                        "sim_speedup": self_relative_speedup(res.counters, p),
                     }
                 )
     return _frame(rows)
@@ -341,8 +340,6 @@ def table_spark_counting_scalability(
     """Measured companion to Fig 14: warm median wall-clock of the Spark
     counting stage at varying partition counts on this machine."""
     from .cliques.spark_count import spark_s_counts
-    from .graphs.csr import orient_csr
-    from .graphs.orient import make_rank
 
     edges = surrogate(graph)
     und = build_csr(edges)

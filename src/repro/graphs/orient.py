@@ -20,9 +20,8 @@ does not charge to orientation, so it is not provided.
 
 ``relabel`` renames vertices by orientation rank (§5.4 graph
 relabeling), so clique vertices are discovered in increasing label order
-and no per-clique re-sorting is needed. It renames an edge array, or a
-CSR by one sort of its renamed arc keys, without rebuilding it from
-edges.
+and no per-clique re-sorting is needed. It renames a CSR by one sort
+of its renamed arc keys, without rebuilding it from edges.
 """
 from __future__ import annotations
 
@@ -92,19 +91,16 @@ def make_rank(csr: CSR) -> np.ndarray:
     return degeneracy_order(csr)[0]
 
 
-def relabel(graph: np.ndarray | CSR, rank: np.ndarray) -> tuple[np.ndarray | CSR, np.ndarray]:
+def relabel(csr: CSR, rank: np.ndarray) -> tuple[CSR, np.ndarray]:
     """Rename vertices so that vertex id == orientation rank (§5.4).
 
-    ``graph`` is an (m, 2) edge array or a CSR. Returns (the relabeled
-    graph of the same kind, perm) where perm[new_id] = old_id, letting
-    callers translate clique vertices back to original ids. A CSR is
-    relabeled by one sort of its renamed arc keys
+    Returns (the relabeled CSR, perm) where perm[new_id] = old_id,
+    letting callers translate clique vertices back to original ids. The
+    CSR is relabeled by one sort of its renamed arc keys
     ``rank[src] * n + rank[dst]``: the graph is already validated and
     deduplicated, so it is not rebuilt from edges.
     """
     perm = np.empty(len(rank), dtype=np.int64)
     perm[rank] = np.arange(len(rank))
-    if isinstance(graph, CSR):
-        keys = np.sort(rank[graph.arc_src] * graph.n + rank[graph.nbrs])
-        return CSR.from_keys(graph.n, keys), perm
-    return rank[graph], perm
+    keys = np.sort(rank[csr.arc_src] * csr.n + rank[csr.nbrs])
+    return CSR.from_keys(csr.n, keys), perm

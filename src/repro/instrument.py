@@ -4,7 +4,7 @@ The paper analyses ARB-NUCLEUS-DECOMP in the work-span model and runs on
 a 30-core (60 hyper-thread) shared-memory machine. The reproduction
 runs on 4 cores under Spark, so scalability tables (Fig 14) and
 contention effects (Fig 11) are reported through the model the paper
-itself uses: ``T_P = W / P + kappa * S`` (Brent's theorem), where W
+itself uses: ``T_P = W / P + S`` (Brent's theorem), where W
 aggregates counted operations, and S aggregates per-round critical-path
 terms: a log(n) factor for the bucket extraction / hash-table rounds
 plus any *serialized* operations (e.g. the simple-array aggregator's
@@ -29,16 +29,9 @@ class Counters:
     wall_seconds: float = 0.0
 
 
-def simulated_time(
-    c: Counters,
-    p: int,
-    *,
-    op_cost: float = 1.0,
-    serial_op_cost: float = 1.0,
-) -> float:
+def simulated_time(c: Counters, p: int) -> float:
     """Brent bound T_P = W/P + S, in abstract operation units."""
-    span = c.span_logs * op_cost + c.serialized_ops * serial_op_cost
-    return (c.work * op_cost) / p + span
+    return c.work / p + (c.span_logs + c.serialized_ops)
 
 
 def self_relative_speedup(c: Counters, p: int) -> float:

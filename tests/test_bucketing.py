@@ -1,4 +1,6 @@
-"""Julienne-style bucketing structure."""
+"""Frontier bucketing: each extraction is the minimum bucket with values
+clamped at the current level, checked on hand-made cases and against a
+brute-force reference over random update scripts."""
 import numpy as np
 import pytest
 
@@ -77,10 +79,58 @@ def test_empty_structure():
 
 def test_window_advance_past_open_buckets():
     n = 50
-    b = Bucketing(np.arange(n), np.arange(n) * 3)  # spread well past NUM_OPEN
+    b = Bucketing(np.arange(n), np.arange(n) * 3)  # one level rise per extraction
     ks = []
     while not b.empty():
         k, a = b.next_bucket()
         ks.append(k)
         assert len(a) == 1
     assert ks == [i * 3 for i in range(n)]
+
+
+class _MinClampedBucket:
+    """Brute force: every extraction scans all live ids for the minimum."""
+
+    def __init__(self, ids, values):
+        self.value = dict(zip(ids.tolist(), values.tolist()))
+        self.k = 0
+
+    def next_bucket(self):
+        self.k = max(self.k, min(self.value.values()))
+        out = sorted(i for i, v in self.value.items() if v <= self.k)
+        for i in out:
+            del self.value[i]
+        return self.k, out
+
+    def update(self, ids, values):
+        for i, v in zip(ids.tolist(), values.tolist()):
+            if i in self.value:
+                self.value[i] = v
+
+
+def test_matches_min_clamped_bucket_on_random_scripts():
+    """Sparse ids; several updates a round, each with distinct ids, also
+    before the first extraction; values lowered to the level and raised
+    again; updates of peeled ids."""
+    for seed in range(300):
+        g = np.random.default_rng(seed)
+        n = int(g.integers(1, 40))
+        ids = np.sort(g.choice(1000, n, replace=False))
+        values = g.integers(0, 12, n)
+        b, ref = Bucketing(ids, values), _MinClampedBucket(ids, values)
+        while ref.value:
+            for _ in range(int(g.integers(0, 4))):
+                u = g.choice(ids, int(g.integers(0, n + 1)), replace=False)
+                v = ref.k + g.integers(-3, 8, len(u))
+                b.update(u, v)
+                ref.update(u, v)
+            u = g.choice(ids, 1)  # lowered to the level, then raised past it
+            for v in (ref.k - 1, ref.k + 1 + int(g.integers(0, 3))):
+                b.update(u, np.array([v]))
+                ref.update(u, np.array([v]))
+            if ref.value:
+                k, a = b.next_bucket()
+                assert (k, a.tolist()) == ref.next_bucket()
+        assert b.empty()
+        with pytest.raises(RuntimeError):
+            b.next_bucket()
