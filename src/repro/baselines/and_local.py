@@ -22,9 +22,10 @@ from itertools import combinations
 
 import numpy as np
 
-from ..cliques.listing import enumerate_cliques, row_ranks, s_counts_per_r_clique
+from ..cliques.listing import enumerate_cliques, s_counts_per_r_clique
 from ..graphs.csr import build_csr, orient_csr
 from ..graphs.orient import make_rank
+from ..tables.packing import row_ranks
 
 __all__ = ["and_decomposition", "AndResult"]
 

@@ -1,14 +1,18 @@
 """Frontier peeling of r-cliques by s-clique count (paper §4, Algorithm 2).
 
-Each round extracts every live id in the minimum bucket, with values
-clamped at the current level k: an id whose count drops below k joins
-the current bucket, so batch peeling gives one-at-a-time core numbers.
-After every extraction no live id is at or below k, so the next bucket
-is the frontier: the ids updates brought to k, re-checked as a later
-update may raise them. Only an empty frontier scans the compacted live
-ids, raising k to their minimum and taking every id at it. An id is
-scanned only at level rises up to its core number: at most rho scans,
-costing sum_R (core(R) + 1) <= C(s, r) * n_s + n_r, within counting's work.
+The structure is the whole peel state, indexed by r-clique id: ``count``
+holds the s-clique counts, which the caller lowers in place (UPDATE-FUNC)
+and reports through ``update``; ``round`` holds the round each id was
+peeled in, -1 while live; ``levels`` holds each round's level k, so an
+id's core number is ``levels[round[id]]``. Each round extracts every live
+id at or below k: an id whose count drops below k joins the current
+level, so batch peeling gives one-at-a-time core numbers. After an
+extraction no live id is at or below k, and counts only fall, so the
+next round is the frontier: the live ids updates brought to k or below.
+Only an empty frontier scans the compacted live ids, raising k to their
+minimum count and taking every id at it. An id is scanned only at level
+rises up to its core number: at most rho scans, costing
+sum_R (core(R) + 1) <= C(s, r) * n_s + n_r, within counting's work.
 """
 from __future__ import annotations
 
@@ -18,48 +22,45 @@ __all__ = ["Bucketing"]
 
 
 class Bucketing:
-    def __init__(self, ids: np.ndarray, values: np.ndarray):
-        """ids: identifier array (cell positions); values: initial buckets."""
+    def __init__(self, ids: np.ndarray, counts: np.ndarray):
+        """ids: r-clique ids (cell positions); counts: their s-clique counts."""
         ids = np.asarray(ids, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
         size = int(ids.max()) + 1 if len(ids) else 0
-        self.bucket_of = np.full(size, -1, dtype=np.int64)
-        self.bucket_of[ids] = values
-        self.alive = np.zeros(size, dtype=bool)
-        self.alive[ids] = True
+        self.count = np.zeros(size, dtype=np.int64)
+        self.count[ids] = counts
+        self.round = np.full(size, -1, dtype=np.int64)
+        self.levels: list[int] = []
         self.k = 0
         self.n_remaining = len(ids)
-        self.bucket_moves = 0  # ids whose value an update changed
+        self.bucket_moves = 0  # live ids whose count an update lowered
         self.rematerializations = 0  # level-rise scans of the live ids
         self._live = np.sort(ids)
-        self._frontier = [ids[values <= 0]]  # ids at or below the level k = 0
+        self._frontier = [ids[self.count[ids] <= 0]]  # ids at or below the level k = 0
 
     def empty(self) -> bool:
         return self.n_remaining == 0
 
     def next_bucket(self) -> tuple[int, np.ndarray]:
-        """Extract all ids in the minimum clamped bucket; marks them dead."""
+        """Extract every live id at or below k, stamping their round."""
         ids = np.unique(np.concatenate([self._live[:0], *self._frontier]))  # [:0]: typed if empty
-        ids = ids[self.alive[ids] & (self.bucket_of[ids] <= self.k)]
         self._frontier = []
-        if not len(ids):  # frontier empty: k rises to the minimum live value
-            live = self._live = self._live[self.alive[self._live]]
+        if not len(ids):  # frontier empty: k rises to the minimum live count
+            live = self._live = self._live[self.round[self._live] < 0]
             if not len(live):
                 raise RuntimeError("next_bucket on empty structure")
             self.rematerializations += 1
-            vals = self.bucket_of[live]
-            self.k = int(vals.min())
-            ids = live[vals == self.k]
-        self.alive[ids] = False
+            counts = self.count[live]
+            self.k = int(counts.min())
+            ids = live[counts == self.k]
+        self.round[ids] = len(self.levels)
+        self.levels.append(self.k)
         self.n_remaining -= len(ids)
         return self.k, ids
 
-    def update(self, ids: np.ndarray, values: np.ndarray) -> None:
-        """Store live ids' values clamped at k; those at k join the frontier."""
+    def update(self, ids: np.ndarray) -> None:
+        """Report distinct ids whose counts were lowered; the live ones at or
+        below k join the frontier, peeled ones keep their round."""
         ids = np.asarray(ids, dtype=np.int64)
-        values = np.maximum(np.asarray(values, dtype=np.int64), self.k)
-        live = self.alive[ids]
-        ids, values = ids[live], values[live]
-        self.bucket_moves += int(np.count_nonzero(self.bucket_of[ids] != values))
-        self.bucket_of[ids] = values
-        self._frontier.append(ids[values == self.k])
+        ids = ids[self.round[ids] < 0]
+        self.bucket_moves += len(ids)
+        self._frontier.append(ids[self.count[ids] <= self.k])

@@ -63,7 +63,6 @@ __all__ = [
     "count_cliques",
     "enumerate_cliques",
     "face_index",
-    "row_ranks",
     "s_counts_per_r_clique",
     "sum_by_row",
     "extend_cliques",

@@ -1,8 +1,8 @@
 """Graph contraction for (2,3) nucleus decomposition (paper §5.6).
 
 Every arc of the undirected CSR carries its edge's r-clique id in
-``arc_id``, so the peeling loop's ``peeled`` array (each id's peel
-round, -1 while live) is all the state the heuristic reads. A check
+``arc_id``, so ``Bucketing.round`` (each id's peel round, -1 while
+live) is all the peel state the heuristic reads. A check
 runs once the edges peeled since the last check reach 2n. A vertex
 qualifies when the arcs it lost since the last contraction, those whose
 edge was peeled after that round, are at least a quarter of its

@@ -8,18 +8,21 @@ Phases:
    — locally, or fanned out over Spark partitions (cliques/spark_count).
 3. Store counts in the configurable multi-level hash table T (§5.1-5.3);
    each r-clique's identifier is its last-level cell index.
-4. Peel rounds: extract the minimum bucket from the Julienne-style
-   bucketing structure, re-list the s-cliques incident to peeled
-   r-cliques (UPDATE), dedup them with a row rank and subtract 1 per
-   distinct s-clique (the sum of UPDATE-FUNC's 1/a per listing);
-   aggregate the updated set U with the chosen §5.5 structure, and
-   re-bucket. UPDATE draws each peeled r-clique's I_R from the
-   completions of one of its faces (``listing.Faces``), each carrying
-   the T id of the r-clique it completes, and drops those peeled in an
-   earlier round, whose s-cliques are all dead. The faces are built
-   once: at r >= 3 the (r-1)-faces of T's r-cliques (``face_index``),
-   at r = 2 the vertices of the current graph with the arc ids that
-   ``ContractionState`` keeps, at r = 1 the vertices of the graph.
+4. Peel rounds over ``Bucketing``, the one peel state: each r-clique's
+   count and peel round, and each round's level k, from which the core
+   numbers are read at the end. Extract the r-cliques at or below k,
+   re-list the s-cliques incident to them (UPDATE), dedup these with a
+   row rank and lower the structure's counts by 1 per distinct s-clique
+   in place (the sum of UPDATE-FUNC's 1/a per listing); aggregate the
+   updated set U with the chosen §5.5 structure and report it to the
+   structure, which re-buckets it. UPDATE draws each peeled r-clique's
+   I_R from the completions of one of its faces (``listing.Faces``),
+   each carrying the T id of the r-clique it completes, and drops those
+   peeled in an earlier round, whose s-cliques are all dead. The faces
+   are built once: at r >= 3 the (r-1)-faces of T's r-cliques
+   (``face_index``), at r = 2 the vertices of the current graph with the
+   arc ids that ``ContractionState`` keeps, at r = 1 the vertices of the
+   graph.
 
 The peeling loop runs driver-side over numpy structures: with thousands
 of rounds, per-round Spark jobs would measure scheduler overhead rather
@@ -28,6 +31,7 @@ counting phase only; graph preparation runs driver-side as well.
 """
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -37,18 +41,12 @@ import numpy as np
 
 from ..aggregation import check_kind, make_aggregator
 from ..bucketing import Bucketing
-from ..cliques.listing import (
-    Faces,
-    Peeled,
-    extend_cliques,
-    face_index,
-    row_ranks,
-    s_counts_per_r_clique,
-)
+from ..cliques.listing import Faces, Peeled, extend_cliques, face_index, s_counts_per_r_clique
 from ..graphs.csr import build_csr, orient_csr
 from ..graphs.orient import make_rank, relabel
 from ..instrument import Counters
 from ..tables.clique_table import TableConfig, make_table
+from ..tables.packing import row_ranks
 from .contract import ContractionState, maybe_contract
 
 __all__ = ["DecompConfig", "DecompResult", "nucleus_decomposition"]
@@ -104,8 +102,12 @@ def nucleus_decomposition(
     n: int | None = None,
 ) -> DecompResult:
     """Compute the (r, s) nucleus decomposition of an undirected edge list."""
-    if not (1 <= r < s):
-        raise ValueError("need 1 <= r < s")
+    try:
+        r, s = operator.index(r), operator.index(s)
+    except TypeError:
+        raise ValueError(f"r and s must be integers, got r={r!r}, s={s!r}") from None
+    if not 1 <= r < s:
+        raise ValueError(f"need 1 <= r < s, got r={r}, s={s}")
     config = config or DecompConfig()
     if config.counting == "spark" and spark is None:
         raise ValueError("counting='spark' needs a SparkSession, got spark=None")
@@ -133,12 +135,8 @@ def nucleus_decomposition(
 
     table = make_table(vmat, n_verts, config.table)
     idx_rows = table.row_indices()
-    counts = np.zeros(table.capacity, dtype=np.int64)
-    counts[idx_rows] = cnts
-    core = np.zeros(table.capacity, dtype=np.int64)
-    peeled = np.full(table.capacity, -1, dtype=np.int64)
-
     buckets = Bucketing(idx_rows, cnts)
+    counts, peeled = buckets.count, buckets.round
     agg = make_aggregator(config.aggregation, table.capacity)
     log2n = log2(max(2, n_verts))
     subs_cols = np.array(list(combinations(range(s), r)), dtype=np.int64)
@@ -152,15 +150,10 @@ def nucleus_decomposition(
         faces = face_index(vmat, idx_rows, n_verts, table.capacity)
 
     # ---- Phase 2: peel (Alg 2 lines 23-29) ----
-    finished = 0
-    round_no = 0
     und_cur = und
-    while finished < n_r:
+    while not buckets.empty():
         k, A = buckets.next_bucket()
-        core[A] = k
-        peeled[A] = round_no
-        finished += len(A)
-        counters.rounds += 1
+        now = len(buckets.levels) - 1  # this round
         counters.span_logs += log2n
         counters.work += len(A)
         agg.begin_round(len(A), est_per_peel * max(1, k))
@@ -184,7 +177,7 @@ def nucleus_decomposition(
             flat = s_mat[:, subs_cols].reshape(-1, r)
             idxs = table.lookup(flat).reshape(len(s_mat), len(subs_cols))
             st = peeled[idxs]
-            prev = (st >= 0) & (st < round_no)
+            prev = (st >= 0) & (st < now)
             valid = ~prev.any(axis=1)
             counters.dead_scliques += len(valid) - int(np.count_nonzero(valid))
             tgt = idxs[(st == -1) & valid[:, None]]
@@ -194,24 +187,25 @@ def nucleus_decomposition(
             counters.work += idxs.size
 
         u_ids = agg.drain()
-        buckets.update(u_ids, counts[u_ids])
+        buckets.update(u_ids)
         counters.work += len(u_ids)
 
         if do_contract:
-            und_cur = maybe_contract(und_cur, cstate, peeled, round_no, finished)
-        round_no += 1
+            und_cur = maybe_contract(und_cur, cstate, peeled, now, n_r - buckets.n_remaining)
 
+    counters.rounds = len(buckets.levels)
     counters.serialized_ops += agg.serialized_ops
     counters.work += agg.clear_work
     counters.wall_seconds = time.perf_counter() - t_start
 
     # counting returns vmat in lexicographic order; relabeled rows need
     # their original labels and a re-sort
-    out_vmat, out_core = vmat, core[idx_rows]
+    core = np.array(buckets.levels, dtype=np.int64)[peeled[idx_rows]]
+    out_vmat, out_core = vmat, core
     if perm is not None:
         row_rank, out_vmat = row_ranks(np.sort(perm[vmat], axis=1), n_verts)
-        out_core = np.empty_like(out_core)
-        out_core[row_rank] = core[idx_rows]
+        out_core = np.empty_like(core)
+        out_core[row_rank] = core
     return DecompResult(
         vmat=out_vmat,
         core=out_core,

@@ -1,10 +1,19 @@
-"""Frontier bucketing: each extraction is the minimum bucket with values
-clamped at the current level, checked on hand-made cases and against a
-brute-force reference over random update scripts."""
+"""Frontier bucketing: each extraction takes every live id at or below
+the level k, which rises to the minimum live count only when no id is;
+the caller lowers ``count`` in place and reports the lowered ids through
+``update``. Checked on hand-made cases and against a brute-force
+min-count peel over random scripts that only lower counts."""
 import numpy as np
 import pytest
 
 from repro.bucketing import Bucketing
+
+
+def lower(b, ids, by=1):
+    """Lower the counts of the distinct ``ids`` by ``by`` and report them."""
+    ids = np.asarray(ids, dtype=np.int64)
+    b.count[ids] -= by
+    b.update(ids)
 
 
 def test_extracts_in_order():
@@ -22,27 +31,30 @@ def test_update_moves_bucket():
     b = Bucketing(np.arange(3), np.array([5, 5, 10]))
     k, a = b.next_bucket()
     assert k == 5 and sorted(a.tolist()) == [0, 1]
-    b.update(np.array([2]), np.array([6]))
+    lower(b, [2], 4)
     k, a = b.next_bucket()
     assert k == 6 and a.tolist() == [2]
+    assert b.levels == [5, 6] and b.round.tolist() == [0, 0, 1]
 
 
 def test_update_clamps_at_current_level():
     b = Bucketing(np.arange(3), np.array([2, 5, 5]))
     k, _ = b.next_bucket()
     assert k == 2
-    b.update(np.array([1]), np.array([0]))  # below current level -> clamped
+    lower(b, [1], 5)  # below the current level: peeled at it
     k, a = b.next_bucket()
     assert k == 2 and a.tolist() == [1]
+    assert b.count[1] == 0 and b.levels == [2, 2]
 
 
 def test_dead_ids_ignored_on_update():
     b = Bucketing(np.arange(2), np.array([1, 2]))
     _, a = b.next_bucket()
-    b.update(a, np.array([7] * len(a)))  # updating peeled ids is a no-op
+    lower(b, a)  # peeled ids at or below k again: not extracted again
     k, a2 = b.next_bucket()
     assert k == 2 and a2.tolist() == [1]
     assert b.empty()
+    assert b.round.tolist() == [0, 1] and b.bucket_moves == 0
 
 
 def test_skips_empty_ranges():
@@ -56,11 +68,12 @@ def test_skips_empty_ranges():
 def test_repeated_updates_single_extraction():
     b = Bucketing(np.arange(2), np.array([1, 9]))
     b.next_bucket()
-    for v in [8, 7, 6, 5]:
-        b.update(np.array([1]), np.array([v]))
+    for _ in range(4):
+        lower(b, [1])
     k, a = b.next_bucket()
     assert k == 5 and a.tolist() == [1]
     assert b.empty()
+    assert b.bucket_moves == 4
 
 
 def test_sparse_ids():
@@ -88,49 +101,60 @@ def test_window_advance_past_open_buckets():
     assert ks == [i * 3 for i in range(n)]
 
 
-class _MinClampedBucket:
+class _MinCountPeel:
     """Brute force: every extraction scans all live ids for the minimum."""
 
-    def __init__(self, ids, values):
-        self.value = dict(zip(ids.tolist(), values.tolist()))
+    def __init__(self, ids, counts):
+        self.count = dict(zip(ids.tolist(), counts.tolist()))
+        self.core = {}
         self.k = 0
+        self.rises = 0  # extractions that found no live id at or below k
+        self.lowered = 0  # live ids whose count was lowered
 
     def next_bucket(self):
-        self.k = max(self.k, min(self.value.values()))
-        out = sorted(i for i, v in self.value.items() if v <= self.k)
+        if min(self.count.values()) > self.k:
+            self.k = min(self.count.values())
+            self.rises += 1
+        out = sorted(i for i, c in self.count.items() if c <= self.k)
         for i in out:
-            del self.value[i]
+            del self.count[i]
+            self.core[i] = self.k
         return self.k, out
 
-    def update(self, ids, values):
-        for i, v in zip(ids.tolist(), values.tolist()):
-            if i in self.value:
-                self.value[i] = v
+    def lower(self, ids, by):
+        for i, d in zip(ids.tolist(), by.tolist()):
+            if i in self.count:
+                self.count[i] -= d
+                self.lowered += 1
 
 
 def test_matches_min_clamped_bucket_on_random_scripts():
-    """Sparse ids; several updates a round, each with distinct ids, also
-    before the first extraction; values lowered to the level and raised
-    again; updates of peeled ids."""
+    """Sparse ids; counts only lowered, some below the level; several
+    updates a round, each with distinct ids, also before the first
+    extraction; updates that name peeled ids. Round stamps run 0..rho-1
+    in extraction order and each id's core is the level of its round."""
     for seed in range(300):
         g = np.random.default_rng(seed)
         n = int(g.integers(1, 40))
         ids = np.sort(g.choice(1000, n, replace=False))
-        values = g.integers(0, 12, n)
-        b, ref = Bucketing(ids, values), _MinClampedBucket(ids, values)
-        while ref.value:
+        counts = g.integers(0, 12, n)
+        b, ref = Bucketing(ids, counts), _MinCountPeel(ids, counts)
+        rounds = 0
+        while ref.count:
             for _ in range(int(g.integers(0, 4))):
                 u = g.choice(ids, int(g.integers(0, n + 1)), replace=False)
-                v = ref.k + g.integers(-3, 8, len(u))
-                b.update(u, v)
-                ref.update(u, v)
-            u = g.choice(ids, 1)  # lowered to the level, then raised past it
-            for v in (ref.k - 1, ref.k + 1 + int(g.integers(0, 3))):
-                b.update(u, np.array([v]))
-                ref.update(u, np.array([v]))
-            if ref.value:
-                k, a = b.next_bucket()
-                assert (k, a.tolist()) == ref.next_bucket()
-        assert b.empty()
+                by = g.integers(1, 6, len(u))
+                lower(b, u, by)
+                ref.lower(u, by)
+            k, a = b.next_bucket()
+            assert (k, a.tolist()) == ref.next_bucket()
+            assert (b.round[a] == rounds).all() and b.levels[rounds] == k
+            rounds += 1
+        assert b.empty() and len(b.levels) == rounds
+        assert sorted(set(b.round[ids].tolist())) == list(range(rounds))
+        core = np.array(b.levels)[b.round[ids]]
+        assert core.tolist() == [ref.core[i] for i in ids.tolist()]
+        assert b.rematerializations == ref.rises
+        assert b.bucket_moves == ref.lowered
         with pytest.raises(RuntimeError):
             b.next_bucket()

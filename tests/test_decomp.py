@@ -8,6 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from repro.bucketing import Bucketing
 from repro.cliques import listing
 from repro.experiments import _best_config
 from repro.graphs.csr import build_csr, orient_csr
@@ -149,6 +150,54 @@ def test_empty_r_clique_set():
 def test_invalid_rs():
     with pytest.raises(ValueError):
         nucleus_decomposition(SMALL_GRAPHS["k4"], 3, 3)
+
+
+@pytest.mark.parametrize(
+    "r,s,named",
+    [(2.0, 3, "r=2.0"), (2, 2.5, "s=2.5"), (0, 3, "r=0"), (3, 3, "r=3, s=3")],
+)
+def test_bad_r_s_fail_before_any_work(monkeypatch, r, s, named):
+    """Non-integer r or s, and any pair outside 1 <= r < s, fail with a
+    ValueError naming them before the graph is built."""
+
+    def no_graph_work(*a, **kw):
+        raise AssertionError("build_csr reached")
+
+    monkeypatch.setattr(decomp, "build_csr", no_graph_work)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        nucleus_decomposition(SMALL_GRAPHS["k4"], r, s)
+
+
+@pytest.mark.parametrize("r,s", [(1, 3), (2, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("best", [False, True], ids=["default", "best"])
+def test_peel_state_invariants(monkeypatch, best, r, s):
+    """The run's ``Bucketing`` peels every r-clique exactly once, its
+    levels never fall, and each r-clique's final count is at most its core."""
+    kept = []
+
+    class Kept(Bucketing):
+        def __init__(self, ids, counts):
+            super().__init__(ids, counts)
+            self.ids, self.peeled = np.asarray(ids), []
+            kept.append(self)
+
+        def next_bucket(self):
+            k, A = super().next_bucket()
+            self.peeled.append(A)
+            return k, A
+
+    monkeypatch.setattr(decomp, "Bucketing", Kept)
+    for name, edges in SMALL_GRAPHS.items():
+        kept.clear()
+        res = nucleus_decomposition(edges, r, s, _best_config(r, s) if best else DecompConfig())
+        (b,) = kept
+        peeled = np.concatenate([b.ids[:0], *b.peeled])
+        assert np.array_equal(np.sort(peeled), np.sort(b.ids)), name
+        assert np.count_nonzero(b.round >= 0) == len(b.ids) == len(res.vmat)
+        assert len(b.levels) == res.rho
+        assert (np.diff(b.levels) >= 0).all(), name
+        core = np.array(b.levels, dtype=np.int64)[b.round[b.ids]]
+        assert (b.count[b.ids] <= core).all(), name
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from repro.cliques.listing import (
     enumerate_cliques,
     extend_cliques,
     face_index,
-    row_ranks,
     s_counts_per_r_clique,
     sum_by_row,
 )
@@ -27,6 +26,7 @@ from repro.instrument import Counters
 from repro.nucleus.contract import ContractionState
 from repro.nucleus.decomp import nucleus_decomposition
 from repro.nucleus.reference import brute_force_cliques
+from repro.tables.packing import row_ranks
 
 from .fixtures import SMALL_GRAPHS
 
