@@ -15,7 +15,7 @@ vertices per child, d <= 2*alpha - 1 the out-degree bound:
 
 * ``_step``, when I is already inside an out-list and so holds at most
   d vertices in rank order: the later candidates q of p's group with an
-  arc ``p -> q``, one probe of DG's hash set of ``src * n + dst`` keys
+  arc ``p -> q``, one probe of DG's arc map of ``src * n + dst`` keys
   (``CSR.arc_set``) per pair, O(1) expected, as with the paper's
   adjacency hash tables.
 * ``_enter``, when I is any set, possibly far larger than d: the
@@ -31,13 +31,25 @@ peeled r-clique R with I = I_R, its common neighbourhood in the current
 undirected graph, which can hold a whole neighbourhood; its first step
 is ``_enter`` and the rest are ``_step``s.
 
+DG's arc map is the only arc structure: no undirected graph builds
+one. It maps an arc's key to the arc's CSR position (``KeySet.find``),
+and at r = 2, where every r-clique is exactly one DG arc, that position
+stands for the edge: counting sums s-cliques per arc
+(``arc_s_counts``) and ``CSR.edge_order`` gives the arcs' edge order,
+the order of T's rows, instead of a row-rank merge.
+
 UPDATE draws I_R from the completions of one face F of R (``Faces``):
 the vertices w that make F ∪ {w} an r-clique, each carrying that
 r-clique's table-T id. In the peeling loop F is R's (r-1)-face with the
 fewest completions (at r <= 2, its minimum-degree vertex), and a
 completion whose r-clique was peeled in an earlier round is dropped
-before any probe, since every s-clique through it is dead. Without the
-loop's state F is R's minimum-degree vertex and nothing is dropped.
+before any probe, since every s-clique through it is dead. Each kept w
+is then probed against the vertex of R outside F (the r - 1 of them
+without the loop's state) in DG's map, by the key of the edge's arc
+in rank direction (``CSR.edge_keys``). At r = 2 that edge is an
+r-clique too: a hit's arc gives its T id, and w is dropped if the edge
+was peeled in an earlier round. Without the loop's state F is R's
+minimum-degree vertex and nothing is dropped.
 
 Work matches O(m * alpha^(c-2)) per Shi et al. [60]. The kernel adds
 its operation count (candidates gathered plus probes and lookups) to
@@ -60,7 +72,9 @@ __all__ = [
     "CHUNK",
     "Faces",
     "Peeled",
+    "arc_s_counts",
     "count_cliques",
+    "edge_counts",
     "enumerate_cliques",
     "face_index",
     "s_counts_per_r_clique",
@@ -185,13 +199,21 @@ def s_counts_per_r_clique(
     vertices in orientation order), so the s-cliques are grown from the
     level-r frontier, by s - 1 - r steps and one ``_grow``; each then
     adds 1 to each of its C(s, r) r-subsets through one ``bincount``
-    over dense row ranks.
+    over dense row ranks. At r = 2 the r-cliques are DG's arcs, and the
+    counts are summed per arc instead (``arc_s_counts``, ``edge_counts``).
 
     With ``roots`` (the Spark fan-out unit), only r- and s-cliques rooted
     there are listed, so an s-clique may add to an r-clique rooted
     elsewhere; such partial counts are summed downstream by ``sum_by_row``.
     """
     counters = counters if counters is not None else Counters()
+    if r == 2:
+        cnt = arc_s_counts(dg, s, roots=roots, counters=counters)
+        if roots is None:
+            return edge_counts(dg, cnt)
+        keep = cnt > 0  # the arcs counted from the roots, and those rooted there
+        keep[dg.arcs(np.asarray(roots, dtype=np.int64))[1]] = True
+        return edge_counts(dg, cnt, keep)
     subs = np.array(list(combinations(range(s), r)), dtype=np.int64)
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     for chunk in _chunks(dg, roots):
@@ -210,6 +232,43 @@ def s_counts_per_r_clique(
     return sum_by_row(
         np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), dg.n
     )
+
+
+def arc_s_counts(
+    dg: CSR, s: int, *, roots: np.ndarray | None = None, counters: Counters | None = None
+) -> np.ndarray:
+    """s-clique count of every arc of ``dg``, in CSR order: COUNT-FUNC at
+    r = 2, where every r-clique is exactly one DG arc.
+
+    The s-cliques are listed from the roots as at any r. A ``_grow`` row
+    is in orientation order, so each of its C(s, 2) column pairs (i < j)
+    is the key of a DG arc: one ``find`` in DG's arc map gives their
+    positions and one ``bincount`` sums them. Like the row-rank merge at
+    r != 2, this sum adds nothing to ``Counters.work``, which counts the
+    listing's operations. With ``roots``, only the s-cliques rooted there
+    are counted.
+    """
+    counters = counters if counters is not None else Counters()
+    left, right = np.array(list(combinations(range(s), 2)), dtype=np.int64).T
+    pos = [dg.nbrs[:0]]  # typed if no chunk runs
+    for chunk in _chunks(dg, roots):
+        rows = _cliques(dg, chunk, s, counters)
+        keys = rows[:, left] * dg.n + rows[:, right]
+        pos.append(dg.arc_set.find(keys.ravel()))
+    return np.bincount(np.concatenate(pos), minlength=dg.m)
+
+
+def edge_counts(
+    dg: CSR, cnt: np.ndarray, keep: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(vmat, cnts) at r = 2 from the per-arc counts ``cnt`` of ``dg``:
+    its arcs (those marked in ``keep``, if given) as sorted (min, max)
+    vertex rows in lexicographic order, by ``CSR.edge_order``, and their
+    counts."""
+    arcs = dg.edge_order if keep is None else dg.edge_order[keep[dg.edge_order]]
+    src, dst = dg.arc_src[arcs], dg.nbrs[arcs]
+    lo = np.minimum(src, dst)
+    return np.column_stack([lo, src + dst - lo]), cnt[arcs]
 
 
 class Faces(NamedTuple):
@@ -237,6 +296,7 @@ class Peeled(NamedTuple):
     round: np.ndarray  # peel round of every T id, -1 while live
     ids: np.ndarray  # T id of each r-clique listed, all peeled in one round
     faces: Faces
+    arc_ids: np.ndarray | None = None  # r = 2: T id of every DG arc, by CSR position
 
 
 def _face_keys(rows: np.ndarray, n: int) -> np.ndarray:
@@ -295,7 +355,9 @@ def extend_cliques(
     ``A_rows`` followed by the extra vertices, so an s-clique appears once
     per r-clique of A it contains. Each row's candidate set is I_R, the
     common neighbourhood of the row in ``und``: the completions of one of
-    its faces F, each probed against the vertices of the row outside F.
+    its faces F, each probed against the vertices of the row outside F
+    in DG's arc map (``CSR.edge_keys``), since DG holds each edge of
+    ``und`` once, in rank direction.
     The extra vertices are the need-cliques of DG inside I_R: one
     ``_enter``, as I_R may be a whole neighbourhood, then need - 2
     ``_step``s and one ``_grow``.
@@ -306,9 +368,12 @@ def extend_cliques(
     ``peeled.faces`` (r >= 3: the row's (r-1)-face with the fewest
     completions, which are at most min_i deg(v_i); one vertex is left to
     probe), and a completion is dropped before any probe if its r-clique
-    was peeled in a round before the row's, or is the row itself. Every
-    s-clique through a dropped completion holds that r-clique, so it is
-    dead; every later level draws from I_R, so no other level tests it.
+    was peeled in a round before the row's, or is the row itself. At
+    r = 2, ``peeled.arc_ids`` gives the T id of the probed edge's arc too,
+    and a completion whose probed edge was peeled before the row's round
+    is dropped as well. Every s-clique through a dropped completion holds
+    that r-clique, so it is dead; every later level draws from I_R, so no
+    other level tests it.
     """
     counters = counters if counters is not None else Counters()
     A_rows = np.asarray(A_rows, dtype=np.int64)
@@ -340,7 +405,13 @@ def extend_cliques(
             i, w = i[keep], w[keep]
         for head in heads.T:
             counters.work += len(w)
-            keep = und.arc_set.contains(head[i] * und.n + w).nonzero()[0]
+            keys = dg.edge_keys(head[i], w)
+            if peeled is None or peeled.arc_ids is None:
+                keep = dg.arc_set.contains(keys).nonzero()[0]
+            else:  # r = 2: the edge {head, w} is an r-clique, dead if peeled earlier
+                pos = dg.arc_set.find(keys)
+                rid = peeled.arc_ids[pos]
+                keep = ((pos >= 0) & (peeled.round[rid].view(np.uint64) >= now)).nonzero()[0]
             i, w = i[keep], w[keep]
         frontier = B, i, w
         if need > 1:

@@ -6,13 +6,17 @@ is broadcast to executors and each partition of an RDD of slice
 numbers runs the local counting kernel over its range of roots, and
 yields its partial counts as numpy arrays: one stage, no shuffle, no
 DataFrame or Arrow conversion. The driver collects the partials and
-merges them with ``sum_by_row``, the row-rank sum the local kernel uses
-to merge its chunks.
+merges them the way the local kernel does. At r != 2 the partials are
+r-clique rows and counts, merged with ``sum_by_row``, the row-rank sum
+the local kernel uses to merge its chunks. At r = 2 they are per-arc
+counts (``arc_s_counts``), sent as the positions of the arcs counted
+and their counts, summed by one ``bincount`` and put in edge order by
+``edge_counts``, the local kernel's own arc-to-row step.
 
 Each task drops the cached zip finders that PySpark's next task would
 otherwise re-read (``_drop_zip_finders``). The CSR is broadcast once per
 call and destroyed after the collect. Only its arrays travel: each task
-builds the arc hash set (``CSR.arc_set``) from them on first use.
+builds DG's arc map (``CSR.arc_set``) from them on first use.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from pyspark.sql import SparkSession
 
 from ..graphs.csr import CSR
 from ..instrument import Counters
-from .listing import s_counts_per_r_clique, sum_by_row
+from .listing import arc_s_counts, edge_counts, s_counts_per_r_clique, sum_by_row
 
 __all__ = ["spark_s_counts"]
 
@@ -69,21 +73,29 @@ def spark_s_counts(
     if n_slices < 1:
         raise ValueError(f"n_slices must be >= 1, got {n_slices}")
     sc = spark.sparkContext
-    bc = sc.broadcast((dg.n, dg.offsets, dg.nbrs))
+    bc = sc.broadcast((dg.n, dg.offsets, dg.nbrs, dg.rank))
     n = dg.n
     slices = min(n_slices, max(1, n))
 
     def count_slice(i, _):
         task_counters = Counters()
         roots = np.arange(i * n // slices, (i + 1) * n // slices)
-        vm, cnts = s_counts_per_r_clique(CSR(*bc.value), r, s, roots=roots, counters=task_counters)
+        task_dg = CSR(*bc.value)
+        if r == 2:  # per-arc partials: the arcs counted and their counts
+            cnt = arc_s_counts(task_dg, s, roots=roots, counters=task_counters)
+            arcs = cnt.nonzero()[0]
+            out = arcs, cnt[arcs]
+        else:
+            out = s_counts_per_r_clique(task_dg, r, s, roots=roots, counters=task_counters)
         _drop_zip_finders()
-        yield vm, cnts, task_counters.work
+        yield *out, task_counters.work
 
     parts = sc.parallelize(range(slices), slices).mapPartitionsWithIndex(count_slice).collect()
     bc.destroy()
     if counters is not None:
         counters.work += sum(work for _, _, work in parts)
-    vmat = np.concatenate([vm for vm, _, _ in parts])
+    where = np.concatenate([w for w, _, _ in parts])  # arc positions at r = 2, else rows
     cnts = np.concatenate([c for _, c, _ in parts])
-    return sum_by_row(vmat, cnts, n)
+    if r == 2:  # float sums of int64 partials, exact below 2^53
+        return edge_counts(dg, np.bincount(where, weights=cnts, minlength=dg.m).astype(np.int64))
+    return sum_by_row(where, cnts, n)

@@ -11,10 +11,17 @@ grouped by source, ``from_keys`` builds a CSR from its sorted distinct
 arc keys, and ``gather`` reads the neighbour lists of many vertices at
 once (``arcs`` gives their positions instead).
 
-The paper stores graphs in CSR and adjacency hash tables. Here a CSR's
-``src * n + dst`` arc keys go into one ``open_addr.KeySet`` per graph
-(``arc_set``), the one-region case of table T's open addressing, so an
-edge-membership test is O(1) expected, as in the paper.
+The paper stores graphs in CSR and adjacency hash tables. Here the
+oriented graph DG's ``src * n + dst`` arc keys go into one
+``open_addr.KeySet`` (``arc_set``), the one-region case of table T's
+open addressing, which maps an arc key to the arc's CSR position in
+O(1) expected, as in the paper. It is the decomposition's only arc
+structure: DG holds each edge of the undirected graph once, so an edge
+{u, v} is asked for by the key of its arc in rank direction
+(``edge_keys``; DG carries its ``rank``), and no undirected CSR,
+original or contracted, builds a set. At r = 2 an edge is an r-clique
+and its arc position its index: ``edge_order`` lists DG's arcs in the
+lexicographic order of their edges, the order of table T's rows.
 """
 from __future__ import annotations
 
@@ -36,6 +43,9 @@ class CSR:
     n: int
     offsets: np.ndarray  # int64, len n+1
     nbrs: np.ndarray  # int64, len = sum of degrees
+    # an oriented CSR's orientation rank (orient_csr); None when it is the
+    # vertex id, as under relabeling
+    rank: np.ndarray | None = None
 
     @classmethod
     def from_arcs(cls, n: int, src: np.ndarray, dst: np.ndarray) -> CSR:
@@ -94,9 +104,45 @@ class CSR:
 
     @cached_property
     def arc_set(self) -> KeySet:
-        """``arc_keys`` as a hash set, for O(1) expected arc membership
-        tests. Built once per graph, on first use."""
+        """``arc_keys`` as a hash map to CSR positions: ``find`` gives the
+        position of each arc asked for, -1 where absent, in O(1)
+        expected. Built once per graph, on first use."""
         return KeySet(self.arc_keys)
+
+    @cached_property
+    def by_rank(self) -> np.ndarray:
+        """Vertex of each rank of an oriented CSR, the inverse of ``rank``."""
+        perm = np.empty(self.n, dtype=np.int64)
+        perm[self.rank] = np.arange(self.n)
+        return perm
+
+    def edge_keys(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Arc key of the edge {u[i], v[i]} in an oriented CSR, in the
+        direction ``rank`` orients it: ``arc_set`` finds it exactly when
+        the edge is in the graph. The key ``lo * n + hi`` is formed as
+        ``lo * (n - 1) + u + v`` in place, since each temporary array of
+        a large batch costs a fresh allocation."""
+        if self.rank is None:
+            lo = np.minimum(u, v)
+        else:  # the vertex of the lower of the two ranks
+            lo = self.rank[u]
+            np.minimum(lo, self.rank[v], out=lo)
+            lo = self.by_rank[lo]
+        lo *= self.n - 1
+        lo += u
+        lo += v
+        return lo
+
+    @cached_property
+    def edge_order(self) -> np.ndarray:
+        """Arc positions of an oriented CSR in the lexicographic order of
+        their (min, max) vertex pairs, the order of its edges as 2-cliques.
+        Oriented by id, every arc runs min -> max and CSR order is that
+        order. Computed once per graph."""
+        if self.rank is None:
+            return np.arange(self.m)
+        lo = np.minimum(self.arc_src, self.nbrs)
+        return np.argsort(lo * (self.n - 1) + self.arc_src + self.nbrs)
 
 
 def _check_edges(edges: np.ndarray, n: int | None) -> None:
@@ -105,6 +151,8 @@ def _check_edges(edges: np.ndarray, n: int | None) -> None:
         raise ValueError(f"edges must have shape (m, 2), got {edges.shape}")
     if not np.issubdtype(edges.dtype, np.integer):
         raise ValueError(f"edges must have an integer dtype, got {edges.dtype}")
+    if edges.dtype.kind == "u" and len(edges) and int(edges.max()) >= 2**63:  # int64 would wrap
+        raise ValueError(f"vertex ids must be below 2^63, got {int(edges.max())}")
     if len(edges) and edges.min() < 0:
         raise ValueError(f"vertex ids must be non-negative, got {edges.min()}")
     if n is not None and len(edges) and n <= edges.max():
@@ -115,11 +163,11 @@ def build_csr(edges: np.ndarray, n: int | None = None) -> CSR:
     """Build a symmetric CSR from an (m, 2) undirected edge array.
 
     This is where every input graph enters, so it validates the array:
-    an integer dtype, shape (m, 2), non-negative ids and n above the
-    largest id. Self loops are dropped; each edge contributes the arc
-    keys ``u * n + v`` and ``v * n + u``, and one ``np.unique`` of all of
-    them drops duplicate edges, in either orientation, and sorts the
-    arcs into CSR order in the same step.
+    an integer dtype, shape (m, 2), non-negative ids below 2^63 and n
+    above the largest id. Self loops are dropped; each edge contributes
+    the arc keys ``u * n + v`` and ``v * n + u``, and one ``np.unique`` of
+    all of them drops duplicate edges, in either orientation, and sorts
+    the arcs into CSR order in the same step.
     """
     edges = np.asarray(edges)
     _check_edges(edges, n)
@@ -152,4 +200,8 @@ def orient_csr(csr: CSR, rank: np.ndarray) -> CSR:
     keys = np.sort(base + rank[csr.nbrs[keep]])
     perm = np.empty(n, dtype=np.int64)
     perm[rank] = np.arange(n)
-    return CSR.from_arcs(n, src, perm[keys - base])
+    dg = CSR.from_arcs(n, src, perm[keys - base])
+    if not np.array_equal(rank, np.arange(n)):
+        dg.rank = rank
+        dg.__dict__["by_rank"] = perm  # fill the cached property
+    return dg

@@ -39,6 +39,9 @@ def _dedup(edges: np.ndarray) -> np.ndarray:
     return out
 
 
+RMAT_CHUNK = 1 << 16  # edges per quadrant draw in ``rmat``
+
+
 def rmat(
     log2_n: int,
     n_edges: int,
@@ -58,13 +61,17 @@ def rmat(
     n_bits = log2_n
     probs = np.array([a, b, c, d])
     probs /= probs.sum()
-    # Draw each bit level for all edges at once: quadrant choice per bit.
-    quad = g.choice(4, size=(n_edges, n_bits), p=probs)
-    row_bits = (quad >> 1) & 1  # quadrants 2,3 -> lower half row bit
-    col_bits = quad & 1
     weights = (1 << np.arange(n_bits - 1, -1, -1)).astype(np.int64)
-    u = row_bits @ weights
-    v = col_bits @ weights
+    u = np.empty(n_edges, dtype=np.int64)
+    v = np.empty(n_edges, dtype=np.int64)
+    # A quadrant choice per bit level, drawn for RMAT_CHUNK edges at a
+    # time: the generator fills the (n_edges, n_bits) matrix in row-major
+    # order either way, so the edges equal one whole-matrix draw, and
+    # only a chunk of the int64 matrix is held at once.
+    for lo in range(0, n_edges, RMAT_CHUNK):
+        quad = g.choice(4, size=(min(RMAT_CHUNK, n_edges - lo), n_bits), p=probs)
+        u[lo : lo + len(quad)] = ((quad >> 1) & 1) @ weights  # quadrants 2,3 -> lower half row bit
+        v[lo : lo + len(quad)] = (quad & 1) @ weights
     return _dedup(np.stack([u, v], axis=1))
 
 

@@ -22,7 +22,10 @@ Phases:
    are built once: at r >= 3 the (r-1)-faces of T's r-cliques
    (``face_index``), at r = 2 the vertices of the current graph with the
    arc ids that ``ContractionState`` keeps, at r = 1 the vertices of the
-   graph.
+   graph. Each completion is then probed in DG's arc map, the only arc
+   structure; at r = 2 the probed edge is an r-clique as well, and the
+   T id of every DG arc (``arc_ids``, from counting's edge order) lets
+   UPDATE drop a completion whose probed edge was peeled earlier.
 
 The peeling loop runs driver-side over numpy structures: with thousands
 of rounds, per-round Spark jobs would measure scheduler overhead rather
@@ -144,9 +147,13 @@ def nucleus_decomposition(
 
     do_contract = config.contraction and r == 2 and s == 3
     cstate = ContractionState(und, idx_rows) if r == 2 else None
+    arc_ids = None
     if r == 1:  # counting lists every vertex, in order
         faces = Faces(und, idx_rows[und.nbrs])
-    elif r >= 3:
+    elif r == 2:  # counting lists every DG arc, in edge order
+        arc_ids = np.empty(dg.m, dtype=np.int64)
+        arc_ids[dg.edge_order] = idx_rows
+    else:
         faces = face_index(vmat, idx_rows, n_verts, table.capacity)
 
     # ---- Phase 2: peel (Alg 2 lines 23-29) ----
@@ -163,7 +170,7 @@ def nucleus_decomposition(
             if cstate is not None:
                 faces = Faces(und_cur, cstate.arc_id)
             s_mat = extend_cliques(
-                und_cur, dg, table.decode(A), s - r, counters, Peeled(peeled, A, faces)
+                und_cur, dg, table.decode(A), s - r, counters, Peeled(peeled, A, faces, arc_ids)
             )
         counters.span_logs += (s - r) * log2n
 

@@ -1,5 +1,5 @@
 """Vectorized linear-probing open addressing over regions of a shared
-cell array: the one hash scheme behind table T and the arc sets.
+cell array: the one hash scheme behind table T and DG's arc map.
 
 A *region* is a slice ``[start, start + cap)`` of the cell array used as
 one hash table; in table T each is followed by one explicit *barrier*
@@ -24,9 +24,13 @@ and both carry only the keys still pending from pass to pass:
 * ``region_find`` stops each key at its own cell (found) or an empty
   one (absent); one gather stops most keys at home.
 
-``KeySet`` is the one-region case: a set of keys at load <= 1/4.
+``KeySet`` is the one-region case: a set of keys at load <= 1/4 that
+also maps each key to its index in the array it was built from; over a
+DG's arc keys that index is the arc's CSR position.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -128,18 +132,38 @@ def _stop(cells: np.ndarray, starts, caps, k: np.ndarray) -> tuple[np.ndarray, n
 
 
 class KeySet:
-    """Set of distinct non-negative int64 keys with a batched membership
-    test: one region of ``cap = 2^b >= 4 * len(keys)`` cells (load <= 1/4).
-    At this load most probes settle at the home cell; at load ~0.4 the
-    extra passes, mostly for misses, cost all of the gain over a binary
-    search of the sorted keys."""
+    """Set of distinct non-negative int64 keys with a batched lookup that
+    returns each found key's index in the build array: one region of
+    ``cap = 2^b >= 4 * len(keys)`` cells (load <= 1/4), and per cell the
+    index of the key it holds. At this load most probes settle at the
+    home cell; at load ~0.4 the extra passes, mostly for misses, cost all
+    of the gain over a binary search of the sorted keys."""
 
     def __init__(self, keys: np.ndarray):
         self.cap = 1 << max(1, (4 * len(keys) - 1).bit_length())
         self.cells = np.full(self.cap, EMPTY_BIT, dtype=np.uint64)
-        insert(self.cells, 0, self.cap, np.asarray(keys, dtype=np.int64).view(np.uint64))
+        keys = np.asarray(keys, dtype=np.int64).view(np.uint64)
+        self._pos, _ = insert(self.cells, 0, self.cap, keys)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Index of the key each cell holds, -1 for an empty cell; built on
+        the first ``find``, so a set only ever asked ``contains`` skips
+        it. insert rejects cap >= 2^32, so every index is below
+        cap / 4 <= 2^29 and fits int32."""
+        index = np.full(self.cap, -1, dtype=np.int32)
+        index[self._pos] = np.arange(len(self._pos))
+        del self._pos
+        return index
+
+    def find(self, q: np.ndarray) -> np.ndarray:
+        """Index in the build array of each query, -1 where absent, for
+        non-negative queries."""
+        k = np.ascontiguousarray(q, dtype=np.int64).view(np.uint64)
+        return self.index[_stop(self.cells, 0, self.cap, k)[0]]  # an empty stop cell holds -1
 
     def contains(self, q: np.ndarray) -> np.ndarray:
-        """Boolean mask: q[i] is in the set, for non-negative queries."""
+        """Boolean mask: q[i] is in the set, for non-negative queries;
+        ``find(q) >= 0`` without the gather of the indices."""
         k = np.ascontiguousarray(q, dtype=np.int64).view(np.uint64)
         return _stop(self.cells, 0, self.cap, k)[1] == k

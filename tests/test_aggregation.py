@@ -115,7 +115,7 @@ def test_unknown_kind_fails_before_any_work(monkeypatch):
 # of T3 and T6a.
 PINNED = {
     ("amazon-lite", 3, 4): {"array": (90740, 1991), "list-buffer": (92731, 0), "hash": (150214, 0)},
-    ("skitter-lite", 2, 3): {"array": (590583, 5519), "list-buffer": (596102, 0), "hash": (747873, 0)},
+    ("skitter-lite", 2, 3): {"array": (584265, 5519), "list-buffer": (589784, 0), "hash": (741555, 0)},
 }
 
 

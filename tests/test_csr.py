@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.graphs.csr import CSR, build_csr, orient_csr
+from repro.graphs.csr import CSR, _check_edges, build_csr, orient_csr
 from repro.graphs.orient import degree_order
 from repro.tables.open_addr import KeySet
 
@@ -115,3 +115,60 @@ def test_key_set_matches_isin(keys):
     q = np.concatenate([keys, keys ^ 1, g.integers(0, 2**62, 1000), [0, 2**63 - 1]])
     assert np.array_equal(s.contains(q), np.isin(q, keys))
     assert s.contains(q[::3]).shape == q[::3].shape  # non-contiguous queries
+
+
+def test_unsigned_id_at_2_pow_63_rejected():
+    """An unsigned id the int64 cast would wrap negative is named before
+    the cast, not left to fail inside a later bincount."""
+    edges = np.array([[0, 1], [0, 2**63]], dtype=np.uint64)
+    with pytest.raises(ValueError, match=r"below 2\^63, got 9223372036854775808$"):
+        build_csr(edges)
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+def test_largest_valid_id_accepted(dtype):
+    """2^63 - 1 passes validation in either dtype. The graph is not built:
+    its n would be 2^63."""
+    _check_edges(np.array([[0, 2**63 - 1]], dtype=dtype), None)
+
+
+def test_unsigned_ids_build_the_same_csr():
+    edges = SMALL_GRAPHS["fig1"]
+    got, want = build_csr(edges.astype(np.uint64)), build_csr(edges)
+    assert got.n == want.n and np.array_equal(got.nbrs, want.nbrs)
+
+
+ORIENTATIONS = {"degree": degree_order, "id": lambda und: np.arange(und.n)}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+@pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+def test_edge_keys_find_every_edge_once(name, orientation):
+    """Every arc of the undirected graph, asked for in either direction,
+    finds the one DG arc of its edge; a non-edge finds nothing. DG keeps
+    its rank unless it is the id."""
+    und = build_csr(SMALL_GRAPHS[name])
+    rank = ORIENTATIONS[orientation](und)
+    dg = orient_csr(und, rank)
+    assert (dg.rank is None) == np.array_equal(rank, np.arange(und.n))
+    pos = dg.arc_set.find(dg.edge_keys(und.arc_src, und.nbrs))
+    want = np.sort(np.stack([und.arc_src, und.nbrs], axis=1), axis=1)
+    got = np.sort(np.stack([dg.arc_src[pos], dg.nbrs[pos]], axis=1), axis=1)
+    assert (pos >= 0).all() and np.array_equal(got, want)
+    assert np.array_equal(np.bincount(pos, minlength=dg.m), np.full(dg.m, 2))
+    u, v = np.triu_indices(und.n, k=1)
+    absent = ~np.isin(u * und.n + v, und.arc_keys)
+    assert (dg.arc_set.find(dg.edge_keys(u[absent], v[absent])) == -1).all()
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+@pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+def test_edge_order_is_lexicographic(name, orientation):
+    """``edge_order`` lists DG's arcs by their (min, max) pairs in
+    lexicographic order: the edges as the id-ordered CSR's u < v arcs."""
+    und = build_csr(SMALL_GRAPHS[name])
+    dg = orient_csr(und, ORIENTATIONS[orientation](und))
+    arcs = dg.edge_order
+    got = np.sort(np.stack([dg.arc_src[arcs], dg.nbrs[arcs]], axis=1), axis=1)
+    lower = und.arc_src < und.nbrs
+    assert np.array_equal(got, np.stack([und.arc_src[lower], und.nbrs[lower]], axis=1))

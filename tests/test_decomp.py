@@ -12,11 +12,13 @@ from repro.bucketing import Bucketing
 from repro.cliques import listing
 from repro.experiments import _best_config
 from repro.graphs.csr import build_csr, orient_csr
+from repro.graphs.gen import rmat
 from repro.graphs.orient import make_rank
 from repro.nucleus import decomp
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
 from repro.tables.clique_table import CliqueTable, TableConfig, make_table
+from repro.tables.open_addr import KeySet
 
 from .fixtures import FIG1_34_CORE, SMALL_GRAPHS
 
@@ -466,3 +468,40 @@ def test_no_dead_scliques_at_r1(name, s):
     """At r = 1 UPDATE lists no s-clique the loop then discards."""
     for cfg in (DecompConfig(), _best_config(1, s)):
         assert nucleus_decomposition(SMALL_GRAPHS[name], 1, s, cfg).counters.dead_scliques == 0
+
+
+@pytest.mark.parametrize("name", GRAPHS + ["dying", "skitter-23"])
+def test_no_dead_scliques_at_23(name):
+    """At (2,3) UPDATE lists no triangle the loop then discards: of its
+    three edges, one is the row, peeled now, and the completed and the
+    probed edge are tested by peel round before the triangle is listed."""
+    if name == "skitter-23":
+        edges = rmat(12, 20000, seed=14)
+    else:
+        edges = dying_vertex_graph(3) if name == "dying" else SMALL_GRAPHS[name]
+    configs = [DecompConfig(), DecompConfig(relabel=True), _best_config(2, 3)]
+    configs.append(DecompConfig(contraction=True, relabel=True))
+    for cfg in configs:
+        assert nucleus_decomposition(edges, 2, 3, cfg).counters.dead_scliques == 0
+
+
+@pytest.mark.parametrize("r,s", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("best", [False, True])
+def test_only_dg_builds_an_arc_map(monkeypatch, r, s, best):
+    """A decomposition builds one KeySet, DG's arc map, once: no
+    undirected CSR, the input's or a contracted one, builds its own. At
+    (1, 2) no arc is ever probed, so none is built."""
+    built, oriented = [], []
+    init, orient = KeySet.__init__, decomp.orient_csr
+
+    def counted_init(self, keys):
+        built.append(self)
+        init(self, keys)
+
+    monkeypatch.setattr(KeySet, "__init__", counted_init)
+    monkeypatch.setattr(decomp, "orient_csr", lambda *a: oriented.append(orient(*a)) or oriented[0])
+    cfg = _best_config(r, s) if best else DecompConfig(contraction=(r, s) == (2, 3))
+    res = nucleus_decomposition(SMALL_GRAPHS["er40"], r, s, cfg)
+    assert res.contractions >= ((r, s) == (2, 3))
+    (dg,) = oriented
+    assert built == ([] if s == 2 else [dg.__dict__["arc_set"]])

@@ -2,7 +2,16 @@
 import numpy as np
 import pytest
 
-from repro.graphs.gen import SURROGATES, community_graph, erdos_renyi, rmat, surrogate
+from repro.graphs import gen
+from repro.graphs.gen import (
+    RMAT_CHUNK,
+    SURROGATES,
+    _dedup,
+    community_graph,
+    erdos_renyi,
+    rmat,
+    surrogate,
+)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -73,3 +82,34 @@ def test_surrogates_build(name):
 @pytest.mark.parametrize("name", sorted(SURROGATES))
 def test_surrogates_deterministic(name):
     assert np.array_equal(surrogate(name), surrogate(name))
+
+
+def one_shot_rmat(log2_n, n_edges, seed, a=0.5, b=0.1, c=0.1, d=0.3):
+    """rmat's quadrant choices drawn as one (n_edges, log2_n) matrix, as
+    rmat drew them before it drew row chunks."""
+    g = np.random.default_rng(seed)
+    probs = np.array([a, b, c, d])
+    probs /= probs.sum()
+    quad = g.choice(4, size=(n_edges, log2_n), p=probs)
+    weights = (1 << np.arange(log2_n - 1, -1, -1)).astype(np.int64)
+    return _dedup(np.stack([((quad >> 1) & 1) @ weights, (quad & 1) @ weights], axis=1))
+
+
+@pytest.mark.parametrize(
+    "log2_n,n_edges,seed",
+    [(9, 10000, 15), (12, 20000, 14), (10, 3 * RMAT_CHUNK + 123, 5)],
+    ids=["orkut-34", "skitter-23", "four-chunks"],
+)
+def test_rmat_chunks_match_one_shot_draw(log2_n, n_edges, seed):
+    """Drawing the quadrant matrix RMAT_CHUNK rows at a time gives the
+    edges of one whole-matrix draw, bit for bit; the last case takes four
+    chunks, the last one partial."""
+    got = rmat(log2_n, n_edges, seed=seed)
+    want = one_shot_rmat(log2_n, n_edges, seed)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_rmat_small_chunks_match_one_shot_draw(monkeypatch):
+    monkeypatch.setattr(gen, "RMAT_CHUNK", 7)
+    assert np.array_equal(rmat(8, 500, seed=2), one_shot_rmat(8, 500, 2))
+    assert len(rmat(8, 0, seed=2)) == 0

@@ -98,6 +98,24 @@ def test_open_addressing_finds_own_cell_random(regions):
     assert np.array_equal(s.contains(q), np.isin(q, keys.astype(np.int64)))
 
 
+# Small keys share home cells and probe runs; large ones spread.
+_keys = st.one_of(st.integers(0, 64), st.integers(0, 2**63 - 1))
+
+
+@given(st.lists(_keys, max_size=200, unique=True), st.lists(_keys, max_size=60))
+@settings(max_examples=80, deadline=None)
+def test_key_set_find_matches_dict_random(keys, others):
+    """``find`` gives each key's index in the build array and -1 for any
+    other query, as a dict from key to index does; ``contains`` is
+    ``find >= 0``."""
+    index = {k: i for i, k in enumerate(keys)}
+    s = KeySet(np.array(keys, dtype=np.int64))
+    q = np.array(keys[::-1] + others, dtype=np.int64)
+    got = s.find(q)
+    assert got.tolist() == [index.get(k, -1) for k in q.tolist()]
+    assert np.array_equal(s.contains(q), got >= 0)
+
+
 @given(random_edges(), st.sampled_from([(2, 3), (3, 4), (2, 4), (1, 2)]))
 @settings(max_examples=40, deadline=None)
 def test_decomp_matches_reference_random(edges, rs):
