@@ -9,7 +9,10 @@ three timed calls, and prints one line: the median of the three calls,
 a hash of ``core`` and ``vmat`` (equal hashes mean equal outputs), the
 s-cliques UPDATE listed (``scliques_discovered``) and the process's peak
 RSS (``ru_maxrss``). Each case runs in a child process, so the RSS is
-that case's own; at ``rmat(17, 1M)`` it is mostly the generator's.
+that case's own; at ``rmat(17, 1M)`` it is mostly the generator's. A
+second line gives the orientation's cost on the case's graph: the
+median of as many warm ``make_rank`` calls on its CSR, timed after the
+RSS is read.
 """
 from __future__ import annotations
 
@@ -30,7 +33,9 @@ CALLS = 3
 
 def run_case(i: int) -> None:
     from repro.experiments import _best_config
+    from repro.graphs.csr import build_csr
     from repro.graphs.gen import rmat
+    from repro.graphs.orient import make_rank
     from repro.nucleus.decomp import nucleus_decomposition
 
     log2_n, m, r, s = CASES[i]
@@ -48,6 +53,18 @@ def run_case(i: int) -> None:
         f"rmat({log2_n}, {m}) ({r},{s}): median {statistics.median(times):.3f} s"
         f" of {', '.join(f'{t:.3f}' for t in times)}; hash {digest};"
         f" discovered {res.counters.scliques_discovered}; ru_maxrss {rss_mb:.0f} MB",
+        flush=True,
+    )
+    und = build_csr(edges)
+    make_rank(und)
+    rank_times = []
+    for _ in range(CALLS):
+        t = time.perf_counter()
+        make_rank(und)
+        rank_times.append(time.perf_counter() - t)
+    print(
+        f"rmat({log2_n}, {m}) ({r},{s}): make_rank median {statistics.median(rank_times):.4f} s"
+        f" of {', '.join(f'{t:.4f}' for t in rank_times)}",
         flush=True,
     )
 

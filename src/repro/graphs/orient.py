@@ -9,9 +9,12 @@ Two orderings are provided:
   candidates are the live neighbours of the previous round's peeled
   vertices, and only when none qualifies does the level rise, by one
   scan of the live vertices (at most d + 1 scans); out-degree bounded
-  by the degeneracy d <= 2*alpha - 1. The peel is vectorized per round:
-  the neighbours of every vertex peeled in a round are read with one
-  ``CSR.gather``.
+  by the degeneracy d <= 2*alpha - 1. The peel is vectorized per round,
+  and a round costs a fixed number of numpy calls: a peeled vertex's
+  degree becomes a sentinel that no later loss brings down to a level,
+  so no live mask is kept; the round's neighbour lists are gathered
+  from the offsets at once, one ``np.subtract.at`` lowers their
+  degrees, and only the next frontier is deduplicated.
 
 The decomposition orients by degeneracy (``make_rank``): it is the
 O(alpha)-orientation the paper's work bound needs. The paper's
@@ -62,27 +65,52 @@ def degeneracy_order(csr: CSR) -> tuple[np.ndarray, int]:
     k to the minimum live degree and takes the vertices at it as the
     next round. Each scan reaches a new level in 0..d, so there are at
     most d + 1 scans of O(n) each; ``Bucketing`` is not involved.
+
+    Most rounds peel a few vertices, so a round is kept to a fixed
+    number of numpy calls:
+
+    * a peeled vertex's degree becomes the sentinel ``2n + 2``. It loses
+      at most n - 1 more, so it stays above ``n + 2``, above every live
+      degree and every level: the level-rise scan keeps ``deg < n + 2``
+      and no live mask is kept;
+    * the round's neighbour lists are read straight from ``offsets``,
+      with one ``cumsum`` and one ``repeat``;
+    * one ``np.subtract.at`` lowers every gathered vertex by one degree
+      per listing, peeled or not;
+    * only the gathered vertices now at or below k are deduplicated, by
+      an in-place sort and an adjacent compare, into the next frontier
+      in id order.
     """
     n = csr.n
-    deg = csr.degrees()
-    alive = np.ones(n, dtype=bool)
+    offsets, nbrs = csr.offsets, csr.nbrs
+    ends = offsets[1:]
+    deg = np.diff(offsets)
+    dead = 2 * n + 2
     rank = np.empty(n, dtype=np.int64)
-    live = np.arange(n)
+    ids = live = np.arange(n)
     peeled = live[:0]
     pos = k = 0
     while pos < n:
         if not len(peeled):  # frontier empty: k rises to the minimum live degree
-            live = live[alive[live]]
+            live = live[deg[live] < dead - n]
             live_deg = deg[live]
             k = int(live_deg.min())
             peeled = live[live_deg == k]
-        rank[peeled] = pos + np.arange(len(peeled))
+        rank[peeled] = ids[pos : pos + len(peeled)]
         pos += len(peeled)
-        alive[peeled] = False
-        _, w = csr.gather(peeled)  # the live neighbours lose one degree per peeled neighbour
-        nb, lost = np.unique(w[alive[w]], return_counts=True)
-        deg[nb] -= lost
-        peeled = nb[deg[nb] <= k]
+        deg[peeled] = dead
+        hi = ends[peeled]  # the round's neighbour lists, read in one gather
+        cnt = hi - offsets[peeled]
+        at = (hi - cnt.cumsum()).repeat(cnt)  # list start less the arcs before it
+        at += np.arange(len(at))
+        w = nbrs[at]
+        np.subtract.at(deg, w, 1)
+        w = w[deg[w] <= k]  # peeled vertices stay above every level
+        w.sort()
+        first = np.empty(len(w), dtype=bool)  # the first of each run of equal ids
+        first[:1] = True
+        np.not_equal(w[1:], w[:-1], out=first[1:])
+        peeled = w[first]
     return rank, k
 
 

@@ -73,8 +73,17 @@ class DecompConfig:
             check_kind(value)
         elif name == "counting" and value not in ("local", "spark"):
             raise ValueError(f"counting must be 'local' or 'spark', got {value!r}")
-        elif name == "spark_slices" and value < 1:
-            raise ValueError(f"spark_slices must be >= 1, got {value}")
+        elif name == "spark_slices":
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"spark_slices must be an integer, got {value!r}") from None
+            if value < 1:
+                raise ValueError(f"spark_slices must be >= 1, got {value}")
+        elif name in ("relabel", "contraction") and not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a bool, got {value!r}")
+        elif name == "table" and not isinstance(value, TableConfig):
+            raise ValueError(f"table must be a TableConfig, got {value!r}")
         super().__setattr__(name, value)
 
 

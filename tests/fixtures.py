@@ -8,6 +8,7 @@ ten K5 triangles -> 2), which several tests assert verbatim.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -63,4 +64,12 @@ MEDIUM_GRAPHS: dict[str, np.ndarray] = {
     "er60": erdos_renyi(60, 0.2, seed=21),
     "comm-m": community_graph(8, 5, 9, p_intra=0.85, inter_per_vertex=1.2, seed=22),
     "rmat8": rmat(8, 900, seed=23),
+}
+
+# The benchmark's graphs at their default seeds, built on demand:
+# ``spark-orkut-34`` runs on ``orkut-34``'s graph.
+BENCH_GRAPHS: dict[str, Callable[[], np.ndarray]] = {
+    "orkut-34": lambda: rmat(9, 10000, seed=15),
+    "dblp-25": lambda: community_graph(24, 6, 14, p_intra=0.9, inter_per_vertex=1.2, seed=12),
+    "skitter-23": lambda: rmat(12, 20000, seed=14),
 }

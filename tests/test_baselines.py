@@ -6,7 +6,9 @@ import pytest
 from repro.baselines.and_local import and_decomposition
 from repro.baselines.nd import nd_decomposition
 from repro.baselines.pkt import pkt_truss
-from repro.nucleus.decomp import nucleus_decomposition
+from repro.experiments import RS_RMAT, _best_config
+from repro.graphs.gen import rmat
+from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
 
 from .fixtures import SMALL_GRAPHS
@@ -34,6 +36,17 @@ def test_and_matches_reference(name, r, s):
 def test_and_nn_matches_reference(name, r, s):
     res = and_decomposition(SMALL_GRAPHS[name], r, s, notification=True)
     assert res.core == reference_nucleus(SMALL_GRAPHS[name], r, s)
+
+
+@pytest.mark.parametrize("r,s", RS_RMAT)
+def test_arb_matches_and_on_medium_rmat(r, s):
+    """ARB and AND, a local fixpoint with no peeling, agree on a graph
+    too large for brute force, under the default, the best and the
+    contraction-with-relabel configs."""
+    edges = rmat(11, 15000, seed=5)
+    want = and_decomposition(edges, r, s).core
+    for cfg in (DecompConfig(), _best_config(r, s), DecompConfig(contraction=True, relabel=True)):
+        assert nucleus_decomposition(edges, r, s, cfg).core_dict() == want, cfg
 
 
 @pytest.mark.parametrize("name", GRAPHS)

@@ -212,6 +212,11 @@ def test_peel_state_invariants(monkeypatch, best, r, s):
         (lambda: {"table": TableConfig(levels=0)}, "levels must be >= 1, got 0"),
         (lambda: {"table": TableConfig(levels=-1)}, "levels must be >= 1, got -1"),
         (lambda: {"aggregation": "Hash"}, "'Hash'"),
+        (lambda: {"relabel": "no"}, "relabel must be a bool, got 'no'"),
+        (lambda: {"contraction": 1}, "contraction must be a bool, got 1"),
+        (lambda: {"spark_slices": 2.5}, "spark_slices must be an integer, got 2.5"),
+        (lambda: {"spark_slices": "4"}, "spark_slices must be an integer, got '4'"),
+        (lambda: {"table": None}, "table must be a TableConfig, got None"),
     ],
     ids=[
         "first_level",
@@ -221,6 +226,11 @@ def test_peel_state_invariants(monkeypatch, best, r, s):
         "levels-zero",
         "levels-negative",
         "aggregation",
+        "relabel-str",
+        "contraction-int",
+        "spark_slices-float",
+        "spark_slices-str",
+        "table-none",
     ],
 )
 def test_bad_config_rejected(kw, named):
@@ -242,6 +252,10 @@ def test_bad_config_rejected(kw, named):
         ("counting", "Spark", "counting must be 'local' or 'spark'"),
         ("spark_slices", 0, "spark_slices must be >= 1, got 0"),
         ("aggregation", "Hash", "aggregation must be one of"),
+        ("relabel", "no", "relabel must be a bool, got 'no'"),
+        ("contraction", None, "contraction must be a bool, got None"),
+        ("spark_slices", 2.5, "spark_slices must be an integer, got 2.5"),
+        ("table", None, "table must be a TableConfig, got None"),
     ],
 )
 def test_bad_assignment_rejected(name, value, named):
@@ -261,6 +275,9 @@ def test_valid_assignment_accepted():
     cfg.counting, cfg.spark_slices = "spark", 4
     cfg.aggregation = "hash"
     assert (cfg.counting, cfg.spark_slices, cfg.aggregation) == ("spark", 4, "hash")
+    cfg.relabel, cfg.contraction, cfg.spark_slices = np.bool_(True), False, np.int64(8)
+    assert (cfg.relabel, cfg.contraction, cfg.spark_slices) == (True, False, 8)
+    assert type(cfg.spark_slices) is int
 
 
 def test_bad_spark_slices_fail_before_any_work():

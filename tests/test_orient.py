@@ -3,15 +3,17 @@ import numpy as np
 import pytest
 
 from repro.graphs.csr import build_csr, orient_csr
+from repro.graphs.gen import rmat
 from repro.graphs.orient import (
     degeneracy_order,
     degree_order,
     make_rank,
     relabel,
 )
+from repro.nucleus.decomp import nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
 
-from .fixtures import MEDIUM_GRAPHS, SMALL_GRAPHS
+from .fixtures import BENCH_GRAPHS, MEDIUM_GRAPHS, SMALL_GRAPHS
 
 ALL = {**SMALL_GRAPHS, **MEDIUM_GRAPHS}
 
@@ -69,3 +71,67 @@ def test_relabel_makes_identity_rank():
     # after relabeling, rank order == id order: every arc goes id-up
     for v in range(dg2.n):
         assert (dg2.neighbors(v) > v).all()
+
+
+def _masked_peel(csr):
+    """The frontier peel kept with a live mask and a unique with counts
+    per round: the same rounds, written plainly."""
+    n = csr.n
+    deg = csr.degrees()
+    alive = np.ones(n, dtype=bool)
+    rank = np.empty(n, dtype=np.int64)
+    live = np.arange(n)
+    peeled = live[:0]
+    pos = k = 0
+    while pos < n:
+        if not len(peeled):
+            live = live[alive[live]]
+            live_deg = deg[live]
+            k = int(live_deg.min())
+            peeled = live[live_deg == k]
+        rank[peeled] = pos + np.arange(len(peeled))
+        pos += len(peeled)
+        alive[peeled] = False
+        _, w = csr.gather(peeled)
+        nb, lost = np.unique(w[alive[w]], return_counts=True)
+        deg[nb] -= lost
+        peeled = nb[deg[nb] <= k]
+    return rank, k
+
+
+PEEL_GRAPHS = {
+    **{name: (lambda g=g: (g(), None)) for name, g in BENCH_GRAPHS.items()},
+    "rmat14-300k": lambda: (rmat(14, 300_000, seed=3), None),
+    "empty": lambda: (np.empty((0, 2), dtype=np.int64), None),
+    "isolated-only": lambda: (np.empty((0, 2), dtype=np.int64), 5),
+    "n-above-max-id": lambda: (SMALL_GRAPHS["fig1"], 12),
+    "self-loops-only": lambda: (np.array([[0, 0], [1, 1], [3, 3]]), None),
+    "isolated-and-loops": lambda: (np.array([[0, 1], [1, 2], [2, 0], [4, 4], [2, 6]]), 9),
+}
+
+
+@pytest.mark.parametrize("name", list(PEEL_GRAPHS))
+def test_degeneracy_order_matches_masked_peel(name):
+    """Sentinel degrees, the scatter-subtract and the frontier-only dedup
+    rank every vertex as the live-mask peel does. The degree-0 cases peel
+    a frontier whose gather is empty."""
+    edges, n = PEEL_GRAPHS[name]()
+    csr = build_csr(edges, n)
+    rank, d = degeneracy_order(csr)
+    want_rank, want_d = _masked_peel(csr)
+    assert np.array_equal(rank, want_rank) and rank.dtype == want_rank.dtype
+    assert d == want_d
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS) + list(BENCH_GRAPHS))
+def test_cores_match_networkx(name):
+    """An oracle that shares no code with this package: networkx's core
+    numbers are the (1,2) cores, and their maximum is the degeneracy."""
+    nx = pytest.importorskip("networkx")
+    edges = SMALL_GRAPHS[name] if name in SMALL_GRAPHS else BENCH_GRAPHS[name]()
+    g = nx.Graph()
+    g.add_nodes_from(range(int(edges.max()) + 1))
+    g.add_edges_from(edges.tolist())
+    want = nx.core_number(g)
+    assert nucleus_decomposition(edges, 1, 2).core_dict() == {(v,): c for v, c in want.items()}
+    assert degeneracy_order(build_csr(edges))[1] == max(want.values())
