@@ -1,17 +1,17 @@
 """Spark fan-out of the s-clique counting phase.
 
-The outer loop of REC-LIST-CLIQUES (Algorithm 1 line 7 at the top
-level) is embarrassingly parallel over root vertices. The oriented CSR
-is broadcast to executors and each partition of an RDD of slice
-numbers runs the local counting kernel over its range of roots, and
-yields its partial counts as numpy arrays: one stage, no shuffle, no
-DataFrame or Arrow conversion. The driver collects the partials and
-merges them the way the local kernel does. At r != 2 the partials are
-r-clique rows and counts, merged with ``sum_by_row``, the row-rank sum
-the local kernel uses to merge its chunks. At r = 2 they are per-arc
-counts (``arc_s_counts``), sent as the positions of the arcs counted
-and their counts, summed by one ``bincount`` and put in edge order by
-``edge_counts``, the local kernel's own arc-to-row step.
+The outer loop of REC-LIST-CLIQUES (Algorithm 1 line 7 at the top level)
+is embarrassingly parallel over root vertices. The oriented CSR is
+broadcast to executors and each partition of an RDD of slice numbers,
+one per worker (``defaultParallelism``), runs the local counting kernel
+over its range of roots and yields its partial counts as numpy arrays:
+one stage, no shuffle, no DataFrame or Arrow conversion. The driver
+merges the partials the way the local kernel does. At r != 2 the
+partials are r-clique rows and counts, merged with ``sum_by_row``, the
+row-rank sum the local kernel uses to merge its chunks. At r = 2 they
+are per-arc counts (``arc_s_counts``), sent as the positions of the arcs
+counted and their counts, summed by one ``bincount`` and put in edge
+order by ``edge_counts``, the local kernel's own arc-to-row step.
 
 Each task drops the cached zip finders that PySpark's next task would
 otherwise re-read (``_drop_zip_finders``). The CSR is broadcast once per
@@ -20,6 +20,7 @@ builds DG's arc map (``CSR.arc_set``) from them on first use.
 """
 from __future__ import annotations
 
+import operator
 import sys
 import zipimport
 
@@ -58,7 +59,7 @@ def spark_s_counts(
     r: int,
     s: int,
     *,
-    n_slices: int = 64,
+    n_slices: int | None = None,
     counters: Counters | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distributed s-clique counts per r-clique over the oriented graph.
@@ -66,13 +67,17 @@ def spark_s_counts(
     Returns (vmat, counts): lexicographically sorted (n_r, r) vertex
     matrix and the aligned int64 counts — identical, dtype included, to
     the local kernel ``s_counts_per_r_clique`` (tested equal). Slice i
-    counts from the roots ``[i*n//slices, (i+1)*n//slices)``. The
-    kernel's work, summed over slices, is added to ``counters.work``; it
-    equals the local kernel's.
+    of ``n_slices`` (default: the session's ``defaultParallelism``)
+    counts the roots ``[i*n//slices, (i+1)*n//slices)``. The kernel's
+    work, summed over slices, is added to ``counters.work``.
     """
+    sc = spark.sparkContext
+    try:
+        n_slices = operator.index(sc.defaultParallelism if n_slices is None else n_slices)
+    except TypeError:
+        raise ValueError(f"n_slices must be an integer, got {n_slices!r}") from None
     if n_slices < 1:
         raise ValueError(f"n_slices must be >= 1, got {n_slices}")
-    sc = spark.sparkContext
     bc = sc.broadcast((dg.n, dg.offsets, dg.nbrs, dg.rank))
     n = dg.n
     slices = min(n_slices, max(1, n))

@@ -81,10 +81,11 @@ class CSR:
     def arcs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(i, pos) for every arc v[i] -> nbrs[pos], grouped by i, in list
         order."""
-        lo = self.offsets[v]
-        deg = self.offsets[v + 1] - lo
-        i = np.repeat(np.arange(len(v)), deg)
-        return i, np.arange(len(i)) + np.repeat(lo - (np.cumsum(deg) - deg), deg)
+        hi = self.offsets[1:][v]
+        deg = hi - self.offsets[v]
+        pos = (hi - deg.cumsum()).repeat(deg)  # list start less the arcs before it
+        pos += np.arange(len(pos))
+        return np.arange(len(v)).repeat(deg), pos
 
     def gather(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(i, w) for every arc v[i] -> w, grouped by i, w in list order."""

@@ -5,7 +5,7 @@ Phases:
 1. Orient the graph by its degeneracy order, an O(alpha)-orientation
    (optionally relabel vertices by orientation rank, §5.4).
 2. Count the s-cliques incident on every r-clique with REC-LIST-CLIQUES
-   — locally, or fanned out over Spark partitions (cliques/spark_count).
+   — locally, or on the Spark session the call is given (spark_count).
 3. Store counts in the configurable multi-level hash table T (§5.1-5.3);
    each r-clique's identifier is its last-level cell index.
 4. Peel rounds over ``Bucketing``, the one peel state: each r-clique's
@@ -58,28 +58,17 @@ __all__ = ["DecompConfig", "DecompResult", "nucleus_decomposition"]
 @dataclass
 class DecompConfig:
     """The options of one decomposition, checked where they are written,
-    at construction or by a later assignment, before any graph work; only
-    the Spark session is checked by the call."""
+    at construction or by a later assignment, before any graph work. A
+    Spark session given to the call, not an option, decides the counting."""
 
     table: TableConfig = field(default_factory=TableConfig)
     relabel: bool = False  # §5.4 graph relabeling
     aggregation: str = "list-buffer"  # §5.5: one of aggregation.KINDS
     contraction: bool = False  # §5.6, (2,3) only
-    counting: str = "local"  # 'local' | 'spark'
-    spark_slices: int = 64
 
     def __setattr__(self, name, value):
         if name == "aggregation":
             check_kind(value)
-        elif name == "counting" and value not in ("local", "spark"):
-            raise ValueError(f"counting must be 'local' or 'spark', got {value!r}")
-        elif name == "spark_slices":
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise ValueError(f"spark_slices must be an integer, got {value!r}") from None
-            if value < 1:
-                raise ValueError(f"spark_slices must be >= 1, got {value}")
         elif name in ("relabel", "contraction") and not isinstance(value, (bool, np.bool_)):
             raise ValueError(f"{name} must be a bool, got {value!r}")
         elif name == "table" and not isinstance(value, TableConfig):
@@ -113,16 +102,20 @@ def nucleus_decomposition(
     spark=None,
     n: int | None = None,
 ) -> DecompResult:
-    """Compute the (r, s) nucleus decomposition of an undirected edge list."""
+    """Compute the (r, s) nucleus decomposition of an undirected edge list,
+    counting s-cliques on the ``spark`` session if one is given."""
     try:
         r, s = operator.index(r), operator.index(s)
     except TypeError:
         raise ValueError(f"r and s must be integers, got r={r!r}, s={s!r}") from None
     if not 1 <= r < s:
         raise ValueError(f"need 1 <= r < s, got r={r}, s={s}")
+    if spark is not None:
+        from pyspark.sql import SparkSession
+
+        if not isinstance(spark, SparkSession):
+            raise ValueError(f"spark must be a pyspark.sql.SparkSession or None, got {spark!r}")
     config = config or DecompConfig()
-    if config.counting == "spark" and spark is None:
-        raise ValueError("counting='spark' needs a SparkSession, got spark=None")
     t_start = time.perf_counter()
     counters = Counters()
 
@@ -136,10 +129,10 @@ def nucleus_decomposition(
     dg = orient_csr(und, rank)
 
     # ---- Phase 1: count s-cliques per r-clique (Alg 2 lines 20-22) ----
-    if config.counting == "spark":
+    if spark is not None:
         from ..cliques.spark_count import spark_s_counts
 
-        vmat, cnts = spark_s_counts(spark, dg, r, s, n_slices=config.spark_slices, counters=counters)
+        vmat, cnts = spark_s_counts(spark, dg, r, s, counters=counters)
     else:
         vmat, cnts = s_counts_per_r_clique(dg, r, s, counters=counters)
     counters.span_logs += s * log2(max(2, n_verts))

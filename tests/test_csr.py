@@ -95,6 +95,32 @@ def test_gather_repeated_and_zero_degree():
     assert np.array_equal(w, np.concatenate([und.neighbors(x) for x in v]))
 
 
+def _arcs_by_lower_ends(csr, v):
+    """``CSR.arcs`` written from the list starts ``offsets[v]``."""
+    lo = csr.offsets[v]
+    deg = csr.offsets[v + 1] - lo
+    i = np.repeat(np.arange(len(v)), deg)
+    return i, np.arange(len(i)) + np.repeat(lo - (np.cumsum(deg) - deg), deg)
+
+
+def test_arcs_match_lower_end_formula():
+    """``arcs`` reads list ends and subtracts the arcs before each list;
+    it equals the formula from list starts on random batches, with
+    empty, zero-degree, repeated and last vertices, dtypes included."""
+    from repro.graphs.gen import rmat
+
+    und = build_csr(rmat(7, 400, seed=4), n=140)  # 12 isolated vertices at the end
+    g = np.random.default_rng(6)
+    batches = [np.empty(0, dtype=np.int64), np.array([und.n - 1]), np.array([und.n - 1, 0, und.n - 1])]
+    batches += [g.integers(0, und.n, size) for size in (1, 5, 15, 300) for _ in range(5)]
+    for csr in (und, orient_csr(und, degree_order(und))):
+        zero = np.flatnonzero(csr.degrees() == 0)
+        last = np.flatnonzero(csr.degrees())[-1:]  # its list ends at the last arc
+        for v in batches + [np.concatenate([zero[:3], v, last]) for v in batches]:
+            got, want = csr.arcs(v), _arcs_by_lower_ends(csr, v)
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want)), v
+
+
 @pytest.mark.parametrize(
     "keys",
     [

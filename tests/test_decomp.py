@@ -2,6 +2,7 @@
 (r, s) values, and every §5 optimization configuration."""
 import re
 from collections import Counter
+from dataclasses import fields
 from itertools import combinations
 from math import comb
 
@@ -207,41 +208,27 @@ def test_peel_state_invariants(monkeypatch, best, r, s):
     [
         (lambda: {"table": TableConfig(levels=2, first_level="Array")}, "'Array'"),
         (lambda: {"table": TableConfig(levels=2, decode="scan")}, "'scan'"),
-        (lambda: {"counting": "Spark"}, "'Spark'"),
-        (lambda: {"counting": "spark"}, "spark=None"),
         (lambda: {"table": TableConfig(levels=0)}, "levels must be >= 1, got 0"),
         (lambda: {"table": TableConfig(levels=-1)}, "levels must be >= 1, got -1"),
         (lambda: {"aggregation": "Hash"}, "'Hash'"),
         (lambda: {"relabel": "no"}, "relabel must be a bool, got 'no'"),
         (lambda: {"contraction": 1}, "contraction must be a bool, got 1"),
-        (lambda: {"spark_slices": 2.5}, "spark_slices must be an integer, got 2.5"),
-        (lambda: {"spark_slices": "4"}, "spark_slices must be an integer, got '4'"),
         (lambda: {"table": None}, "table must be a TableConfig, got None"),
     ],
     ids=[
         "first_level",
         "decode",
-        "counting",
-        "spark-without-session",
         "levels-zero",
         "levels-negative",
         "aggregation",
         "relabel-str",
         "contraction-int",
-        "spark_slices-float",
-        "spark_slices-str",
         "table-none",
     ],
 )
 def test_bad_config_rejected(kw, named):
     """A bad option fails where it is written, with a ValueError naming
-    it: a bad ``TableConfig`` or ``DecompConfig`` raises on construction.
-    Only the missing Spark session is found by the call."""
-    if named == "spark=None":
-        cfg = DecompConfig(**kw())
-        with pytest.raises(ValueError, match=re.escape(named)):
-            nucleus_decomposition(SMALL_GRAPHS["fig1"], 3, 4, cfg)
-        return
+    it: a bad ``TableConfig`` or ``DecompConfig`` raises on construction."""
     with pytest.raises(ValueError, match=re.escape(named)):
         DecompConfig(**kw())
 
@@ -249,12 +236,9 @@ def test_bad_config_rejected(kw, named):
 @pytest.mark.parametrize(
     "name,value,named",
     [
-        ("counting", "Spark", "counting must be 'local' or 'spark'"),
-        ("spark_slices", 0, "spark_slices must be >= 1, got 0"),
         ("aggregation", "Hash", "aggregation must be one of"),
         ("relabel", "no", "relabel must be a bool, got 'no'"),
         ("contraction", None, "contraction must be a bool, got None"),
-        ("spark_slices", 2.5, "spark_slices must be an integer, got 2.5"),
         ("table", None, "table must be a TableConfig, got None"),
     ],
 )
@@ -272,20 +256,31 @@ def test_valid_assignment_accepted():
     """Assigning valid options after construction works, one at a time or
     several in one statement."""
     cfg = DecompConfig()
-    cfg.counting, cfg.spark_slices = "spark", 4
     cfg.aggregation = "hash"
-    assert (cfg.counting, cfg.spark_slices, cfg.aggregation) == ("spark", 4, "hash")
-    cfg.relabel, cfg.contraction, cfg.spark_slices = np.bool_(True), False, np.int64(8)
-    assert (cfg.relabel, cfg.contraction, cfg.spark_slices) == (True, False, 8)
-    assert type(cfg.spark_slices) is int
+    assert cfg.aggregation == "hash"
+    cfg.relabel, cfg.contraction = np.bool_(True), False
+    assert (cfg.relabel, cfg.contraction) == (True, False)
 
 
-def test_bad_spark_slices_fail_before_any_work():
-    """``spark_slices < 1`` fails when the config is built, whatever the
-    counting mode, so no call can start on it."""
-    for counting in ("local", "spark"):
-        with pytest.raises(ValueError, match=re.escape("spark_slices must be >= 1, got 0")):
-            DecompConfig(counting=counting, spark_slices=0)
+def test_config_has_four_options():
+    """Where counting runs is not an option: the four fields are the §5
+    optimizations. A name that is not a field stays a plain attribute
+    the call never reads, as benchmark scripts written against older
+    options still assign ``counting`` and ``spark_slices``."""
+    assert [f.name for f in fields(DecompConfig)] == ["table", "relabel", "aggregation", "contraction"]
+    cfg = _best_config(3, 4)
+    plain = nucleus_decomposition(SMALL_GRAPHS["fig1"], 3, 4, cfg)
+    cfg.counting, cfg.spark_slices = "spark", 4
+    res = nucleus_decomposition(SMALL_GRAPHS["fig1"], 3, 4, cfg)
+    assert np.array_equal(res.vmat, plain.vmat) and np.array_equal(res.core, plain.core)
+
+
+@pytest.mark.parametrize("spark", ["local[4]", 4, object()], ids=["str", "int", "object"])
+def test_spark_not_a_session_rejected(spark):
+    """A ``spark`` that is not a SparkSession fails before any graph work
+    (the edge array here is malformed too) with a ValueError naming it."""
+    with pytest.raises(ValueError, match="spark must be a pyspark.sql.SparkSession"):
+        nucleus_decomposition(np.zeros((2, 3), dtype=np.int64), 3, 4, spark=spark)
 
 
 @pytest.mark.parametrize("name,r,s", [("k7", 5, 6), ("k7", 6, 7), ("k7", 4, 7), ("fig1", 3, 4)])

@@ -90,11 +90,16 @@ def test_save_table(tmp_path):
 
 def test_import_does_not_load_pandas():
     # nucbench imports the module for _best_config alone; pandas would
-    # add about 0.45 s and 67 MB of RSS to every such process.
+    # add about 0.45 s and 67 MB of RSS to every such process. A local
+    # decomposition does not load pyspark either.
     src = str(Path(repro.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, repro.experiments, repro.nucleus.decomp; print('pandas' in sys.modules)"
+    code = (
+        "import sys, repro.experiments, repro.nucleus.decomp as d;"
+        " d.nucleus_decomposition([[0, 1], [1, 2], [0, 2]], 2, 3, repro.experiments._best_config(2, 3));"
+        " print('pandas' in sys.modules, 'pyspark' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -1,5 +1,6 @@
 """Spark counting fan-out == local kernel; Spark-counted decomposition
 matches the reference."""
+import re
 import sys
 import zipfile
 import zipimport
@@ -12,10 +13,11 @@ import pytest
 from repro.cliques import spark_count
 from repro.cliques.listing import s_counts_per_r_clique
 from repro.cliques.spark_count import spark_s_counts
+from repro.experiments import _best_config
 from repro.graphs.csr import build_csr, orient_csr
 from repro.graphs.gen import rmat
 from repro.graphs.orient import make_rank
-from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
+from repro.nucleus.decomp import nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
 from repro.oracle import assert_equivalent
 
@@ -62,30 +64,56 @@ def test_spark_counts_reject_bad_slices(spark, n_slices):
         spark_s_counts(spark, dg, 2, 3, n_slices=n_slices)
 
 
-def test_spark_counts_run_one_stage(spark):
-    """One job of one stage with one task per slice: each task counts one
-    root range of an RDD of slice numbers, and the partials are merged on
-    the driver, not shuffled."""
-    _, dg = _dg(rmat(8, 900, seed=23))
+@pytest.mark.parametrize("n_slices", [2.5, "4"], ids=["float", "str"])
+def test_spark_counts_reject_non_integer_slices(spark, n_slices):
+    _, dg = _dg(FIG1_EDGES)
+    with pytest.raises(ValueError, match=re.escape(f"n_slices must be an integer, got {n_slices!r}")):
+        spark_s_counts(spark, dg, 2, 3, n_slices=n_slices)
+
+
+def _in_job_group(spark, group, fn):
+    """(fn(), completed tasks of each stage of each job fn ran)."""
     sc = spark.sparkContext
-    group = "test_spark_counts_run_one_stage"
-    sc.setJobGroup(group, "spark_s_counts with 4 slices")
+    sc.setJobGroup(group, group)
     try:
-        spark_s_counts(spark, dg, 2, 3, n_slices=4)
+        out = fn()
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()  # job and task events are delivered
     tracker = sc.statusTracker()
     jobs = tracker.getJobIdsForGroup(group)
-    stages = [sid for j in jobs for sid in tracker.getJobInfo(j).stageIds]
-    assert len(jobs) == 1 and len(stages) == 1
-    assert tracker.getStageInfo(stages[0]).numCompletedTasks == 4
+    stages = [tracker.getJobInfo(j).stageIds for j in jobs]
+    return out, [[tracker.getStageInfo(sid).numCompletedTasks for sid in job] for job in stages]
+
+
+def test_spark_counts_run_one_stage(spark):
+    """One job of one stage with one task per slice: each task counts one
+    root range of an RDD of slice numbers, and the partials are merged on
+    the driver, not shuffled."""
+    _, dg = _dg(rmat(8, 900, seed=23))
+    _, tasks = _in_job_group(spark, "one-stage", lambda: spark_s_counts(spark, dg, 2, 3, n_slices=4))
+    assert tasks == [[4]]
+
+
+@pytest.mark.parametrize("r,s", [(3, 4), (2, 3)])
+def test_session_sets_the_slices(spark, r, s):
+    """Given only ``spark=``, a decomposition counts in one job of one
+    task per worker of the session (``defaultParallelism``), and its
+    result is bit-identical to the local one."""
+    edges = rmat(8, 900, seed=23)
+    local = nucleus_decomposition(edges, r, s, _best_config(r, s))
+    res, tasks = _in_job_group(
+        spark, f"session-{r}-{s}", lambda: nucleus_decomposition(edges, r, s, _best_config(r, s), spark=spark)
+    )
+    assert tasks == [[spark.sparkContext.defaultParallelism]]
+    assert np.array_equal(res.vmat, local.vmat) and np.array_equal(res.core, local.core)
+    assert res.vmat.dtype == local.vmat.dtype and res.core.dtype == local.core.dtype
+    assert res.rho == local.rho
 
 
 @pytest.mark.parametrize("name,r,s", [("fig1", 3, 4), ("er30", 2, 3)])
 def test_decomp_with_spark_counting(spark, name, r, s):
-    cfg = DecompConfig(counting="spark", spark_slices=4)
-    res = nucleus_decomposition(SMALL_GRAPHS[name], r, s, cfg, spark=spark)
+    res = nucleus_decomposition(SMALL_GRAPHS[name], r, s, spark=spark)
     assert res.core_dict() == reference_nucleus(SMALL_GRAPHS[name], r, s)
 
 
@@ -95,8 +123,7 @@ def test_spark_counting_keeps_counters(spark, name, r, s):
     counting: the counting kernel's work adds up over root ranges."""
     edges = rmat(8, 900, seed=23) if name == "rmat" else SMALL_GRAPHS[name]
     local = nucleus_decomposition(edges, r, s).counters
-    cfg = DecompConfig(counting="spark", spark_slices=4)
-    remote = nucleus_decomposition(edges, r, s, cfg, spark=spark).counters
+    remote = nucleus_decomposition(edges, r, s, spark=spark).counters
     local.wall_seconds = remote.wall_seconds = 0.0
     assert asdict(remote) == asdict(local)
 
