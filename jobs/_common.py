@@ -1,5 +1,6 @@
-"""Shared bootstrapping for the job entrypoints: ``repro`` on the path,
-a SparkSession for the one job that uses Spark, and table output."""
+"""Shared bootstrapping for ``run_tables.py`` and ``run_scale_check.py``:
+``repro`` on the path, a SparkSession for the one table that uses Spark,
+table output, and one printed line per check."""
 from __future__ import annotations
 
 import os
@@ -26,3 +27,8 @@ def emit(df, name: str) -> None:
     path = save_table(df, name)
     print(f"\n== {name} -> {path}")
     print(df.to_string(index=False))
+
+
+def check(name: str, ok: bool) -> bool:
+    print(f"  check {name}: {'ok' if ok else 'MISMATCH'}", flush=True)
+    return ok

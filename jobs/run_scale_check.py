@@ -38,7 +38,7 @@ import subprocess
 import sys
 import time
 
-from _common import SRC  # noqa: F401  (puts repro on the path)
+from _common import check  # also puts repro on the path
 
 CASES = [(14, 300_000, 3, 4), (13, 150_000, 2, 4), (17, 1_000_000, 2, 3)]
 SEED = 3
@@ -53,11 +53,6 @@ def _cliques_in(cand: set, adj, c: int) -> int:
         return len(cand)
     order = sorted(cand)
     return sum(_cliques_in(adj(v) & set(order[i + 1 :]), adj, c - 1) for i, v in enumerate(order))
-
-
-def _check(name: str, ok: bool) -> bool:
-    print(f"  check {name}: {'ok' if ok else 'MISMATCH'}", flush=True)
-    return ok
 
 
 def run_case(i: int) -> bool:
@@ -105,11 +100,11 @@ def run_case(i: int) -> bool:
 
     ok = True
     ref = and_decomposition(edges, r, s).core
-    ok &= _check("core == AND", res.core_dict() == ref)
+    ok &= check("core == AND", res.core_dict() == ref)
     if (r, s) == (2, 3):
         pkt = pkt_truss(edges)
         same = np.array_equal(pkt.edges, res.vmat) and np.array_equal(pkt.core, res.core)
-        ok &= _check("core == PKT", same)
+        ok &= check("core == PKT", same)
     if i == 0:
         import networkx as nx
 
@@ -118,13 +113,13 @@ def run_case(i: int) -> bool:
         g.add_edges_from(e for e in edges.tolist() if e[0] != e[1])
         want = nx.core_number(g)
         got = nucleus_decomposition(edges, 1, 2, _best_config(1, 2)).core_dict()
-        ok &= _check("(1,2) core == networkx.core_number", got == {(v,): c for v, c in want.items()})
+        ok &= check("(1,2) core == networkx.core_number", got == {(v,): c for v, c in want.items()})
     vmat, cnts = s_counts_per_r_clique(orient_csr(und, make_rank(und)), r, s)
     sample = np.random.default_rng(SEED).choice(len(vmat), min(SAMPLE, len(vmat)), replace=False)
     adj = functools.cache(lambda v: set(und.neighbors(v).tolist()))
     recount = [_cliques_in(set.intersection(*map(adj, vmat[j].tolist())), adj, s - r) for j in sample]
     same = recount == cnts[sample].tolist()
-    ok &= _check(f"s-clique counts of {len(sample)} sampled r-cliques == set recount", same)
+    ok &= check(f"s-clique counts of {len(sample)} sampled r-cliques == set recount", same)
     return ok
 
 

@@ -4,8 +4,9 @@ One function per evaluation table (the paper presents most numbers in
 figures; each is a table of numbers which we regenerate as printed
 rows — see DESIGN.md §4 for the mapping). Every function returns a
 pandas DataFrame and optionally writes a markdown copy under
-``results/``. ``jobs/*.py`` are the command-line wrappers and
-``benchmarks/bench_t*.py`` the pytest-benchmark harnesses over these.
+``results/``. ``TABLES`` maps each ``results/`` stem to its generator
+call and its shape checks (the paper's claims the table must show);
+``jobs/run_tables.py`` runs both.
 
 Times: ``wall_s`` is single-process wall-clock, the median of
 ``WALL_RUNS`` calls after one untimed warm-up call (``_warm_wall``);
@@ -15,8 +16,9 @@ model the paper's analysis uses — see instrument.py and DESIGN.md §2.
 from __future__ import annotations
 
 import time
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -43,7 +45,10 @@ __all__ = [
     "table_baselines",
     "table_rs_sweep",
     "table_scalability",
+    "table_spark_counting_scalability",
     "table_rmat_scaling",
+    "TABLES",
+    "SPARK_TABLE",
     "save_table",
 ]
 
@@ -247,7 +252,8 @@ def table_baselines(
             arb_sim = simulated_time(arb.counters, P_PAPER)
             arb_sim1 = simulated_time(arb.counters, 1)
             (nd_core, nd_c), nd_wall = _warm_wall(nd_decomposition, edges, r, s)
-            assert nd_core == arb.core_dict(), "baseline disagrees with ARB"
+            if nd_core != arb.core_dict():
+                raise ValueError(f"ND disagrees with ARB on {name} ({r},{s})")
             and_res = and_decomposition(edges, r, s)
             nn_res = and_decomposition(edges, r, s, notification=True)
             row = {
@@ -272,7 +278,8 @@ def table_baselines(
                 got = {
                     tuple(e): int(c) for e, c in zip(pkt.edges.tolist(), pkt.core.tolist())
                 }
-                assert got == arb.core_dict(), "PKT disagrees with ARB"
+                if got != arb.core_dict():
+                    raise ValueError(f"PKT disagrees with ARB on {name} ({r},{s})")
                 row["slowdown_pkt_wall"] = pkt_wall / arb_wall
             rows.append(row)
     return _frame(rows)
@@ -397,3 +404,113 @@ def table_rmat_scaling(
                     }
                 )
     return _frame(rows)
+
+
+# ------------------------------------------------------ registry and checks
+# Each shape check maps a claim to whether the table shows it. The
+# claims are the paper's relationships (shape, not absolute factors).
+def _shape_graph_stats(df: pd.DataFrame) -> dict[str, bool]:
+    return {
+        "rho >= 1": (df["rho"] >= 1).all(),
+        "max_core >= 0": (df["max_core"] >= df["rho"] * 0).all(),
+    }
+
+
+def _shape_t_opts_34(df: pd.DataFrame) -> dict[str, bool]:
+    # Fig 8 right: multi-level T saves space wherever r-cliques overlap
+    # (the clique-rich graphs); savings up to ~2x. The paper's own Fig 3
+    # caveat — too few r-cliques and the extra pointers dominate — shows
+    # up on the sparse rMAT surrogates, so they are excluded here.
+    rich = df[df["graph"].isin(["amazon-lite", "dblp-lite", "orkut-lite"])]
+    multi = rich[rich["config"] != "1-level (unopt)"]
+    # §5.2: the non-contiguous layout loses to the contiguous one.
+    noncontig = df[df["config"] == "2-level noncontig binsearch"].set_index("graph")
+    contig = df[df["config"] == "2-level contig binsearch"].set_index("graph")
+    return {
+        "multi-level T saves space on the clique-rich graphs": (
+            multi["space_saving_vs_1level"] > 1.0
+        ).all(),
+        "best multi-level saving > 1.4": multi["space_saving_vs_1level"].max() > 1.4,
+        "contiguous layout should usually win": (
+            noncontig["wall_s"] > contig.loc[noncontig.index, "wall_s"]
+        ).mean()
+        >= 0.6,
+    }
+
+
+def _shape_t_opts_45(df: pd.DataFrame) -> dict[str, bool]:
+    # Fig 10: space savings grow with r — best (4,5) saving beats best (3,4).
+    return {"best (4,5) saving > 1.3": df["space_saving_vs_1level"].max() > 1.3}
+
+
+def _shape_other_opts(df: pd.DataFrame) -> dict[str, bool]:
+    # §5.5's point, via the contention model: the list buffer beats the
+    # simple array at P=60 everywhere, by a large factor where update
+    # volume is high; the hash table wins for (2,3) (its clear-work cost
+    # is amortized by the large per-round update sets there).
+    lb = df[df["optimization"] == "agg=list-buffer"]
+    ht23 = df[(df["optimization"] == "agg=hash") & (df["s"] == 3)]
+    return {
+        "list buffer >= 0.99x the array at P=60": (lb["sim_speedup_p60"] >= 0.99).all(),
+        "list buffer > 1.5x the array somewhere": lb["sim_speedup_p60"].max() > 1.5,
+        "hash beats the array at (2,3)": (ht23["sim_speedup_p60"] > 1.0).all(),
+    }
+
+
+def _shape_baselines(df: pd.DataFrame) -> dict[str, bool]:
+    return {
+        "PND's sequential-peel round blowup": (df["pnd_rounds_ratio"] > 5).all(),
+        "AND re-discovers s-cliques": (df["and_scliques_ratio"] > 1).all(),
+        "notification reduces rediscovery": (
+            df["andnn_scliques_ratio"] <= df["and_scliques_ratio"] + 1e-9
+        ).all(),
+        "AND-NN pays memory for it": (df["andnn_extra_mem_bytes"] > 0).all(),
+    }
+
+
+def _shape_rs_sweep(df: pd.DataFrame) -> dict[str, bool]:
+    return {"slowdown_vs_fastest >= 1": (df["slowdown_vs_fastest"] >= 1.0 - 1e-9).all()}
+
+
+def _shape_scalability(df: pd.DataFrame) -> dict[str, bool]:
+    # Speedup must be monotone in P and materially > 1 at 60 threads.
+    sps = [
+        grp.sort_values("threads")["sim_speedup"].to_numpy()
+        for _, grp in df.groupby(["graph", "r", "s"])
+    ]
+    return {
+        "sim_speedup monotone in P": all((sp[1:] >= sp[:-1] - 1e-9).all() for sp in sps),
+        "sim_speedup > 3 at the most threads": all(sp[-1] > 3.0 for sp in sps),
+    }
+
+
+def _shape_spark_counting(df: pd.DataFrame) -> dict[str, bool]:
+    return {"result independent of slicing": df["n_rcliques"].nunique() == 1}
+
+
+def _shape_rmat(df: pd.DataFrame) -> dict[str, bool]:
+    # Fig 15's observation: runtime scales with the number of s-cliques,
+    # which grows with density; check it grows with density per size.
+    grps = [grp.sort_values("edges_per_vertex") for _, grp in df.groupby(["log2_n", "r", "s"])]
+    return {
+        "n_scliques grows with edges_per_vertex": all(
+            grp["n_scliques"].is_monotonic_increasing for grp in grps
+        )
+    }
+
+
+SPARK_TABLE = "t6b_spark_counting_scaling"  # its generator takes the SparkSession
+TABLES: dict[str, tuple[Callable[..., pd.DataFrame], Callable]] = {
+    "t1_graph_stats": (table_graph_stats, _shape_graph_stats),
+    "t2a_table_opts_34": (partial(table_t_optimizations, rs=(3, 4)), _shape_t_opts_34),
+    "t2b_table_opts_45": (
+        partial(table_t_optimizations, rs=(4, 5), graphs=["amazon-lite", "dblp-lite", "orkut-lite"]),
+        _shape_t_opts_45,
+    ),
+    "t3_other_opts": (table_other_optimizations, _shape_other_opts),
+    "t4_baselines": (table_baselines, _shape_baselines),
+    "t5_rs_sweep": (table_rs_sweep, _shape_rs_sweep),
+    "t6a_scalability_sim": (table_scalability, _shape_scalability),
+    SPARK_TABLE: (table_spark_counting_scalability, _shape_spark_counting),
+    "t7_rmat_scaling": (table_rmat_scaling, _shape_rmat),
+}
