@@ -7,8 +7,10 @@ A case generates ``rmat(log2_n, m, seed=3)``, makes one warm-up call of
 ``nucleus_decomposition`` with ``experiments._best_config`` and then
 three timed calls, and prints one line: the median of the three calls,
 a hash of ``core`` and ``vmat`` (equal hashes mean equal outputs), the
-s-cliques UPDATE listed (``scliques_discovered``) and the process's peak
-RSS (``ru_maxrss``). Each case runs in a child process, so the RSS is
+s-cliques UPDATE listed (``scliques_discovered``), the graph
+contractions made (``contractions``, nonzero only at (2,3), where the
+best configuration contracts) and the process's peak RSS
+(``ru_maxrss``). Each case runs in a child process, so the RSS is
 that case's own; at ``rmat(17, 1M)`` it is mostly the generator's. A
 second line gives the orientation's cost on the case's graph: the
 median of as many warm ``make_rank`` calls on its CSR, timed after the
@@ -82,7 +84,8 @@ def run_case(i: int) -> bool:
     print(
         f"rmat({log2_n}, {m}) ({r},{s}): median {statistics.median(times):.3f} s"
         f" of {', '.join(f'{t:.3f}' for t in times)}; hash {digest};"
-        f" discovered {res.counters.scliques_discovered}; ru_maxrss {rss_mb:.0f} MB",
+        f" discovered {res.counters.scliques_discovered}; contractions {res.contractions};"
+        f" ru_maxrss {rss_mb:.0f} MB",
         flush=True,
     )
     und = build_csr(edges)

@@ -16,7 +16,6 @@ r-cliques, trading the paper's reported memory blowup
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -36,7 +35,6 @@ class AndResult:
     iterations: int
     scliques_discovered: int
     incidence_bytes: int  # extra memory AND-NN must keep resident
-    wall_seconds: float
 
 
 def _h_indices(groups: np.ndarray, vals: np.ndarray, n_groups: int) -> np.ndarray:
@@ -57,7 +55,6 @@ def and_decomposition(
     edges: np.ndarray, r: int, s: int, *, notification: bool = False
 ) -> AndResult:
     """Run AND (notification=False) or AND-NN (True) to convergence."""
-    t0 = time.perf_counter()
     und = build_csr(edges)
     rank = make_rank(und)
     dg = orient_csr(und, rank)
@@ -117,5 +114,4 @@ def and_decomposition(
         iterations=iterations,
         scliques_discovered=discovered,
         incidence_bytes=incidence_bytes,
-        wall_seconds=time.perf_counter() - t0,
     )

@@ -14,7 +14,6 @@ peel order and results, so ``nd_decomposition`` serves for both.
 from __future__ import annotations
 
 import heapq
-import time
 from itertools import combinations
 from math import log2
 
@@ -31,7 +30,6 @@ __all__ = ["nd_decomposition"]
 def nd_decomposition(edges: np.ndarray, r: int, s: int):
     """ND, and PND's peel order and results: returns (core_dict, counters);
     counters.rounds is the number of peels, which dominates PND's span."""
-    t0 = time.perf_counter()
     und = build_csr(edges)
     rank = make_rank(und)
     dg = orient_csr(und, rank)
@@ -67,5 +65,4 @@ def nd_decomposition(edges: np.ndarray, r: int, s: int):
                 counts[sub] -= 1
                 heapq.heappush(heap, (counts[sub], sub))
                 counters.work += 1
-    counters.wall_seconds = time.perf_counter() - t0
     return core, counters

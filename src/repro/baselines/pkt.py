@@ -8,7 +8,6 @@ against it for k-truss. Returns the (2,3)-clique core number per edge
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +23,9 @@ __all__ = ["pkt_truss", "PktResult"]
 class PktResult:
     edges: np.ndarray  # (m, 2) canonical u < v
     core: np.ndarray  # (m,) (2,3)-clique core number per edge
-    sublevels: int
-    wall_seconds: float
 
 
 def pkt_truss(edges: np.ndarray) -> PktResult:
-    t0 = time.perf_counter()
     und = build_csr(edges)
     n = und.n
     dg = orient_csr(und, degree_order(und))
@@ -56,7 +52,6 @@ def pkt_truss(edges: np.ndarray) -> PktResult:
     flat = tri_e.ravel()
     torder = np.argsort(flat, kind="stable")
     incident = CSR.from_arcs(m, flat[torder], torder // 3)
-    sublevels = 0
     remaining = m
     k = 0
     while remaining > 0:
@@ -65,7 +60,6 @@ def pkt_truss(edges: np.ndarray) -> PktResult:
             k = int(alive_sup.min())
         frontier = np.flatnonzero(edge_alive & (support <= k))
         while len(frontier):
-            sublevels += 1
             core[frontier] = k
             edge_alive[frontier] = False
             remaining -= len(frontier)
@@ -83,9 +77,4 @@ def pkt_truss(edges: np.ndarray) -> PktResult:
                                 nxt.append(o)
             frontier = np.unique(np.array(nxt, dtype=np.int64)) if nxt else np.empty(0, np.int64)
             frontier = frontier[edge_alive[frontier]]
-    return PktResult(
-        edges=np.stack([eu, ev], axis=1),
-        core=core,
-        sublevels=sublevels,
-        wall_seconds=time.perf_counter() - t0,
-    )
+    return PktResult(edges=np.stack([eu, ev], axis=1), core=core)

@@ -19,13 +19,13 @@ Phases:
    I_R from the completions of one of its faces (``listing.Faces``),
    each carrying the T id of the r-clique it completes, and drops those
    peeled in an earlier round, whose s-cliques are all dead. The faces
-   are built once: at r >= 3 the (r-1)-faces of T's r-cliques
-   (``face_index``), at r = 2 the vertices of the current graph with the
-   arc ids that ``ContractionState`` keeps, at r = 1 the vertices of the
-   graph. Each completion is then probed in DG's arc map, the only arc
-   structure; at r = 2 the probed edge is an r-clique as well, and the
-   T id of every DG arc (``arc_ids``, from counting's edge order) lets
-   UPDATE drop a completion whose probed edge was peeled earlier.
+   are the loop's only graph state, built once by ``peel_faces`` (at
+   r >= 3 the (r-1)-faces of T's r-cliques, at r <= 2 the vertices of
+   the graph); §5.6 contraction, at (2,3) only, filters them. Each
+   completion is then probed in DG's arc map, the only arc structure; at
+   r = 2 the probed edge is an r-clique as well, and the T id of every
+   DG arc (``arc_ids``, from counting's edge order) lets UPDATE drop a
+   completion whose probed edge was peeled earlier.
 
 The peeling loop runs driver-side over numpy structures: with thousands
 of rounds, per-round Spark jobs would measure scheduler overhead rather
@@ -44,7 +44,7 @@ import numpy as np
 
 from ..aggregation import check_kind, make_aggregator
 from ..bucketing import Bucketing
-from ..cliques.listing import Faces, Peeled, extend_cliques, face_index, s_counts_per_r_clique
+from ..cliques.listing import Peeled, extend_cliques, peel_faces, s_counts_per_r_clique
 from ..graphs.csr import build_csr, orient_csr
 from ..graphs.orient import make_rank, relabel
 from ..instrument import Counters
@@ -147,19 +147,14 @@ def nucleus_decomposition(
     subs_cols = np.array(list(combinations(range(s), r)), dtype=np.int64)
     est_per_peel = comb(s, r) - 1
 
-    do_contract = config.contraction and r == 2 and s == 3
-    cstate = ContractionState(und, idx_rows) if r == 2 else None
+    faces = peel_faces(und, vmat, idx_rows, table.capacity)
     arc_ids = None
-    if r == 1:  # counting lists every vertex, in order
-        faces = Faces(und, idx_rows[und.nbrs])
-    elif r == 2:  # counting lists every DG arc, in edge order
+    if r == 2:  # counting lists every DG arc, in edge order
         arc_ids = np.empty(dg.m, dtype=np.int64)
         arc_ids[dg.edge_order] = idx_rows
-    else:
-        faces = face_index(vmat, idx_rows, n_verts, table.capacity)
+    cstate = ContractionState() if config.contraction and (r, s) == (2, 3) else None
 
     # ---- Phase 2: peel (Alg 2 lines 23-29) ----
-    und_cur = und
     while not buckets.empty():
         k, A = buckets.next_bucket()
         now = len(buckets.levels) - 1  # this round
@@ -169,10 +164,8 @@ def nucleus_decomposition(
 
         s_mat = np.empty((0, s), dtype=np.int64)
         if k > 0:  # a k = 0 bucket has no incident s-clique left to list
-            if cstate is not None:
-                faces = Faces(und_cur, cstate.arc_id)
             s_mat = extend_cliques(
-                und_cur, dg, table.decode(A), s - r, counters, Peeled(peeled, A, faces, arc_ids)
+                und, dg, table.decode(A), s - r, counters, Peeled(peeled, A, faces, arc_ids)
             )
         counters.span_logs += (s - r) * log2n
 
@@ -199,8 +192,8 @@ def nucleus_decomposition(
         buckets.update(u_ids)
         counters.work += len(u_ids)
 
-        if do_contract:
-            und_cur = maybe_contract(und_cur, cstate, peeled, now, n_r - buckets.n_remaining)
+        if cstate is not None:
+            faces = maybe_contract(faces, cstate, peeled, now, n_r - buckets.n_remaining)
 
     counters.rounds = len(buckets.levels)
     counters.serialized_ops += agg.serialized_ops

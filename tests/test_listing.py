@@ -9,12 +9,12 @@ import pytest
 
 from repro.cliques import listing
 from repro.cliques.listing import (
-    Faces,
     Peeled,
     count_cliques,
     enumerate_cliques,
     extend_cliques,
     face_index,
+    peel_faces,
     s_counts_per_r_clique,
     sum_by_row,
 )
@@ -23,7 +23,6 @@ from repro.graphs.csr import CSR, build_csr, orient_csr
 from repro.graphs.gen import community_graph, rmat
 from repro.graphs.orient import degree_order, make_rank
 from repro.instrument import Counters
-from repro.nucleus.contract import ContractionState
 from repro.nucleus.decomp import nucleus_decomposition
 from repro.nucleus.reference import brute_force_cliques
 from repro.tables.packing import row_ranks
@@ -138,17 +137,6 @@ def test_batched_update_multiplicity(name, r, s):
         assert set(got.values()) <= {1}, "once per (source row, s-clique)"
 
 
-def faces_for(und, vmat, ids, capacity):
-    """UPDATE's faces over ``und`` for the r-cliques ``vmat`` with T ids
-    ``ids`` below ``capacity``, built as the peeling loop builds them."""
-    r = vmat.shape[1]
-    if r == 1:
-        return Faces(und, ids[und.nbrs])
-    if r == 2:
-        return Faces(und, ContractionState(und, ids).arc_id)
-    return face_index(vmat, ids, und.n, capacity)
-
-
 def chosen_face(und, faces, R, rid):
     """The face UPDATE draws R's completions from."""
     if faces.face is None:
@@ -168,7 +156,7 @@ def test_extend_drops_dead_vertices(name, r, s):
     vmat = s_counts_per_r_clique(dg, r, s)[0]
     rng = np.random.default_rng(len(vmat) * 31 + s)
     ids = rng.permutation(2 * len(vmat))[: len(vmat)]  # T ids are any distinct cells
-    faces = faces_for(und, vmat, ids, 2 * len(vmat))
+    faces = peel_faces(und, vmat, ids, 2 * len(vmat))
     of = dict(zip(map(tuple, vmat.tolist()), ids.tolist()))
     for frac in (0.0, 0.3, 0.7):
         rounds = np.full(2 * len(vmat), -1, dtype=np.int64)
@@ -215,7 +203,7 @@ def test_extend_drops_dead_probed_edges_at_r2(name, s, orientation):
     vmat = s_counts_per_r_clique(dg, 2, s)[0]
     rng = np.random.default_rng(len(vmat) * 31 + s)
     ids = rng.permutation(2 * len(vmat))[: len(vmat)]
-    faces = faces_for(und, vmat, ids, 2 * len(vmat))
+    faces = peel_faces(und, vmat, ids, 2 * len(vmat))
     arc_ids = np.empty(dg.m, dtype=np.int64)
     arc_ids[dg.edge_order] = ids
     of = dict(zip(map(tuple, vmat.tolist()), ids.tolist()))
@@ -270,39 +258,60 @@ def row_merge_counts(dg, r, s, roots=None):
 def test_r2_counts_match_row_merge(monkeypatch, name, s, orientation, chunk):
     """At r = 2 the per-arc sum gives the row-rank merge's rows and
     counts, dtypes included, and the same work: over all roots, a range
-    of them and one, in one chunk or many."""
+    of them and one, in one chunk or many. With roots, every edge is
+    returned, and those with a nonzero partial count are the merge's."""
     if chunk is not None:
         monkeypatch.setattr(listing, "CHUNK", chunk)
     _, dg = oriented(name, orientation)
+    every = None
     for roots in (None, np.arange(dg.n // 3, dg.n), np.array([1])):
         counters = Counters()
         vmat, cnts = s_counts_per_r_clique(dg, 2, s, roots=roots, counters=counters)
         (want_vmat, want_cnts), work = row_merge_counts(dg, 2, s, roots)
+        if roots is None:
+            every = vmat
+        else:
+            assert np.array_equal(vmat, every)
+            vmat, cnts = vmat[cnts > 0], cnts[cnts > 0]
+            want_vmat, want_cnts = want_vmat[want_cnts > 0], want_cnts[want_cnts > 0]
         assert np.array_equal(vmat, want_vmat) and np.array_equal(cnts, want_cnts)
         assert vmat.dtype == cnts.dtype == np.int64
         assert counters.work == work
 
 
 @pytest.mark.parametrize("name", ["fig1", "k7", "er30", "comm", "rmat6"])
-@pytest.mark.parametrize("r", [3, 4])
-@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("wide,r", [(False, 1), (False, 2), (False, 3), (False, 4), (True, 3), (True, 4)])
 def test_face_index_matches_brute_force(name, r, wide):
-    """Each (r-1)-face lists exactly the vertices that complete it into an
-    r-clique, each with that r-clique's id, and each r-clique's chosen
-    face is one of its own with the fewest completions. With ``wide``,
-    ids reach 2^40, so the faces' keys take ``row_ranks``, not packing."""
+    """Each face lists exactly the vertices that complete it into an
+    r-clique, each with that r-clique's id. At r >= 3 the faces are the
+    (r-1)-faces, and each r-clique's chosen face is one of its own with
+    the fewest completions; at r <= 2 they are und's vertices, its own
+    arcs, and a completion w of v completes {w} at r = 1, {v, w} at
+    r = 2. With ``wide``, ids reach 2^40, so the faces' keys take
+    ``row_ranks``, not packing."""
     und, dg = setup(name, "degeneracy")
     vmat = s_counts_per_r_clique(dg, r, r + 1)[0]
-    n = und.n
-    if wide:
-        vmat, n = vmat + 2**40 - n, 2**40
     ids = np.random.default_rng(r).permutation(3 * len(vmat))[: len(vmat)]
-    faces = face_index(vmat, ids, n, 3 * len(vmat))
+    if wide:
+        n = 2**40
+        vmat = vmat + n - und.n
+        faces = face_index(vmat, ids, n, 3 * len(vmat))
+    else:
+        faces = peel_faces(und, vmat, ids, 3 * len(vmat))
+    id_of = dict(zip(map(tuple, vmat.tolist()), ids.tolist()))
+    csr = faces.csr
+    if r <= 2:
+        assert csr is und and faces.face is None and faces.col is None
+        for v in range(und.n):
+            pos = range(csr.offsets[v], csr.offsets[v + 1])
+            comp = [(int(csr.nbrs[p]), int(faces.ids[p])) for p in pos]
+            want = [(w, id_of[(w,) if r == 1 else tuple(sorted((v, w)))]) for w in und.neighbors(v).tolist()]
+            assert comp == want
+        return
     want: dict[tuple, set] = {}
-    for R, rid in zip(map(tuple, vmat.tolist()), ids.tolist()):
+    for R, rid in id_of.items():
         for j in range(r):
             want.setdefault(R[:j] + R[j + 1 :], set()).add((R[j], rid))
-    csr = faces.csr
     got = {}
     for f in range(csr.n):
         pos = range(csr.offsets[f], csr.offsets[f + 1])
@@ -311,7 +320,7 @@ def test_face_index_matches_brute_force(name, r, wide):
         got[F] = comp
     assert got == want
     face_of = {F: f for f, F in enumerate(sorted(want))}
-    for R, rid in zip(map(tuple, vmat.tolist()), ids.tolist()):
+    for R, rid in id_of.items():
         j = faces.col[rid]
         F = R[:j] + R[j + 1 :]
         assert faces.face[rid] == face_of[F]
@@ -390,7 +399,7 @@ def test_update_work_bounded_on_hub(monkeypatch, r, s):
     m, d = len(und.nbrs) // 2, int(dg.degrees().max())
     A = s_counts_per_r_clique(dg, r, s)[0]
     ids = np.arange(len(A))
-    faces = faces_for(und, A, ids, len(A))
+    faces = peel_faces(und, A, ids, len(A))
     gathered = []
     arcs = CSR.arcs
 
