@@ -8,8 +8,10 @@ peel equal-count r-cliques simultaneously; every r-clique is its own
 round with a synchronization barrier. This is exactly the behaviour
 behind the paper's "PND performs 5608-84170x the number of rounds of
 ARB-NUCLEUS-DECOMP" measurement: here ``rounds`` equals the number of
-peeled r-cliques (minus free batches at round end). The two share their
-peel order and results, so ``nd_decomposition`` serves for both.
+peeled r-cliques. Each peel runs ARB's UPDATE (``extend_cliques``) on
+one r-clique, with the r-cliques' row numbers as their ids and the
+peel order as their rounds. The two share their peel order and
+results, so ``nd_decomposition`` serves for both.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from math import log2
 
 import numpy as np
 
-from ..cliques.listing import extend_cliques, s_counts_per_r_clique
+from ..cliques.listing import Peeled, extend_cliques, peel_faces, s_counts_per_r_clique
 from ..graphs.csr import build_csr, orient_csr
 from ..graphs.orient import make_rank
 from ..instrument import Counters
@@ -31,38 +33,38 @@ def nd_decomposition(edges: np.ndarray, r: int, s: int):
     """ND, and PND's peel order and results: returns (core_dict, counters);
     counters.rounds is the number of peels, which dominates PND's span."""
     und = build_csr(edges)
-    rank = make_rank(und)
-    dg = orient_csr(und, rank)
+    dg = orient_csr(und, make_rank(und))
     counters = Counters()
     vmat, cnts = s_counts_per_r_clique(dg, r, s, counters=counters)
-    counts = {tuple(k): c for k, c in zip(vmat.tolist(), cnts.tolist())}
-    heap = [(c, k) for k, c in counts.items()]
+    rows = np.arange(len(vmat))
+    faces = peel_faces(und, dg, vmat, rows, len(vmat))
+    row_of = {R: i for i, R in enumerate(map(tuple, vmat.tolist()))}
+    order = np.full(len(vmat), -1, dtype=np.int64)  # peel round of every row, -1 while live
+    counts, core = cnts.tolist(), [0] * len(vmat)
+    heap = list(zip(counts, range(len(vmat))))  # ties by row: vmat is in lexicographic order
     heapq.heapify(heap)
-    peeled: set[tuple[int, ...]] = set()
-    core: dict[tuple[int, ...], int] = {}
     log2n = log2(max(2, und.n))
     k_cur = 0
     while heap:
-        c, R = heapq.heappop(heap)
-        if R in peeled or c != counts[R]:
+        c, i = heapq.heappop(heap)
+        if order[i] >= 0 or c != counts[i]:
             continue
-        k_cur = max(k_cur, c)
-        core[R] = k_cur
-        peeled.add(R)
+        core[i] = k_cur = max(k_cur, c)
+        now = order[i] = counters.rounds
         counters.rounds += 1  # one r-clique per round: no intra-bucket parallelism
         counters.span_logs += log2n
-        if counts[R] == 0:
+        if c == 0:
             continue
-        found = extend_cliques(und, dg, np.array([R]), s - r, counters)
+        one = rows[i : i + 1]
+        found = extend_cliques(dg, vmat[one], s - r, counters, Peeled(order, one, faces))
         found.sort(axis=1)
         for row in found.tolist():
-            subsets = list(combinations(row, r))
-            if any(sub in peeled and sub != R for sub in subsets):
+            subs = [row_of[sub] for sub in combinations(row, r)]
+            if any(0 <= order[j] < now for j in subs):
                 continue  # s-clique already destroyed by an earlier peel
-            for sub in subsets:
-                if sub == R or sub in peeled:
-                    continue
-                counts[sub] -= 1
-                heapq.heappush(heap, (counts[sub], sub))
-                counters.work += 1
-    return core, counters
+            for j in subs:
+                if order[j] < 0:
+                    counts[j] -= 1
+                    heapq.heappush(heap, (counts[j], j))
+                    counters.work += 1
+    return dict(zip(map(tuple, vmat.tolist()), core)), counters

@@ -40,16 +40,15 @@ the order of T's rows, instead of a row-rank merge.
 
 UPDATE draws I_R from the completions of one face F of R (``Faces``,
 built by ``peel_faces``): the vertices w that make F ∪ {w} an r-clique,
-each carrying that r-clique's table-T id. In the peeling loop F is R's
-(r-1)-face with the fewest completions (at r <= 2, its minimum-degree
-vertex), and a completion whose r-clique was peeled in an earlier round
-is dropped before any probe, since every s-clique through it is dead.
-Each kept w is then probed against the vertex of R outside F (the
-r - 1 of them without the loop's state) in DG's map, by the key of the
-edge's arc in rank direction (``CSR.edge_keys``). At r = 2 that edge is an
-r-clique too: a hit's arc gives its T id, and w is dropped if the edge
-was peeled in an earlier round. Without the loop's state F is R's
-minimum-degree vertex and nothing is dropped.
+each carrying that r-clique's table-T id. F is R itself at r = 1, its
+endpoint of lower degree at r = 2 and its (r-1)-face with the fewest
+completions at r >= 3. A completion whose r-clique was peeled in an
+earlier round is dropped before any probe, since every s-clique through
+it is dead. At r >= 2 each kept w is then probed against the one vertex
+of R outside F in DG's map, by the key of the edge's arc in rank
+direction (``CSR.edge_keys``). At r = 2 that edge is an r-clique too: a
+hit's arc gives its T id, and w is dropped if the edge was peeled in an
+earlier round. With nothing peeled (every round -1) nothing is dropped.
 
 Work matches O(m * alpha^(c-2)) per Shi et al. [60]. The kernel adds
 its operation count (candidates gathered plus probes and lookups) to
@@ -79,6 +78,7 @@ __all__ = [
     "face_index",
     "peel_faces",
     "s_counts_per_r_clique",
+    "set_edge_faces",
     "sum_by_row",
     "extend_cliques",
 ]
@@ -157,12 +157,12 @@ def _chunks(dg: CSR, roots: np.ndarray | None):
         yield roots[lo : lo + CHUNK]
 
 
-def count_cliques(dg: CSR, c: int, *, roots: np.ndarray | None = None) -> int:
-    """Total number of c-cliques (rooted at ``roots`` if given)."""
+def count_cliques(dg: CSR, c: int) -> int:
+    """Total number of c-cliques."""
     if c < 1:
         return 0
     counters = Counters()
-    return sum(len(_cliques(dg, chunk, c, counters)) for chunk in _chunks(dg, roots))
+    return sum(len(_cliques(dg, chunk, c, counters)) for chunk in _chunks(dg, None))
 
 
 def enumerate_cliques(dg: CSR, c: int) -> np.ndarray:
@@ -267,23 +267,26 @@ def edge_counts(dg: CSR, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Faces(NamedTuple):
-    """The completions of every face, where UPDATE draws I_R from.
+    """The completions of every face, where UPDATE draws I_R from, and the
+    face it takes for each r-clique.
 
     Face f's completions are ``csr.neighbors(f)``, and ``ids`` holds,
     aligned with ``csr.nbrs``, the table-T id of the r-clique each one
-    completes. ``peel_faces`` builds them. At r >= 3 (``face_index``) the
-    faces are the (r-1)-subsets of the r-cliques, and ``face`` and ``col``
-    give, by T id, each r-clique's face with the fewest completions and
-    the column of the vertex it leaves out. At r <= 2 they are None: the
-    faces are the vertices and ``csr`` the undirected graph, less any arcs
-    that contraction removed; at r = 2 a completion's id is its edge's, at
-    r = 1 the completion's own.
+    completes. By T id, ``face`` gives each r-clique's face and ``col``
+    the column of the one vertex the face leaves out (None at r = 1,
+    where the face is the r-clique). ``peel_faces`` builds them. At
+    r >= 3 (``face_index``) the faces are the (r-1)-faces of the
+    r-cliques. At r <= 2 they are the vertices and ``csr`` the undirected
+    graph, less any arcs that contraction removed; at r = 2 a
+    completion's id is its edge's, and ``arc_ids`` gives the T id of
+    every DG arc, by CSR position, for the edge UPDATE probes.
     """
 
     csr: CSR
     ids: np.ndarray
-    face: np.ndarray | None = None
+    face: np.ndarray
     col: np.ndarray | None = None
+    arc_ids: np.ndarray | None = None
 
 
 class Peeled(NamedTuple):
@@ -292,7 +295,6 @@ class Peeled(NamedTuple):
     round: np.ndarray  # peel round of every T id, -1 while live
     ids: np.ndarray  # T id of each r-clique listed, all peeled in one round
     faces: Faces
-    arc_ids: np.ndarray | None = None  # r = 2: T id of every DG arc, by CSR position
 
 
 def _face_keys(rows: np.ndarray, n: int) -> np.ndarray:
@@ -336,25 +338,40 @@ def face_index(vmat: np.ndarray, ids: np.ndarray, n: int, capacity: int) -> Face
     return Faces(csr, np.tile(ids, r)[order], face, left_out)
 
 
-def peel_faces(und: CSR, vmat: np.ndarray, ids: np.ndarray, capacity: int) -> Faces:
-    """UPDATE's faces for the r-cliques ``vmat`` of ``und``, in the order
-    counting returns them (sorted rows, lexicographic order), with T ids
-    ``ids`` below ``capacity``.
+def set_edge_faces(faces: Faces, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray) -> Faces:
+    """Write the r = 2 ``face`` and ``col`` of the edges (lo[i], hi[i]),
+    lo < hi, with T ids ``ids`` into ``faces``, in place, and return it:
+    an edge's face is its endpoint of lower degree in ``faces.csr`` (lo
+    on a tie), and col the column of the other."""
+    deg = faces.csr.degrees()
+    probe_hi = deg[lo] <= deg[hi]
+    faces.face[ids] = np.where(probe_hi, lo, hi)
+    faces.col[ids] = probe_hi
+    return faces
 
-    At r = 1 the r-cliques are every vertex in order, and each completion
-    carries its own id. At r = 2 they are und's edges (u, v), u < v, and
-    each arc carries its edge's id: the arcs u -> v, u < v, are already in
-    that order, and the arcs v -> u take one argsort. Asking DG's arc map
-    for each of them instead costs more: 0.71 against 0.40 ms on
-    skitter-23's graph and 55 against 41 ms at ``rmat(17, 1M)``, on a
-    4-core x86 box. At r >= 3 the faces are the (r-1)-faces
+
+def peel_faces(und: CSR, dg: CSR, vmat: np.ndarray, ids: np.ndarray, capacity: int) -> Faces:
+    """UPDATE's faces for the r-cliques ``vmat`` of ``und`` (``dg`` its
+    orientation), in the order counting returns them (sorted rows,
+    lexicographic order), with T ids ``ids`` below ``capacity``.
+
+    At r = 1 the r-cliques are every vertex in order, each its own face,
+    and each completion carries its own id. At r = 2 they are und's edges
+    (u, v), u < v, and each arc carries its edge's id: the arcs u -> v,
+    u < v, are already in that order, and the arcs v -> u take one
+    argsort. Asking DG's arc map for each of them instead costs more:
+    0.71 against 0.40 ms on skitter-23's graph and 55 against 41 ms at
+    ``rmat(17, 1M)``, on a 4-core x86 box. DG's arcs take their edges' ids
+    through ``CSR.edge_order``. At r >= 3 the faces are the (r-1)-faces
     (``face_index``).
     """
     r = vmat.shape[1]
-    if r == 1:
-        return Faces(und, ids[und.nbrs])
     if r >= 3:
         return face_index(vmat, ids, und.n, capacity)
+    if r == 1:
+        face = np.zeros(capacity, dtype=np.int64)
+        face[ids] = vmat[:, 0]
+        return Faces(und, ids[und.nbrs], face)
     src, nbrs = und.arc_src, und.nbrs
     lower = src < nbrs
     upper = np.flatnonzero(~lower)
@@ -362,82 +379,67 @@ def peel_faces(und: CSR, vmat: np.ndarray, ids: np.ndarray, capacity: int) -> Fa
     arc_id[lower] = ids
     # an arc v -> u, u < v, keyed u*n + v sorts into the edges' order
     arc_id[upper[np.argsort(nbrs[upper] * und.n + src[upper])]] = ids
-    return Faces(und, arc_id)
+    arc_ids = np.empty(dg.m, dtype=np.int64)
+    arc_ids[dg.edge_order] = ids
+    face, col = np.zeros(capacity, dtype=np.int64), np.zeros(capacity, dtype=np.int8)
+    return set_edge_faces(Faces(und, arc_id, face, col, arc_ids), vmat[:, 0], vmat[:, 1], ids)
 
 
 def extend_cliques(
-    und: CSR,
     dg: CSR,
     A_rows: np.ndarray,
     need: int,
-    counters: Counters | None = None,
-    peeled: Peeled | None = None,
+    counters: Counters,
+    peeled: Peeled,
 ) -> np.ndarray:
     """Every s-clique containing each r-clique of A, where need = s - r
-    (UPDATE, Algorithm 2 lines 15-17, batched over the peeled set A).
+    (UPDATE, Algorithm 2 lines 15-17, batched over the peeled set A),
+    less those through an r-clique peeled before A's round.
 
     Returns a (found, r + need) matrix: each row is its source row of
-    ``A_rows`` followed by the extra vertices, so an s-clique appears once
-    per r-clique of A it contains. Each row's candidate set is I_R, the
-    common neighbourhood of the row in the undirected graph: the
-    completions of one of its faces F, each probed against the vertices of
-    the row outside F in DG's arc map (``CSR.edge_keys``), since DG holds
-    each edge of the graph once, in rank direction. ``und`` is read only
-    when ``peeled`` is None (ND and the tests); the peeling loop's faces
-    carry their own graph.
-    The extra vertices are the need-cliques of DG inside I_R: one
-    ``_enter``, as I_R may be a whole neighbourhood, then need - 2
-    ``_step``s and one ``_grow``.
+    ``A_rows`` followed by the extra vertices, so a listed s-clique
+    appears once per r-clique of A it contains. Each row's candidate set
+    is I_R, the common neighbourhood of the row in the undirected graph:
+    the completions of its face F (``peeled.faces``), which are at most
+    min_i deg(v_i) (the work of Lemma 4.1), each probed at r >= 2 against
+    the one vertex of the row outside F in DG's arc map
+    (``CSR.edge_keys``), since DG holds each edge of the graph once, in
+    rank direction. The extra vertices are the need-cliques of DG inside
+    I_R: one ``_enter``, as I_R may be a whole neighbourhood, then
+    need - 2 ``_step``s and one ``_grow``.
 
-    Without ``peeled``, F is the row's minimum-degree vertex, whose
-    neighbours are probed against the other r - 1 vertices (the
-    O(min_i deg(v_i)) work of Lemma 4.1). With it, F comes from
-    ``peeled.faces`` (r >= 3: the row's (r-1)-face with the fewest
-    completions, which are at most min_i deg(v_i); one vertex is left to
-    probe), and a completion is dropped before any probe if its r-clique
-    was peeled in a round before the row's, or is the row itself. At
-    r = 2, ``peeled.arc_ids`` gives the T id of the probed edge's arc too,
-    and a completion whose probed edge was peeled before the row's round
-    is dropped as well. Every s-clique through a dropped completion holds
-    that r-clique, so it is dead; every later level draws from I_R, so no
-    other level tests it.
+    A completion is dropped before any probe if its r-clique was peeled
+    in a round before the row's (``peeled.round``), or is the row itself.
+    At r = 2 a completion whose probed edge was peeled before the row's
+    round is dropped as well (``Faces.arc_ids``). Every s-clique through
+    a dropped completion holds that r-clique, so it is dead; every later
+    level draws from I_R, so no other level tests it. With every round
+    -1 nothing is peeled before, and every s-clique is listed.
     """
-    counters = counters if counters is not None else Counters()
-    A_rows = np.asarray(A_rows, dtype=np.int64)
     r = A_rows.shape[1]
-    faces = peeled.faces if peeled is not None else Faces(und, None)
-    src = faces.csr
+    faces = peeled.faces
     parts = []
     for lo in range(0, len(A_rows), CHUNK):
         B = A_rows[lo : lo + CHUNK]
-        at = np.arange(len(B))
-        own = peeled.ids[lo : lo + CHUNK] if peeled is not None else None
-        if faces.face is not None:  # an (r-1)-face, completed by B[col]
-            i, pos = src.arcs(faces.face[own])
-            heads = B[at, faces.col[own]].reshape(-1, 1)
-        else:  # the minimum-degree vertex, completed by any neighbour
-            deg = src.offsets[B + 1] - src.offsets[B]
-            others = np.ones(B.shape, dtype=bool)
-            others[at, deg.argmin(axis=1)] = False
-            i, pos = src.arcs(B[~others])
-            heads = B[others].reshape(len(B), r - 1)
-        w = src.nbrs[pos]
+        own = peeled.ids[lo : lo + CHUNK]
+        i, pos = faces.csr.arcs(faces.face[own])
+        w = faces.csr.nbrs[pos]
         counters.work += len(w)
-        if peeled is not None:
-            rid = faces.ids[pos]
-            # as unsigned, -1 (live) is above every round: this keeps the
-            # completions not peeled before the rows' round
-            now = np.uint64(peeled.round[own[0]])
-            keep = ((peeled.round[rid].view(np.uint64) >= now) & (rid != own[i])).nonzero()[0]
-            i, w = i[keep], w[keep]
-        for head in heads.T:
+        rid = faces.ids[pos]
+        # as unsigned, -1 (live) is above every round: this keeps the
+        # completions not peeled before the rows' round
+        now = np.uint64(peeled.round[own[0]])
+        keep = ((peeled.round[rid].view(np.uint64) >= now) & (rid != own[i])).nonzero()[0]
+        i, w = i[keep], w[keep]
+        if r > 1:  # the one vertex the face leaves out
+            head = B[np.arange(len(B)), faces.col[own]]
             counters.work += len(w)
             keys = dg.edge_keys(head[i], w)
-            if peeled is None or peeled.arc_ids is None:
+            if faces.arc_ids is None:
                 keep = dg.arc_set.contains(keys).nonzero()[0]
             else:  # r = 2: the edge {head, w} is an r-clique, dead if peeled earlier
                 pos = dg.arc_set.find(keys)
-                rid = peeled.arc_ids[pos]
+                rid = faces.arc_ids[pos]
                 keep = ((pos >= 0) & (peeled.round[rid].view(np.uint64) >= now)).nonzero()[0]
             i, w = i[keep], w[keep]
         frontier = B, i, w

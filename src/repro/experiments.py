@@ -460,6 +460,7 @@ def _shape_other_opts(df: pd.DataFrame) -> dict[str, bool]:
 def _shape_baselines(df: pd.DataFrame) -> dict[str, bool]:
     return {
         "PND's sequential-peel round blowup": (df["pnd_rounds_ratio"] > 5).all(),
+        "PND is slower than ARB at P=60 on every cell": (df["slowdown_pnd_sim"] > 1).all(),
         "AND re-discovers s-cliques": (df["and_scliques_ratio"] > 1).all(),
         "notification reduces rediscovery": (
             df["andnn_scliques_ratio"] <= df["and_scliques_ratio"] + 1e-9

@@ -146,6 +146,9 @@ class CSR:
         return np.argsort(lo * (self.n - 1) + self.arc_src + self.nbrs)
 
 
+MAX_N = 3_037_000_499  # the largest n whose arc keys u * n + v fit in int64
+
+
 def _check_edges(edges: np.ndarray, n: int | None) -> None:
     """Raise ``ValueError`` naming the defect of a malformed edge array."""
     if edges.ndim != 2 or edges.shape[1] != 2:
@@ -165,16 +168,19 @@ def build_csr(edges: np.ndarray, n: int | None = None) -> CSR:
 
     This is where every input graph enters, so it validates the array:
     an integer dtype, shape (m, 2), non-negative ids below 2^63 and n
-    above the largest id. Self loops are dropped; each edge contributes
+    above the largest id; n must be at most ``MAX_N``, so that the arc
+    keys fit in int64. Self loops are dropped; each edge contributes
     the arc keys ``u * n + v`` and ``v * n + u``, and one ``np.unique`` of
     all of them drops duplicate edges, in either orientation, and sorts
     the arcs into CSR order in the same step.
     """
     edges = np.asarray(edges)
     _check_edges(edges, n)
-    edges = edges.astype(np.int64, copy=False)
     if n is None:
         n = int(edges.max()) + 1 if len(edges) else 0
+    if n > MAX_N:  # before any n-sized array
+        raise ValueError(f"n = {n} exceeds {MAX_N}, above which arc keys u * n + v overflow int64")
+    edges = edges.astype(np.int64, copy=False)
     u, v = edges[:, 0], edges[:, 1]
     keep = u != v
     u, v = u[keep], v[keep]

@@ -10,8 +10,11 @@ round, are at least a quarter of its degree; the degree is the current
 graph's, since the graph changes only at a contraction. The adjacency
 lists of qualifying vertices are filtered of peeled edges with one
 mask, applied to the arcs and their ids alike, shrinking later
-intersection work. Only valid for r = 2: a peeled r-clique for r > 2
-has no single edge to remove.
+intersection work. Each live edge's face, its endpoint of lower degree,
+is then chosen again from the contracted degrees and written over the
+faces' own ``face`` and ``col``, so the input faces are spent. Only
+valid for r = 2: a peeled r-clique for r > 2 has no single edge to
+remove.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cliques.listing import Faces
+from ..cliques.listing import Faces, set_edge_faces
 from ..graphs.csr import CSR
 
 __all__ = ["ContractionState", "maybe_contract"]
@@ -53,4 +56,7 @@ def maybe_contract(
     keep = ~qualify[src] | (at < 0)
     state.since = round_no
     state.contractions += 1
-    return Faces(CSR.from_arcs(und.n, src[keep], und.nbrs[keep]), faces.ids[keep])
+    csr = CSR.from_arcs(und.n, src[keep], und.nbrs[keep])
+    faces = faces._replace(csr=csr, ids=faces.ids[keep])
+    lower = csr.arc_src < csr.nbrs  # every live edge keeps both arcs
+    return set_edge_faces(faces, csr.arc_src[lower], csr.nbrs[lower], faces.ids[lower])

@@ -16,16 +16,16 @@ Phases:
    in place (the sum of UPDATE-FUNC's 1/a per listing); aggregate the
    updated set U with the chosen §5.5 structure and report it to the
    structure, which re-buckets it. UPDATE draws each peeled r-clique's
-   I_R from the completions of one of its faces (``listing.Faces``),
-   each carrying the T id of the r-clique it completes, and drops those
+   I_R from the completions of its face (``listing.Faces``), each
+   carrying the T id of the r-clique it completes, and drops those
    peeled in an earlier round, whose s-cliques are all dead. The faces
    are the loop's only graph state, built once by ``peel_faces`` (at
    r >= 3 the (r-1)-faces of T's r-cliques, at r <= 2 the vertices of
    the graph); §5.6 contraction, at (2,3) only, filters them. Each
    completion is then probed in DG's arc map, the only arc structure; at
-   r = 2 the probed edge is an r-clique as well, and the T id of every
-   DG arc (``arc_ids``, from counting's edge order) lets UPDATE drop a
-   completion whose probed edge was peeled earlier.
+   r = 2 the probed edge is an r-clique as well, and the faces' T id of
+   every DG arc lets UPDATE drop a completion whose probed edge was
+   peeled earlier.
 
 The peeling loop runs driver-side over numpy structures: with thousands
 of rounds, per-round Spark jobs would measure scheduler overhead rather
@@ -147,11 +147,7 @@ def nucleus_decomposition(
     subs_cols = np.array(list(combinations(range(s), r)), dtype=np.int64)
     est_per_peel = comb(s, r) - 1
 
-    faces = peel_faces(und, vmat, idx_rows, table.capacity)
-    arc_ids = None
-    if r == 2:  # counting lists every DG arc, in edge order
-        arc_ids = np.empty(dg.m, dtype=np.int64)
-        arc_ids[dg.edge_order] = idx_rows
+    faces = peel_faces(und, dg, vmat, idx_rows, table.capacity)
     cstate = ContractionState() if config.contraction and (r, s) == (2, 3) else None
 
     # ---- Phase 2: peel (Alg 2 lines 23-29) ----
@@ -164,9 +160,7 @@ def nucleus_decomposition(
 
         s_mat = np.empty((0, s), dtype=np.int64)
         if k > 0:  # a k = 0 bucket has no incident s-clique left to list
-            s_mat = extend_cliques(
-                und, dg, table.decode(A), s - r, counters, Peeled(peeled, A, faces, arc_ids)
-            )
+            s_mat = extend_cliques(dg, table.decode(A), s - r, counters, Peeled(peeled, A, faces))
         counters.span_logs += (s - r) * log2n
 
         if len(s_mat):

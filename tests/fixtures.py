@@ -12,7 +12,10 @@ from typing import Callable
 
 import numpy as np
 
+from repro.cliques.listing import Peeled, extend_cliques, peel_faces, s_counts_per_r_clique
+from repro.graphs.csr import CSR
 from repro.graphs.gen import community_graph, erdos_renyi, rmat
+from repro.instrument import Counters
 
 FIG1_EDGES = np.array(
     sorted(
@@ -73,3 +76,20 @@ BENCH_GRAPHS: dict[str, Callable[[], np.ndarray]] = {
     "dblp-25": lambda: community_graph(24, 6, 14, p_intra=0.9, inter_per_vertex=1.2, seed=12),
     "skitter-23": lambda: rmat(12, 20000, seed=14),
 }
+
+
+def update_unpeeled(
+    und: CSR, dg: CSR, A_rows: np.ndarray, need: int, counters: Counters | None = None
+) -> np.ndarray:
+    """UPDATE over the r-cliques ``A_rows`` (sorted rows) of ``und`` with
+    nothing peeled, every round -1: every s-clique containing each row,
+    led by that row. The faces and ids are the decomposition's, with row
+    numbers of counting's r-cliques as ids."""
+    r = A_rows.shape[1]
+    vmat = s_counts_per_r_clique(dg, r, r + 1)[0]
+    faces = peel_faces(und, dg, vmat, np.arange(len(vmat)), len(vmat))
+    row_of = {R: i for i, R in enumerate(map(tuple, vmat.tolist()))}
+    own = np.array([row_of[R] for R in map(tuple, A_rows.tolist())], dtype=np.int64)
+    live = np.full(len(vmat), -1, dtype=np.int64)
+    counters = Counters() if counters is None else counters
+    return extend_cliques(dg, A_rows, need, counters, Peeled(live, own, faces))

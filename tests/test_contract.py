@@ -5,12 +5,13 @@ import pytest
 import repro.nucleus.decomp as decomp
 from repro.cliques.listing import peel_faces
 from repro.experiments import _best_config
-from repro.graphs.csr import build_csr
+from repro.graphs.csr import build_csr, orient_csr
+from repro.graphs.orient import make_rank
 from repro.nucleus.contract import ContractionState, maybe_contract
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
 
-from .fixtures import SMALL_GRAPHS
+from .fixtures import MEDIUM_GRAPHS, SMALL_GRAPHS
 
 
 def _setup(name):
@@ -20,7 +21,8 @@ def _setup(name):
     und = build_csr(SMALL_GRAPHS[name])
     lower = und.arc_src < und.nbrs
     edges = np.stack([und.arc_src[lower], und.nbrs[lower]], axis=1)
-    faces = peel_faces(und, edges, np.arange(len(edges)), len(edges))
+    dg = orient_csr(und, make_rank(und))
+    faces = peel_faces(und, dg, edges, np.arange(len(edges)), len(edges))
     return faces, ContractionState(), edges, np.full(len(edges), -1)
 
 
@@ -121,6 +123,36 @@ def test_arc_ids_are_table_ids(monkeypatch, relabel):
     cfg = DecompConfig(relabel=relabel, contraction=True)
     res = nucleus_decomposition(SMALL_GRAPHS["er40"], 2, 3, cfg)
     assert res.contractions >= 1 and checks[-1] == res.contractions
+
+
+@pytest.mark.parametrize("name", ["er40", "er60", "comm-m"])
+def test_faces_follow_contracted_degrees(monkeypatch, name):
+    """After every contraction in a real (2,3) decomposition, each live
+    edge's face is its endpoint of lower degree in the contracted graph,
+    the lower id on a tie, and ``col`` names its other endpoint. Some
+    live edge's face moves at a contraction, so a stale face fails."""
+    moved = []
+    contract = decomp.maybe_contract
+
+    def checked_contract(faces, state, peeled, *args):
+        before, count = faces.face.copy(), state.contractions
+        out = contract(faces, state, peeled, *args)
+        if state.contractions > count:
+            csr = out.csr
+            live = (csr.arc_src < csr.nbrs) & (peeled[out.ids] < 0)
+            u, v, ids = csr.arc_src[live], csr.nbrs[live], out.ids[live]
+            deg = csr.degrees()
+            face = np.where(deg[u] <= deg[v], u, v)
+            assert np.array_equal(out.face[ids], face)
+            assert np.array_equal(np.where(out.col[ids] == 1, v, u), u + v - face)
+            moved.append(int((before[ids] != face).sum()))
+        return out
+
+    monkeypatch.setattr(decomp, "maybe_contract", checked_contract)
+    edges = {**SMALL_GRAPHS, **MEDIUM_GRAPHS}[name]
+    res = nucleus_decomposition(edges, 2, 3, DecompConfig(contraction=True))
+    assert res.contractions == len(moved) >= 1 and sum(moved) > 0
+    assert res.core_dict() == reference_nucleus(edges, 2, 3)
 
 
 @pytest.mark.parametrize("name", ["er40", "comm"])

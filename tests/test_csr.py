@@ -151,6 +151,23 @@ def test_unsigned_id_at_2_pow_63_rejected():
         build_csr(edges)
 
 
+@pytest.mark.parametrize(
+    "edges,n", [([[0, 2**40]], None), ([[0, 1]], 3_037_000_500)], ids=["id-2^40", "n-given"]
+)
+def test_n_above_int64_arc_keys_rejected(monkeypatch, edges, n):
+    """Above n = 3,037,000,499 the arc keys u * n + v overflow int64: such
+    an n, taken from the largest id or given, is named before any
+    n-sized array is made (an id of 2^40 used to ask for 8 TiB)."""
+
+    def refuse(*args):
+        raise AssertionError("an n-sized CSR was built")
+
+    monkeypatch.setattr(CSR, "from_keys", refuse)
+    monkeypatch.setattr(CSR, "from_arcs", refuse)
+    with pytest.raises(ValueError, match=r"exceeds 3037000499, above which arc keys"):
+        build_csr(np.array(edges), n)
+
+
 @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
 def test_largest_valid_id_accepted(dtype):
     """2^63 - 1 passes validation in either dtype. The graph is not built:

@@ -15,6 +15,7 @@ from repro.experiments import _best_config
 from repro.graphs.csr import build_csr, orient_csr
 from repro.graphs.gen import rmat
 from repro.graphs.orient import make_rank
+from repro.instrument import Counters
 from repro.nucleus import decomp
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import reference_nucleus
@@ -383,8 +384,10 @@ def dying_vertex_graph(s: int) -> np.ndarray:
     return np.array(edges, dtype=np.int64)
 
 
-def unpruned(und, dg, A_rows, need, counters, peeled):
-    return listing.extend_cliques(und, dg, A_rows, need, counters)
+def unpruned(dg, A_rows, need, counters, peeled):
+    """The loop's UPDATE call with nothing peeled: every round -1."""
+    live = np.full_like(peeled.round, -1)
+    return listing.extend_cliques(dg, A_rows, need, counters, peeled._replace(round=live))
 
 
 @pytest.mark.parametrize(
@@ -421,8 +424,8 @@ def test_no_dead_vertex_listed_at_r1(monkeypatch, name, s):
     for listing_fn, dead_listed in ((listing.extend_cliques, False), (unpruned, True)):
         calls = []
 
-        def spy(und, dg, A_rows, need, counters, peeled):
-            out = listing_fn(und, dg, A_rows, need, counters, peeled)
+        def spy(dg, A_rows, need, counters, peeled):
+            out = listing_fn(dg, A_rows, need, counters, peeled)
             calls.append((A_rows[:, 0].copy(), out))
             return out
 
@@ -451,9 +454,9 @@ def test_peeled_listing_is_subset(monkeypatch, name, r, s, contraction):
     edges = dying_vertex_graph(s) if name == "dying" else SMALL_GRAPHS[name]
     dropped = []
 
-    def spy(und, dg, A_rows, need, counters, peeled):
-        out = listing.extend_cliques(und, dg, A_rows, need, counters, peeled)
-        full = listing.extend_cliques(und, dg, A_rows, need)
+    def spy(dg, A_rows, need, counters, peeled):
+        out = listing.extend_cliques(dg, A_rows, need, counters, peeled)
+        full = unpruned(dg, A_rows, need, Counters(), peeled)
         got, want = Counter(map(tuple, out.tolist())), Counter(map(tuple, full.tolist()))
         assert got <= want
         now = peeled.round[peeled.ids[0]]

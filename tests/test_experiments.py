@@ -149,6 +149,7 @@ GOOD = {
     },
     "t4_baselines": {
         "pnd_rounds_ratio": [10.0, 20.0],
+        "slowdown_pnd_sim": [2.0, 3.0],
         "and_scliques_ratio": [2.0, 3.0],
         "andnn_scliques_ratio": [1.5, 3.0],
         "andnn_extra_mem_bytes": [100, 200],
@@ -181,6 +182,7 @@ BREAKS = [  # (table, column, row, value, the claim it breaks)
     ("t3_other_opts", "sim_speedup_p60", 0, 1.4, "list buffer > 1.5x the array somewhere"),
     ("t3_other_opts", "sim_speedup_p60", 2, 0.95, "hash beats the array at (2,3)"),
     ("t4_baselines", "pnd_rounds_ratio", 0, 3.0, "PND's sequential-peel round blowup"),
+    ("t4_baselines", "slowdown_pnd_sim", 1, 0.9, "PND is slower than ARB at P=60 on every cell"),
     ("t4_baselines", "and_scliques_ratio", 1, 1.0, "AND re-discovers s-cliques"),
     ("t4_baselines", "andnn_scliques_ratio", 0, 2.5, "notification reduces rediscovery"),
     ("t4_baselines", "andnn_extra_mem_bytes", 1, 0, "AND-NN pays memory for it"),

@@ -27,7 +27,7 @@ from repro.nucleus.decomp import nucleus_decomposition
 from repro.nucleus.reference import brute_force_cliques
 from repro.tables.packing import row_ranks
 
-from .fixtures import SMALL_GRAPHS
+from .fixtures import SMALL_GRAPHS, update_unpeeled
 
 
 ORDERS = {"degree": degree_order, "degeneracy": make_rank}
@@ -110,7 +110,7 @@ def test_extend_lists_scliques_containing_R(name, r, s):
     und, dg = setup(name)
     s_cliques = brute_force_cliques(und, s)
     for R in brute_force_cliques(und, r)[:20]:
-        out = extend_cliques(und, dg, np.array([R]), s - r)
+        out = update_unpeeled(und, dg, np.array([R]), s - r)
         assert (out[:, :r] == R).all(), "rows led by their source r-clique"
         found = [tuple(sorted(row)) for row in out.tolist()]
         expected = {S for S in s_cliques if set(R) <= set(S)}
@@ -130,33 +130,34 @@ def test_batched_update_multiplicity(name, r, s):
     for frac in (0.3, 1.0):
         A = {R for R, p in zip(r_cliques, rng.random(len(r_cliques)) < frac) if p}
         A_rows = np.array(sorted(A), dtype=np.int64).reshape(-1, r)
-        out = extend_cliques(und, dg, A_rows, s - r)
+        out = update_unpeeled(und, dg, A_rows, s - r)
         got = Counter((tuple(row[:r]), tuple(sorted(row))) for row in out.tolist())
         expected = {(R, S) for S in s_cliques for R in combinations(S, r) if R in A}
         assert set(got) == expected
         assert set(got.values()) <= {1}, "once per (source row, s-clique)"
 
 
-def chosen_face(und, faces, R, rid):
-    """The face UPDATE draws R's completions from."""
-    if faces.face is None:
-        return (min(R, key=und.degree),)
+def chosen_face(faces, R, rid):
+    """The face UPDATE draws R's completions from (r >= 2): R less the
+    vertex in column ``col``."""
     return tuple(v for j, v in enumerate(R) if j != faces.col[rid])
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
 @pytest.mark.parametrize("r,s", [(1, 3), (2, 3), (2, 4), (3, 4), (2, 5), (3, 5)])
 def test_extend_drops_dead_vertices(name, r, s):
-    """With ``peeled``, UPDATE returns the rows of the unfiltered call
-    less exactly those with an extra vertex w whose completed r-clique,
-    F ∪ {w} for the chosen face F ({w} at r = 1), was peeled in an
-    earlier round; each dropped row so holds an r-subset peeled earlier.
-    With nothing peeled earlier it returns every row."""
+    """UPDATE returns the rows of the same call with nothing peeled (every
+    round -1) less exactly those with an extra vertex w whose completed
+    r-clique, F ∪ {w} for the chosen face F ({w} at r = 1), or at r = 2
+    whose probed edge {head, w}, was peeled in an earlier round; each
+    dropped row so holds an r-subset peeled earlier. With nothing peeled
+    earlier it returns every row."""
     und, dg = setup(name, "degeneracy")
     vmat = s_counts_per_r_clique(dg, r, s)[0]
     rng = np.random.default_rng(len(vmat) * 31 + s)
     ids = rng.permutation(2 * len(vmat))[: len(vmat)]  # T ids are any distinct cells
-    faces = peel_faces(und, vmat, ids, 2 * len(vmat))
+    faces = peel_faces(und, dg, vmat, ids, 2 * len(vmat))
+    live = np.full(2 * len(vmat), -1, dtype=np.int64)
     of = dict(zip(map(tuple, vmat.tolist()), ids.tolist()))
     for frac in (0.0, 0.3, 0.7):
         rounds = np.full(2 * len(vmat), -1, dtype=np.int64)
@@ -164,17 +165,20 @@ def test_extend_drops_dead_vertices(name, r, s):
         now[rng.random(len(vmat)) < 0.2] = -1
         rounds[ids] = now
         A = (now == 3).nonzero()[0]
-        full = extend_cliques(und, dg, vmat[A], s - r)
+        full = extend_cliques(dg, vmat[A], s - r, Counters(), Peeled(live, ids[A], faces))
         counters = Counters()
-        out = extend_cliques(und, dg, vmat[A], s - r, counters, Peeled(rounds, ids[A], faces))
+        out = extend_cliques(dg, vmat[A], s - r, counters, Peeled(rounds, ids[A], faces))
         assert counters.scliques_discovered == len(out)
         assert Counter(map(tuple, out.tolist())) <= Counter(map(tuple, full.tolist()))
         earlier = {R for R, t in zip(of, rounds[ids].tolist()) if 0 <= t < 3}
         kept = set(map(tuple, out.tolist()))
         for row in full.tolist():
             R, extra = tuple(row[:r]), row[r:]
-            F = chosen_face(und, faces, R, of[R]) if r > 1 else ()
-            dead = any(tuple(sorted(F + (w,))) in earlier for w in extra)
+            F = chosen_face(faces, R, of[R]) if r > 1 else ()
+            tested = [F + (w,) for w in extra]
+            if r == 2:
+                tested += [(sum(R) - F[0], w) for w in extra]
+            dead = any(tuple(sorted(sub)) in earlier for sub in tested)
             assert (tuple(row) not in kept) == dead
             if dead:
                 assert any(sub in earlier for sub in combinations(sorted(row), r))
@@ -194,18 +198,17 @@ def oriented(name, orientation):
 @pytest.mark.parametrize("s", [3, 4, 5])
 @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
 def test_extend_drops_dead_probed_edges_at_r2(name, s, orientation):
-    """At r = 2, given the T id of every DG arc, UPDATE returns the
-    unfiltered rows less exactly those with an extra vertex w for which
-    the completed edge {F, w} or the probed edge {head, w} was peeled in
-    an earlier round, F the row's face (its minimum-degree vertex) and
-    head its other vertex."""
+    """At r = 2, where the faces give the T id of every DG arc, UPDATE
+    returns the rows of the same call with nothing peeled less exactly
+    those with an extra vertex w for which the completed edge {F, w} or
+    the probed edge {head, w} was peeled in an earlier round, F the row's
+    face (its endpoint of lower degree) and head its other vertex."""
     und, dg = oriented(name, orientation)
     vmat = s_counts_per_r_clique(dg, 2, s)[0]
     rng = np.random.default_rng(len(vmat) * 31 + s)
     ids = rng.permutation(2 * len(vmat))[: len(vmat)]
-    faces = peel_faces(und, vmat, ids, 2 * len(vmat))
-    arc_ids = np.empty(dg.m, dtype=np.int64)
-    arc_ids[dg.edge_order] = ids
+    faces = peel_faces(und, dg, vmat, ids, 2 * len(vmat))
+    live = np.full(2 * len(vmat), -1, dtype=np.int64)
     of = dict(zip(map(tuple, vmat.tolist()), ids.tolist()))
     for frac in (0.0, 0.3, 0.7):
         rounds = np.full(2 * len(vmat), -1, dtype=np.int64)
@@ -213,14 +216,14 @@ def test_extend_drops_dead_probed_edges_at_r2(name, s, orientation):
         now[rng.random(len(vmat)) < 0.2] = -1
         rounds[ids] = now
         A = (now == 3).nonzero()[0]
-        full = extend_cliques(und, dg, vmat[A], s - 2)
-        out = extend_cliques(und, dg, vmat[A], s - 2, None, Peeled(rounds, ids[A], faces, arc_ids))
+        full = extend_cliques(dg, vmat[A], s - 2, Counters(), Peeled(live, ids[A], faces))
+        out = extend_cliques(dg, vmat[A], s - 2, Counters(), Peeled(rounds, ids[A], faces))
         assert Counter(map(tuple, out.tolist())) <= Counter(map(tuple, full.tolist()))
         earlier = {R for R, t in zip(of, rounds[ids].tolist()) if 0 <= t < 3}
         kept = set(map(tuple, out.tolist()))
         for row in full.tolist():
             R, extra = tuple(row[:2]), row[2:]
-            (F,) = chosen_face(und, faces, R, of[R])
+            (F,) = chosen_face(faces, R, of[R])
             head = R[0] + R[1] - F
             dead = any(tuple(sorted((v, w))) in earlier for w in extra for v in (F, head))
             assert (tuple(row) not in kept) == dead
@@ -287,8 +290,10 @@ def test_face_index_matches_brute_force(name, r, wide):
     (r-1)-faces, and each r-clique's chosen face is one of its own with
     the fewest completions; at r <= 2 they are und's vertices, its own
     arcs, and a completion w of v completes {w} at r = 1, {v, w} at
-    r = 2. With ``wide``, ids reach 2^40, so the faces' keys take
-    ``row_ranks``, not packing."""
+    r = 2. An r-clique's face is itself at r = 1, its endpoint of lower
+    degree (the lower id on a tie) at r = 2, and at r = 2 every DG arc
+    carries its edge's id. With ``wide``, ids reach 2^40, so the faces'
+    keys take ``row_ranks``, not packing."""
     und, dg = setup(name, "degeneracy")
     vmat = s_counts_per_r_clique(dg, r, r + 1)[0]
     ids = np.random.default_rng(r).permutation(3 * len(vmat))[: len(vmat)]
@@ -297,11 +302,22 @@ def test_face_index_matches_brute_force(name, r, wide):
         vmat = vmat + n - und.n
         faces = face_index(vmat, ids, n, 3 * len(vmat))
     else:
-        faces = peel_faces(und, vmat, ids, 3 * len(vmat))
+        faces = peel_faces(und, dg, vmat, ids, 3 * len(vmat))
     id_of = dict(zip(map(tuple, vmat.tolist()), ids.tolist()))
     csr = faces.csr
     if r <= 2:
-        assert csr is und and faces.face is None and faces.col is None
+        assert csr is und
+        deg = und.degrees()
+        for R, rid in id_of.items():
+            face = min(R, key=lambda v: (deg[v], v))
+            assert faces.face[rid] == face
+            if r == 2:
+                assert R[faces.col[rid]] == sum(R) - face
+        if r == 1:
+            assert faces.col is None and faces.arc_ids is None
+        else:
+            edges = np.sort(np.stack([dg.arc_src, dg.nbrs], axis=1), axis=1)
+            assert [id_of[e] for e in map(tuple, edges.tolist())] == faces.arc_ids.tolist()
         for v in range(und.n):
             pos = range(csr.offsets[v], csr.offsets[v + 1])
             comp = [(int(csr.nbrs[p]), int(faces.ids[p])) for p in pos]
@@ -330,7 +346,7 @@ def test_face_index_matches_brute_force(name, r, wide):
 def test_extend_fig1_common_neighbours():
     und, dg = setup("fig1")
     # common neighbours of a=0, b=1 in Fig 1: c, d, e, f
-    out = extend_cliques(und, dg, np.array([[0, 1]]), 1)
+    out = update_unpeeled(und, dg, np.array([[0, 1]]), 1)
     assert out[:, :2].tolist() == [[0, 1]] * 4
     assert out[:, 2].tolist() == [2, 3, 4, 5]
 
@@ -339,7 +355,7 @@ def test_counters_count_cliques():
     und, dg = setup("k6")
     counters = Counters()
     edges = enumerate_cliques(dg, 2)
-    out = extend_cliques(und, dg, edges, 1, counters)
+    out = update_unpeeled(und, dg, edges, 1, counters)
     assert len(out) == counters.scliques_discovered == 15 * 4 == 3 * count_cliques(dg, 3)
     assert counters.work > 0
     work = Counters()
@@ -392,14 +408,14 @@ def test_update_work_bounded_on_hub(monkeypatch, r, s):
     I_R is a whole neighbourhood (the hubs' r-clique): its first level
     gathers at most d out-neighbours per candidate instead of pairing all
     of I_R, which would take C(|I_R|, 2) probes for that one r-clique.
-    With and without ``peeled``, the completions gathered for each
-    r-clique R are at most the minimum degree over R."""
+    The completions gathered for each r-clique R are at most the minimum
+    degree over R."""
     und = build_csr(hub_graph(r, 1000))
     dg = orient_csr(und, make_rank(und))
     m, d = len(und.nbrs) // 2, int(dg.degrees().max())
     A = s_counts_per_r_clique(dg, r, s)[0]
     ids = np.arange(len(A))
-    faces = peel_faces(und, A, ids, len(A))
+    faces = peel_faces(und, dg, A, ids, len(A))
     gathered = []
     arcs = CSR.arcs
 
@@ -410,24 +426,27 @@ def test_update_work_bounded_on_hub(monkeypatch, r, s):
         return out
 
     monkeypatch.setattr(CSR, "arcs", spy)
-    for peeled in (None, Peeled(np.zeros(len(A), dtype=np.int64), ids, faces)):
-        gathered.clear()
-        counters = Counters()
-        out = extend_cliques(und, dg, A, s - r, counters, peeled)
-        assert len(out) == comb(s, r) * count_cliques(dg, s)
-        assert counters.work <= 8 * m * d ** (s - 2)
-        assert (np.concatenate(gathered) <= und.degrees()[A].min(axis=1)).all()
+    counters = Counters()
+    out = extend_cliques(dg, A, s - r, counters, Peeled(np.zeros(len(A), dtype=np.int64), ids, faces))
+    assert len(out) == comb(s, r) * count_cliques(dg, s)
+    assert counters.work <= 8 * m * d ** (s - 2)
+    assert (np.concatenate(gathered) <= und.degrees()[A].min(axis=1)).all()
 
 
 def test_roots_partition_counts():
-    """Counting over a partition of roots must sum to the full count."""
+    """Counting over a partition of roots, the split Spark runs, sums to
+    the full counts: at r = 3 the parts merge by ``sum_by_row``, at r = 2
+    every part returns every edge and their counts add."""
     _, dg = setup("er30")
-    total = count_cliques(dg, 3)
-    part = sum(
-        count_cliques(dg, 3, roots=np.arange(lo, min(lo + 7, dg.n)))
-        for lo in range(0, dg.n, 7)
-    )
-    assert part == total
+    parts = [np.arange(lo, min(lo + 7, dg.n)) for lo in range(0, dg.n, 7)]
+    vmat, cnts = s_counts_per_r_clique(dg, 3, 4)
+    got = [s_counts_per_r_clique(dg, 3, 4, roots=roots) for roots in parts]
+    rows, sums = sum_by_row(np.concatenate([g[0] for g in got]), np.concatenate([g[1] for g in got]), dg.n)
+    assert cnts.sum() > 0 and np.array_equal(rows, vmat) and np.array_equal(sums, cnts)
+    vmat, cnts = s_counts_per_r_clique(dg, 2, 3)
+    got = [s_counts_per_r_clique(dg, 2, 3, roots=roots) for roots in parts]
+    assert all(np.array_equal(g[0], vmat) for g in got)
+    assert cnts.sum() > 0 and np.array_equal(sum(g[1] for g in got), cnts)
 
 
 def dup_rows(n, k, N, seed):

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cliques.listing import extend_cliques, s_counts_per_r_clique
+from repro.cliques.listing import s_counts_per_r_clique
 from repro.cliques.spark_count import spark_s_counts
 from repro.experiments import _best_config
 from repro.graphs.csr import build_csr, orient_csr
@@ -15,6 +15,8 @@ from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import brute_force_cliques, reference_nucleus
 from repro.tables.clique_table import TableConfig, _strictly_increasing
 from repro.tables.open_addr import EMPTY_BIT, KeySet, insert, region_find
+
+from .fixtures import update_unpeeled
 
 
 @st.composite
@@ -340,7 +342,7 @@ def test_extend_deep_matches_brute_force_random(graph, rs, data):
     r_cliques = brute_force_cliques(und, r)
     picks = data.draw(st.lists(st.booleans(), min_size=len(r_cliques), max_size=len(r_cliques)))
     A = [R for R, pick in zip(r_cliques, picks) if pick]
-    out = extend_cliques(und, orient_csr(und, rank), np.array(A, dtype=np.int64).reshape(-1, r), s - r)
+    out = update_unpeeled(und, orient_csr(und, rank), np.array(A, dtype=np.int64).reshape(-1, r), s - r)
     got = Counter((tuple(row[:r]), tuple(sorted(row))) for row in out.tolist())
     A = set(A)
     expected = {(R, S) for S in brute_force_cliques(und, s) for R in combinations(S, r) if R in A}
