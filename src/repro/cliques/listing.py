@@ -36,18 +36,18 @@ one. It maps an arc's key to the arc's CSR position (``KeySet.find``),
 and at r = 2, where every r-clique is exactly one DG arc, that position
 stands for the edge: counting sums s-cliques per arc
 (``arc_s_counts``) and ``CSR.edge_order`` gives the arcs' edge order,
-the order of T's rows, instead of a row-rank merge.
+the lexicographic order of the r-cliques, instead of a row-rank merge.
 
 UPDATE draws I_R from the completions of one face F of R (``Faces``,
 built by ``peel_faces``): the vertices w that make F ∪ {w} an r-clique,
-each carrying that r-clique's table-T id. F is R itself at r = 1, its
+each carrying that r-clique's id. F is R itself at r = 1, its
 endpoint of lower degree at r = 2 and its (r-1)-face with the fewest
 completions at r >= 3. A completion whose r-clique was peeled in an
 earlier round is dropped before any probe, since every s-clique through
 it is dead. At r >= 2 each kept w is then probed against the one vertex
 of R outside F in DG's map, by the key of the edge's arc in rank
 direction (``CSR.edge_keys``). At r = 2 that edge is an r-clique too: a
-hit's arc gives its T id, and w is dropped if the edge was peeled in an
+hit's arc gives its r-clique id, and w is dropped if the edge was peeled in an
 earlier round. With nothing peeled (every round -1) nothing is dropped.
 
 Work matches O(m * alpha^(c-2)) per Shi et al. [60]. The kernel adds
@@ -271,14 +271,14 @@ class Faces(NamedTuple):
     face it takes for each r-clique.
 
     Face f's completions are ``csr.neighbors(f)``, and ``ids`` holds,
-    aligned with ``csr.nbrs``, the table-T id of the r-clique each one
-    completes. By T id, ``face`` gives each r-clique's face and ``col``
+    aligned with ``csr.nbrs``, the id of the r-clique each one
+    completes. By r-clique id, ``face`` gives each r-clique's face and ``col``
     the column of the one vertex the face leaves out (None at r = 1,
     where the face is the r-clique). ``peel_faces`` builds them. At
     r >= 3 (``face_index``) the faces are the (r-1)-faces of the
     r-cliques. At r <= 2 they are the vertices and ``csr`` the undirected
     graph, less any arcs that contraction removed; at r = 2 a
-    completion's id is its edge's, and ``arc_ids`` gives the T id of
+    completion's id is its edge's, and ``arc_ids`` gives the r-clique id of
     every DG arc, by CSR position, for the edge UPDATE probes.
     """
 
@@ -292,8 +292,8 @@ class Faces(NamedTuple):
 class Peeled(NamedTuple):
     """The peeling loop's state that lets UPDATE drop dead candidates."""
 
-    round: np.ndarray  # peel round of every T id, -1 while live
-    ids: np.ndarray  # T id of each r-clique listed, all peeled in one round
+    round: np.ndarray  # peel round of every r-clique id, -1 while live
+    ids: np.ndarray  # id of each r-clique listed, all peeled in one round
     faces: Faces
 
 
@@ -309,8 +309,8 @@ def _face_keys(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def face_index(vmat: np.ndarray, ids: np.ndarray, n: int, capacity: int) -> Faces:
-    """The (r-1)-faces of the r-cliques ``vmat`` (sorted rows, T ids
-    ``ids`` below ``capacity``), r >= 3, with their completions.
+    """The (r-1)-faces of the r-cliques ``vmat`` (sorted rows, r-clique
+    ids ``ids`` below ``capacity``), r >= 3, with their completions.
 
     Every (r-clique R, column j) pair is an entry: the face R less R[j],
     completed by R[j] into R. One sort of the faces' packed keys groups
@@ -340,7 +340,7 @@ def face_index(vmat: np.ndarray, ids: np.ndarray, n: int, capacity: int) -> Face
 
 def set_edge_faces(faces: Faces, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray) -> Faces:
     """Write the r = 2 ``face`` and ``col`` of the edges (lo[i], hi[i]),
-    lo < hi, with T ids ``ids`` into ``faces``, in place, and return it:
+    lo < hi, with r-clique ids ``ids`` into ``faces``, in place, and return it:
     an edge's face is its endpoint of lower degree in ``faces.csr`` (lo
     on a tie), and col the column of the other."""
     deg = faces.csr.degrees()
@@ -350,10 +350,13 @@ def set_edge_faces(faces: Faces, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
     return faces
 
 
-def peel_faces(und: CSR, dg: CSR, vmat: np.ndarray, ids: np.ndarray, capacity: int) -> Faces:
+def peel_faces(
+    und: CSR, dg: CSR, vmat: np.ndarray, ids: np.ndarray | None = None, capacity: int | None = None
+) -> Faces:
     """UPDATE's faces for the r-cliques ``vmat`` of ``und`` (``dg`` its
     orientation), in the order counting returns them (sorted rows,
-    lexicographic order), with T ids ``ids`` below ``capacity``.
+    lexicographic order), with r-clique ids ``ids`` below ``capacity``;
+    by default each id is its row, as at r <= 2 (``make_table``).
 
     At r = 1 the r-cliques are every vertex in order, each its own face,
     and each completion carries its own id. At r = 2 they are und's edges
@@ -361,11 +364,15 @@ def peel_faces(und: CSR, dg: CSR, vmat: np.ndarray, ids: np.ndarray, capacity: i
     u < v, are already in that order, and the arcs v -> u take one
     argsort. Asking DG's arc map for each of them instead costs more:
     0.71 against 0.40 ms on skitter-23's graph and 55 against 41 ms at
-    ``rmat(17, 1M)``, on a 4-core x86 box. DG's arcs take their edges' ids
-    through ``CSR.edge_order``. At r >= 3 the faces are the (r-1)-faces
-    (``face_index``).
+    ``rmat(17, 1M)``, on a 4-core x86 box. DG's arcs take their edges'
+    ids through ``CSR.edge_ids``, the array the r = 2 ``RowIds`` looks
+    edges up with when the ids are the rows. At r >= 3 the faces are the
+    (r-1)-faces (``face_index``).
     """
-    r = vmat.shape[1]
+    n_r, r = vmat.shape
+    rows = ids is None
+    if rows:
+        ids, capacity = np.arange(n_r), n_r
     if r >= 3:
         return face_index(vmat, ids, und.n, capacity)
     if r == 1:
@@ -379,8 +386,7 @@ def peel_faces(und: CSR, dg: CSR, vmat: np.ndarray, ids: np.ndarray, capacity: i
     arc_id[lower] = ids
     # an arc v -> u, u < v, keyed u*n + v sorts into the edges' order
     arc_id[upper[np.argsort(nbrs[upper] * und.n + src[upper])]] = ids
-    arc_ids = np.empty(dg.m, dtype=np.int64)
-    arc_ids[dg.edge_order] = ids
+    arc_ids = dg.edge_ids if rows else ids[dg.edge_ids]
     face, col = np.zeros(capacity, dtype=np.int64), np.zeros(capacity, dtype=np.int8)
     return set_edge_faces(Faces(und, arc_id, face, col, arc_ids), vmat[:, 0], vmat[:, 1], ids)
 

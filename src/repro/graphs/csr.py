@@ -19,9 +19,11 @@ O(1) expected, as in the paper. It is the decomposition's only arc
 structure: DG holds each edge of the undirected graph once, so an edge
 {u, v} is asked for by the key of its arc in rank direction
 (``edge_keys``; DG carries its ``rank``), and no undirected CSR,
-original or contracted, builds a set. At r = 2 an edge is an r-clique
-and its arc position its index: ``edge_order`` lists DG's arcs in the
-lexicographic order of their edges, the order of table T's rows.
+original or contracted, builds a set. At r = 2 an edge is an r-clique:
+``edge_order`` lists DG's arcs in the lexicographic order of their
+edges, the order counting returns the r-cliques in, and ``edge_ids``,
+its inverse, gives each arc its edge's place in that order, the edge's
+r-clique id.
 """
 from __future__ import annotations
 
@@ -144,6 +146,17 @@ class CSR:
             return np.arange(self.m)
         lo = np.minimum(self.arc_src, self.nbrs)
         return np.argsort(lo * (self.n - 1) + self.arc_src + self.nbrs)
+
+    @cached_property
+    def edge_ids(self) -> np.ndarray:
+        """Edge index of every arc of an oriented CSR, by CSR position: the
+        arc's place in ``edge_order``, its inverse. At r = 2 it is the
+        arc's r-clique id. Computed once per graph."""
+        if self.rank is None:
+            return self.edge_order
+        ids = np.empty(self.m, dtype=np.int64)
+        ids[self.edge_order] = np.arange(self.m)
+        return ids
 
 
 MAX_N = 3_037_000_499  # the largest n whose arc keys u * n + v fit in int64

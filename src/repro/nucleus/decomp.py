@@ -6,8 +6,13 @@ Phases:
    (optionally relabel vertices by orientation rank, §5.4).
 2. Count the s-cliques incident on every r-clique with REC-LIST-CLIQUES
    — locally, or on the Spark session the call is given (spark_count).
-3. Store counts in the configurable multi-level hash table T (§5.1-5.3);
-   each r-clique's identifier is its last-level cell index.
+3. Give every r-clique an id. At r >= 3 the configurable multi-level
+   hash table T (§5.1-5.3) stores the r-cliques, and an r-clique's id
+   is its last-level cell index. At r <= 2 the graph already indexes
+   them, so no T is built (``RowIds``): the id is the r-clique's row in
+   counting's lexicographic order, the vertex at r = 1, and at r = 2 an
+   edge is looked up as its arc in DG's arc map. Either way the loop
+   asks the same queries (lookup, decode, row indices, capacity).
 4. Peel rounds over ``Bucketing``, the one peel state: each r-clique's
    count and peel round, and each round's level k, from which the core
    numbers are read at the end. Extract the r-cliques at or below k,
@@ -17,13 +22,13 @@ Phases:
    updated set U with the chosen §5.5 structure and report it to the
    structure, which re-buckets it. UPDATE draws each peeled r-clique's
    I_R from the completions of its face (``listing.Faces``), each
-   carrying the T id of the r-clique it completes, and drops those
+   carrying the id of the r-clique it completes, and drops those
    peeled in an earlier round, whose s-cliques are all dead. The faces
    are the loop's only graph state, built once by ``peel_faces`` (at
-   r >= 3 the (r-1)-faces of T's r-cliques, at r <= 2 the vertices of
+   r >= 3 the (r-1)-faces of the r-cliques, at r <= 2 the vertices of
    the graph); §5.6 contraction, at (2,3) only, filters them. Each
    completion is then probed in DG's arc map, the only arc structure; at
-   r = 2 the probed edge is an r-clique as well, and the faces' T id of
+   r = 2 the probed edge is an r-clique as well, and the faces' id of
    every DG arc lets UPDATE drop a completion whose probed edge was
    peeled earlier.
 
@@ -61,7 +66,7 @@ class DecompConfig:
     at construction or by a later assignment, before any graph work. A
     Spark session given to the call, not an option, decides the counting."""
 
-    table: TableConfig = field(default_factory=TableConfig)
+    table: TableConfig = field(default_factory=TableConfig)  # §5.1-5.3; no effect at r <= 2
     relabel: bool = False  # §5.4 graph relabeling
     aggregation: str = "list-buffer"  # §5.5: one of aggregation.KINDS
     contraction: bool = False  # §5.6, (2,3) only
@@ -83,6 +88,8 @@ class DecompResult:
     rho: int  # number of peeling rounds
     max_core: int
     counters: Counters
+    # table T's space and probes; at r <= 2 no T is built: 0 units, 0
+    # cells, max_probe 0 and fill n_r / n_r
     table_memory_units: int
     table_allocated_cells: int
     table_max_probe: int  # longest insert distance from a key's home slot
@@ -138,7 +145,7 @@ def nucleus_decomposition(
     counters.span_logs += s * log2(max(2, n_verts))
     n_r = len(vmat)
 
-    table = make_table(vmat, n_verts, config.table)
+    table = make_table(vmat, n_verts, config.table, dg)
     idx_rows = table.row_indices()
     buckets = Bucketing(idx_rows, cnts)
     counts, peeled = buckets.count, buckets.round
@@ -147,7 +154,10 @@ def nucleus_decomposition(
     subs_cols = np.array(list(combinations(range(s), r)), dtype=np.int64)
     est_per_peel = comb(s, r) - 1
 
-    faces = peel_faces(und, dg, vmat, idx_rows, table.capacity)
+    if r <= 2:  # the ids are the rows, and DG's arcs share RowIds' edge ids
+        faces = peel_faces(und, dg, vmat)
+    else:
+        faces = peel_faces(und, dg, vmat, idx_rows, table.capacity)
     cstate = ContractionState() if config.contraction and (r, s) == (2, 3) else None
 
     # ---- Phase 2: peel (Alg 2 lines 23-29) ----

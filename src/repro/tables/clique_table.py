@@ -24,20 +24,28 @@ by one batched ``open_addr.insert`` over all of them. ``max_probe``
 records the longest insert distance from a key's home slot over all
 levels.
 
-An r-clique's identifier everywhere else in the algorithm (bucketing,
-counts, core numbers) is its absolute cell position in the last level,
-exactly as in §5.3.
+At r >= 3 an r-clique's identifier everywhere else in the algorithm
+(bucketing, counts, core numbers) is its absolute cell position in the
+last level, exactly as in §5.3. At r <= 2 the graph already indexes
+every r-clique, a vertex or one arc of the oriented graph DG, so
+``make_table`` builds no T: ``RowIds`` answers T's queries, and an
+r-clique's identifier is its row among the r-cliques in lexicographic
+order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .open_addr import EMPTY_BIT, PAYLOAD_MASK, capacity_for, insert, region_find
 from .packing import fits, pack, unpack
 
-__all__ = ["TableConfig", "CliqueTable", "make_table", "min_levels"]
+if TYPE_CHECKING:
+    from ..graphs.csr import CSR
+
+__all__ = ["TableConfig", "CliqueTable", "RowIds", "make_table", "min_levels"]
 
 
 @dataclass(frozen=True)
@@ -280,8 +288,64 @@ def _groups(rid: np.ndarray, sel: np.ndarray):
     return zip(regions, np.split(sel, first[1:]))
 
 
-def make_table(vmat: np.ndarray, n: int, config: TableConfig | None = None) -> CliqueTable:
-    """Factory; auto-raises the level count when the key would not fit."""
+class RowIds(CliqueTable):
+    """T's query surface at r <= 2, where no T is built: an r-clique's id
+    is its row in ``vmat``, the r-cliques in lexicographic order. At
+    r = 1 the rows are the vertices 0..n-1, so the id is the vertex. At
+    r = 2 the rows are the edges of ``dg``, the oriented graph, and an
+    edge is found as its arc in DG's arc map (``CSR.arc_set``), whose
+    ``CSR.edge_ids`` give the arc's row. It holds no cells: 0 memory
+    units, 0 allocated cells, ``max_probe`` 0 and a capacity of n_r, so
+    every id-indexed array of the loop is sized by the r-cliques. It
+    subclasses ``CliqueTable`` so that code wrapping T's methods on the
+    class and its subclasses (nucbench's spans) reaches its own."""
+
+    def __init__(self, vmat: np.ndarray, n: int, dg: CSR | None = None):
+        vmat = np.asarray(vmat, dtype=np.int64)
+        if vmat.ndim != 2:
+            vmat = vmat.reshape(-1, 1)
+        self.vmat, self.n, self.dg = vmat, int(n), dg
+        self.r = vmat.shape[1]
+        self.n_cliques = self.capacity = len(vmat)
+        self.max_probe = 0
+        if self.r == 1 and not np.array_equal(vmat[:, 0], np.arange(self.n)):
+            raise ValueError("at r = 1 the rows must be every vertex 0..n-1, in order")
+        if self.r == 2 and (dg is None or dg.m != len(vmat)):
+            raise ValueError("at r = 2 the rows must be the edges of the oriented graph dg")
+
+    def row_indices(self) -> np.ndarray:
+        return np.arange(self.n_cliques)
+
+    def lookup(self, vmat: np.ndarray) -> np.ndarray:
+        """Row of each query r-clique (rows sorted asc); -1 if absent."""
+        vmat = np.atleast_2d(np.asarray(vmat, dtype=np.int64))
+        if self.r == 1:
+            v = vmat[:, 0]
+            return np.where((v >= 0) & (v < self.n), v, -1)
+        pos = self.dg.arc_set.find(self.dg.edge_keys(vmat[:, 0], vmat[:, 1]))
+        ids = self.dg.edge_ids[pos]
+        ids[pos < 0] = -1
+        return ids
+
+    def decode(self, idx: np.ndarray) -> np.ndarray:
+        """Rows -> (k, r) sorted vertex matrix."""
+        return self.vmat[idx]
+
+    def memory_units(self) -> int:
+        return 0
+
+    def allocated_cells(self) -> int:
+        return 0
+
+
+def make_table(
+    vmat: np.ndarray, n: int, config: TableConfig | None = None, dg: CSR | None = None
+) -> CliqueTable:
+    """Factory: T over the r-cliques ``vmat``, auto-raising the level count
+    when the key would not fit; at r <= 2 no T but ``RowIds``, which
+    ignores ``config`` and at r = 2 finds the edges in ``dg``."""
     config = config or TableConfig()
     r = vmat.shape[1] if vmat.ndim == 2 else 1
+    if r <= 2:
+        return RowIds(vmat, n, dg)
     return CliqueTable(vmat, n, replace(config, levels=max(config.levels, min_levels(n, r))))

@@ -3,10 +3,12 @@ configuration of §5.1-5.3, plus the space model."""
 import numpy as np
 import pytest
 
-from repro.cliques.listing import enumerate_cliques
+from repro.cliques.listing import enumerate_cliques, s_counts_per_r_clique
 from repro.graphs.csr import build_csr, orient_csr
-from repro.graphs.orient import degree_order
-from repro.tables.clique_table import CliqueTable, TableConfig, make_table, min_levels
+from repro.graphs.orient import degree_order, make_rank, relabel
+from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
+from repro.tables import clique_table
+from repro.tables.clique_table import CliqueTable, RowIds, TableConfig, make_table, min_levels
 
 from .fixtures import MEDIUM_GRAPHS, SMALL_GRAPHS
 
@@ -234,3 +236,108 @@ def test_duplicate_rows_rejected():
     for vmat in ([[0, 1, 2], [1, 2, 3], [0, 1, 2]], [[0, 1, 2], [0, 1, 2], [1, 2, 3]]):
         with pytest.raises(ValueError, match="distinct"):
             CliqueTable(np.array(vmat), 5, TableConfig(levels=1))
+
+
+# ---------------------------------------------------------------- r <= 2
+# Orientations whose rank is not the id order, and relabeling (rank = id).
+RANKS = {
+    "degree": degree_order,
+    "degeneracy": make_rank,
+    "random": lambda und: np.random.default_rng(und.n).permutation(und.n),
+}
+
+
+def row_ids(name, r, rank):
+    """(RowIds, vmat, dg) of the r-cliques of a graph as a decomposition
+    builds them: counting's rows, oriented by ``rank`` or relabeled."""
+    und = build_csr(ALL[name])
+    if rank == "relabel":
+        und, _ = relabel(und, make_rank(und))
+        dg = orient_csr(und, np.arange(und.n))
+    else:
+        dg = orient_csr(und, RANKS[rank](und))
+    vmat = s_counts_per_r_clique(dg, r, r + 1)[0]
+    return make_table(vmat, und.n, TableConfig(levels=3, first_level="hash"), dg), vmat, dg
+
+
+@pytest.mark.parametrize("name", ["fig1", "k6", "er30", "comm", "rmat6", "comm-m"])
+@pytest.mark.parametrize("rank", [*RANKS, "relabel"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_row_ids_are_the_rows(name, rank, r):
+    """At r <= 2 no T is built: each r-clique's id is its row, looked up
+    through DG's arc map at r = 2 whatever the orientation, and decode
+    gives the rows back."""
+    t, vmat, dg = row_ids(name, r, rank)
+    assert type(t) is RowIds and isinstance(t, CliqueTable)
+    rows = np.arange(len(vmat))
+    assert np.array_equal(t.row_indices(), rows) and t.capacity == len(vmat)
+    assert np.array_equal(t.lookup(vmat), rows)
+    perm = np.random.default_rng(r).permutation(len(vmat))
+    assert np.array_equal(t.lookup(vmat[perm]), perm)
+    assert np.array_equal(t.decode(t.row_indices()), vmat)
+    assert np.array_equal(t.decode(perm), vmat[perm])
+    assert (t.memory_units(), t.allocated_cells(), t.max_probe) == (0, 0, 0)
+    if r == 1:
+        assert np.array_equal(vmat[:, 0], np.arange(dg.n))
+
+
+@pytest.mark.parametrize("name", ["fig1", "er30", "rmat6"])
+@pytest.mark.parametrize("rank", [*RANKS, "relabel"])
+def test_row_ids_miss_non_cliques(name, rank):
+    """Every pair u < v that is not an edge is absent at r = 2, and at
+    r = 1 so is a vertex at or above n, or below 0."""
+    t, vmat, dg = row_ids(name, 2, rank)
+    n = dg.n
+    u, v = np.triu_indices(n, 1)
+    pairs = np.stack([u, v], axis=1)
+    edge = {tuple(e) for e in vmat.tolist()}
+    found = t.lookup(pairs)
+    for pair, i in zip(pairs.tolist(), found.tolist()):
+        assert (i == -1) == (tuple(pair) not in edge)
+        if i >= 0:
+            assert vmat[i].tolist() == pair
+    t1, _, _ = row_ids(name, 1, rank)
+    q = np.array([[0], [n - 1], [n], [n + 5], [-1]])
+    assert t1.lookup(q).tolist() == [0, n - 1, -1, -1, -1]
+
+
+def test_row_ids_check_their_rows():
+    """At r = 1 the rows must be every vertex in order; at r = 2 the
+    edges of a given oriented graph."""
+    with pytest.raises(ValueError, match="every vertex"):
+        make_table(np.array([[0], [2]]), 3)
+    und = build_csr(ALL["fig1"])
+    dg = orient_csr(und, make_rank(und))
+    vmat = s_counts_per_r_clique(dg, 2, 3)[0]
+    with pytest.raises(ValueError, match="edges"):
+        make_table(vmat, und.n)
+    with pytest.raises(ValueError, match="edges"):
+        make_table(vmat[1:], und.n, None, dg)
+
+
+@pytest.mark.parametrize(
+    "r,s,contraction", [(1, 2, False), (1, 3, False), (2, 3, False), (2, 3, True), (2, 4, False), (3, 4, False)]
+)
+def test_no_table_levels_at_r_le_2(monkeypatch, r, s, contraction):
+    """A decomposition at r <= 2 builds no T level and inserts nothing; at
+    r = 3 it still builds T."""
+    built = []
+    level_init = clique_table._Level.__init__
+
+    def spy(self, *args):
+        built.append(1)
+        if r <= 2:
+            raise AssertionError("a T level was built at r <= 2")
+        level_init(self, *args)
+
+    def no_insert(*args):
+        raise AssertionError("T inserted at r <= 2")
+
+    monkeypatch.setattr(clique_table._Level, "__init__", spy)
+    if r <= 2:
+        monkeypatch.setattr(clique_table, "insert", no_insert)
+    res = nucleus_decomposition(ALL["comm"], r, s, DecompConfig(contraction=contraction))
+    assert (len(built) > 0) == (r >= 3)
+    if r <= 2:
+        assert (res.table_memory_units, res.table_allocated_cells, res.table_max_probe) == (0, 0, 0)
+        assert res.table_fill == 1.0

@@ -374,7 +374,7 @@ def test_counters_count_cliques():
             214_715,
             14_573,
         ),
-        (lambda: rmat(12, 20000, seed=14), 2, 3, 206_438, 4_265),
+        (lambda: rmat(12, 20000, seed=14), 2, 3, 181_891, 4_265),
     ],
     ids=["orkut-34", "dblp-25", "skitter-23"],
 )
