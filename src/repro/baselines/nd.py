@@ -37,7 +37,7 @@ def nd_decomposition(edges: np.ndarray, r: int, s: int):
     counters = Counters()
     vmat, cnts = s_counts_per_r_clique(dg, r, s, counters=counters)
     rows = np.arange(len(vmat))
-    faces = peel_faces(und, dg, vmat)
+    faces = peel_faces(und, dg, vmat, rows, len(vmat))
     row_of = {R: i for i, R in enumerate(map(tuple, vmat.tolist()))}
     order = np.full(len(vmat), -1, dtype=np.int64)  # peel round of every row, -1 while live
     counts, core = cnts.tolist(), [0] * len(vmat)

@@ -350,13 +350,10 @@ def set_edge_faces(faces: Faces, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
     return faces
 
 
-def peel_faces(
-    und: CSR, dg: CSR, vmat: np.ndarray, ids: np.ndarray | None = None, capacity: int | None = None
-) -> Faces:
+def peel_faces(und: CSR, dg: CSR, vmat: np.ndarray, ids: np.ndarray, capacity: int) -> Faces:
     """UPDATE's faces for the r-cliques ``vmat`` of ``und`` (``dg`` its
     orientation), in the order counting returns them (sorted rows,
-    lexicographic order), with r-clique ids ``ids`` below ``capacity``;
-    by default each id is its row, as at r <= 2 (``make_table``).
+    lexicographic order), with r-clique ids ``ids`` below ``capacity``.
 
     At r = 1 the r-cliques are every vertex in order, each its own face,
     and each completion carries its own id. At r = 2 they are und's edges
@@ -366,13 +363,10 @@ def peel_faces(
     0.71 against 0.40 ms on skitter-23's graph and 55 against 41 ms at
     ``rmat(17, 1M)``, on a 4-core x86 box. DG's arcs take their edges'
     ids through ``CSR.edge_ids``, the array the r = 2 ``RowIds`` looks
-    edges up with when the ids are the rows. At r >= 3 the faces are the
-    (r-1)-faces (``face_index``).
+    edges up with. At r >= 3 the faces are the (r-1)-faces
+    (``face_index``).
     """
-    n_r, r = vmat.shape
-    rows = ids is None
-    if rows:
-        ids, capacity = np.arange(n_r), n_r
+    r = vmat.shape[1]
     if r >= 3:
         return face_index(vmat, ids, und.n, capacity)
     if r == 1:
@@ -386,7 +380,7 @@ def peel_faces(
     arc_id[lower] = ids
     # an arc v -> u, u < v, keyed u*n + v sorts into the edges' order
     arc_id[upper[np.argsort(nbrs[upper] * und.n + src[upper])]] = ids
-    arc_ids = dg.edge_ids if rows else ids[dg.edge_ids]
+    arc_ids = ids[dg.edge_ids]
     face, col = np.zeros(capacity, dtype=np.int64), np.zeros(capacity, dtype=np.int8)
     return set_edge_faces(Faces(und, arc_id, face, col, arc_ids), vmat[:, 0], vmat[:, 1], ids)
 

@@ -154,10 +154,7 @@ def nucleus_decomposition(
     subs_cols = np.array(list(combinations(range(s), r)), dtype=np.int64)
     est_per_peel = comb(s, r) - 1
 
-    if r <= 2:  # the ids are the rows, and DG's arcs share RowIds' edge ids
-        faces = peel_faces(und, dg, vmat)
-    else:
-        faces = peel_faces(und, dg, vmat, idx_rows, table.capacity)
+    faces = peel_faces(und, dg, vmat, idx_rows, table.capacity)
     cstate = ContractionState() if config.contraction and (r, s) == (2, 3) else None
 
     # ---- Phase 2: peel (Alg 2 lines 23-29) ----

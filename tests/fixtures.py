@@ -87,7 +87,7 @@ def update_unpeeled(
     numbers of counting's r-cliques as ids."""
     r = A_rows.shape[1]
     vmat = s_counts_per_r_clique(dg, r, r + 1)[0]
-    faces = peel_faces(und, dg, vmat)
+    faces = peel_faces(und, dg, vmat, np.arange(len(vmat)), len(vmat))
     row_of = {R: i for i, R in enumerate(map(tuple, vmat.tolist()))}
     own = np.array([row_of[R] for R in map(tuple, A_rows.tolist())], dtype=np.int64)
     live = np.full(len(vmat), -1, dtype=np.int64)

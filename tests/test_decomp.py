@@ -67,10 +67,16 @@ TABLE_CONFIGS = [
 
 
 @pytest.mark.parametrize("cfg", TABLE_CONFIGS, ids=lambda c: c.label())
-@pytest.mark.parametrize("name,r,s", [("fig1", 3, 4), ("comm", 3, 4), ("er30", 2, 3)])
+@pytest.mark.parametrize("name,r,s", [("fig1", 3, 4), ("comm", 3, 4), ("er30", 3, 4), ("er30", 2, 3)])
 def test_all_table_configs_agree(cfg, name, r, s):
+    """Every T configuration on three graphs at r = 3; at r = 2 no T is
+    built, so the configuration has no effect."""
     res = run(name, r, s, table=cfg)
     assert res.core_dict() == reference_nucleus(SMALL_GRAPHS[name], r, s)
+    if r <= 2:
+        assert (res.table_memory_units, res.table_allocated_cells, res.table_max_probe) == (0, 0, 0)
+    else:
+        assert res.table_memory_units > 0 and res.table_allocated_cells > len(res.vmat)
 
 
 @pytest.mark.parametrize("agg", ["array", "list-buffer", "hash"])
