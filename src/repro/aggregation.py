@@ -13,8 +13,8 @@ only in how parallel threads would contend for space, which
   serialize, and unused slots are filtered out (work |U|) before U is
   returned.
 * ``hash``        — hashing spreads insertions, so nothing serializes,
-  but the table is sized from the round's peeled r-cliques and cleared
-  for reuse.
+  but the table is sized from the round's peeled r-cliques, up to the
+  n_r ids U can hold, and cleared for reuse.
 """
 from __future__ import annotations
 
@@ -32,24 +32,25 @@ def check_kind(kind: str) -> None:
         raise ValueError(f"aggregation must be one of {KINDS}, got {kind!r}")
 
 
-def contention(kind: str, inserted: int, n_peeled: int, per_peel: int, capacity: int) -> tuple[int, int]:
+def contention(kind: str, inserted: int, n_peeled: int, per_peel: int, n_ids: int) -> tuple[int, int]:
     """(serialized_ops, clear_work) of one round that inserts ``inserted``
     distinct ids after peeling ``n_peeled`` r-cliques, each updating at
-    most ``per_peel`` others, in a table of ``capacity`` cells."""
+    most ``per_peel`` others; a hash table's clear work is capped by the
+    ``n_ids`` ids U can hold, the n_r r-cliques."""
     check_kind(kind)
     if kind == "array":
         return inserted, 0
     if kind == "list-buffer":
         return max(0, -(-inserted // BUFFER_SIZE) - N_THREADS), inserted
-    return 0, min(2 * max(1, n_peeled * per_peel), capacity)
+    return 0, min(2 * max(1, n_peeled * per_peel), n_ids)
 
 
 # A class only because nucbench/spans.py wraps begin_round, record and drain by name.
 class _BaseU:
-    def __init__(self, kind: str, capacity: int):
+    def __init__(self, kind: str, n_ids: int):
         check_kind(kind)
         self.kind = kind
-        self.capacity = capacity
+        self.n_ids = n_ids
         self.serialized_ops = 0  # ops that serialize across threads (span cost)
         self.clear_work = 0  # extra parallel work (work cost)
         self._parts: list[np.ndarray] = []
@@ -67,11 +68,11 @@ class _BaseU:
         """The round's U, sorted and distinct; adds the round's contention."""
         out = np.unique(np.concatenate(self._parts)) if self._parts else np.empty(0, dtype=np.int64)
         self._parts = []
-        ser, clear = contention(self.kind, len(out), self._n_peeled, self._per_peel, self.capacity)
+        ser, clear = contention(self.kind, len(out), self._n_peeled, self._per_peel, self.n_ids)
         self.serialized_ops += ser
         self.clear_work += clear
         return out
 
 
-def make_aggregator(kind: str, capacity: int) -> _BaseU:
-    return _BaseU(kind, capacity)
+def make_aggregator(kind: str, n_ids: int) -> _BaseU:
+    return _BaseU(kind, n_ids)

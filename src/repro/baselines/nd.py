@@ -36,8 +36,7 @@ def nd_decomposition(edges: np.ndarray, r: int, s: int):
     dg = orient_csr(und, make_rank(und))
     counters = Counters()
     vmat, cnts = s_counts_per_r_clique(dg, r, s, counters=counters)
-    rows = np.arange(len(vmat))
-    faces = peel_faces(und, dg, vmat, rows, len(vmat))
+    faces = peel_faces(und, dg, vmat)
     row_of = {R: i for i, R in enumerate(map(tuple, vmat.tolist()))}
     order = np.full(len(vmat), -1, dtype=np.int64)  # peel round of every row, -1 while live
     counts, core = cnts.tolist(), [0] * len(vmat)
@@ -55,7 +54,7 @@ def nd_decomposition(edges: np.ndarray, r: int, s: int):
         counters.span_logs += log2n
         if c == 0:
             continue
-        one = rows[i : i + 1]
+        one = np.array([i])
         found = extend_cliques(dg, vmat[one], s - r, counters, Peeled(order, one, faces))
         found.sort(axis=1)
         for row in found.tolist():

@@ -1,6 +1,7 @@
 """Frontier peeling of r-cliques by s-clique count (paper §4, Algorithm 2).
 
-The structure is the whole peel state, indexed by r-clique id: ``count``
+The structure is the whole peel state, indexed by r-clique id, the
+r-clique's row 0..n_r-1 in counting's order: ``count``
 holds the s-clique counts, which the caller lowers in place (UPDATE-FUNC)
 and reports through ``update``; ``round`` holds the round each id was
 peeled in, -1 while live; ``levels`` holds each round's level k, so an
@@ -22,20 +23,17 @@ __all__ = ["Bucketing"]
 
 
 class Bucketing:
-    def __init__(self, ids: np.ndarray, counts: np.ndarray):
-        """ids: r-clique ids (cell positions); counts: their s-clique counts."""
-        ids = np.asarray(ids, dtype=np.int64)
-        size = int(ids.max()) + 1 if len(ids) else 0
-        self.count = np.zeros(size, dtype=np.int64)
-        self.count[ids] = counts
-        self.round = np.full(size, -1, dtype=np.int64)
+    def __init__(self, counts: np.ndarray):
+        """counts: the s-clique count of each r-clique id 0..n_r-1."""
+        self.count = np.array(counts, dtype=np.int64)
+        self.round = np.full(len(self.count), -1, dtype=np.int64)
         self.levels: list[int] = []
         self.k = 0
-        self.n_remaining = len(ids)
+        self.n_remaining = len(self.count)
         self.bucket_moves = 0  # live ids whose count an update lowered
         self.rematerializations = 0  # level-rise scans of the live ids
-        self._live = np.sort(ids)
-        self._frontier = [ids[self.count[ids] <= 0]]  # ids at or below the level k = 0
+        self._live = np.arange(len(self.count))
+        self._frontier = [np.flatnonzero(self.count <= 0)]  # ids at or below the level k = 0
 
     def empty(self) -> bool:
         return self.n_remaining == 0

@@ -272,14 +272,15 @@ class Faces(NamedTuple):
 
     Face f's completions are ``csr.neighbors(f)``, and ``ids`` holds,
     aligned with ``csr.nbrs``, the id of the r-clique each one
-    completes. By r-clique id, ``face`` gives each r-clique's face and ``col``
-    the column of the one vertex the face leaves out (None at r = 1,
-    where the face is the r-clique). ``peel_faces`` builds them. At
-    r >= 3 (``face_index``) the faces are the (r-1)-faces of the
-    r-cliques. At r <= 2 they are the vertices and ``csr`` the undirected
-    graph, less any arcs that contraction removed; at r = 2 a
-    completion's id is its edge's, and ``arc_ids`` gives the r-clique id of
-    every DG arc, by CSR position, for the edge UPDATE probes.
+    completes: its row in counting's order. By r-clique id, ``face``
+    gives each r-clique's face and ``col`` the column of the one vertex
+    the face leaves out (None at r = 1, where the face is the r-clique),
+    n_r entries each. ``peel_faces`` builds them. At r >= 3
+    (``face_index``) the faces are the (r-1)-faces of the r-cliques. At
+    r <= 2 they are the vertices and ``csr`` the undirected graph, less
+    any arcs that contraction removed; at r = 2 a completion's id is its
+    edge's, and ``arc_ids`` gives the r-clique id of every DG arc, by
+    CSR position, for the edge UPDATE probes.
     """
 
     csr: CSR
@@ -308,15 +309,15 @@ def _face_keys(rows: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
-def face_index(vmat: np.ndarray, ids: np.ndarray, n: int, capacity: int) -> Faces:
-    """The (r-1)-faces of the r-cliques ``vmat`` (sorted rows, r-clique
-    ids ``ids`` below ``capacity``), r >= 3, with their completions.
+def face_index(vmat: np.ndarray, n: int) -> Faces:
+    """The (r-1)-faces of the r-cliques ``vmat`` (sorted rows, each
+    r-clique's id its row), r >= 3, with their completions.
 
-    Every (r-clique R, column j) pair is an entry: the face R less R[j],
-    completed by R[j] into R. One sort of the faces' packed keys groups
-    the entries by face, which gives the CSR offsets over faces and each
-    entry's face id; each r-clique keeps the one of its r faces with the
-    fewest completions, at most the degree of any vertex of R.
+    Every (r-clique R, column j) pair is an entry j * n_r + R: the face R
+    less R[j], completed by R[j] into R. One sort of the faces' packed
+    keys groups the entries by face, giving the CSR offsets over faces
+    and each entry's face id; each r-clique keeps the one of its r faces
+    with the fewest completions, at most the degree of any vertex of R.
     """
     n_r, r = vmat.shape
     keep = ~np.eye(r, dtype=bool)
@@ -330,12 +331,9 @@ def face_index(vmat: np.ndarray, ids: np.ndarray, n: int, capacity: int) -> Face
     offsets = np.append(start.nonzero()[0], len(key))
     of = entry_face.reshape(r, n_r).T  # of[R, j]: the face of R less R[j]
     col = np.diff(offsets)[of].argmin(axis=1)
-    face = np.zeros(capacity, dtype=np.int64)
-    face[ids] = of[np.arange(n_r), col]
-    left_out = np.zeros(capacity, dtype=np.int8)
-    left_out[ids] = col
+    face = of[np.arange(n_r), col]
     csr = CSR(len(offsets) - 1, offsets, vmat.T.ravel()[order])
-    return Faces(csr, np.tile(ids, r)[order], face, left_out)
+    return Faces(csr, order % n_r, face, col.astype(np.int8))
 
 
 def set_edge_faces(faces: Faces, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray) -> Faces:
@@ -350,39 +348,36 @@ def set_edge_faces(faces: Faces, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
     return faces
 
 
-def peel_faces(und: CSR, dg: CSR, vmat: np.ndarray, ids: np.ndarray, capacity: int) -> Faces:
+def peel_faces(und: CSR, dg: CSR, vmat: np.ndarray) -> Faces:
     """UPDATE's faces for the r-cliques ``vmat`` of ``und`` (``dg`` its
     orientation), in the order counting returns them (sorted rows,
-    lexicographic order), with r-clique ids ``ids`` below ``capacity``.
+    lexicographic order), each r-clique's id its row.
 
     At r = 1 the r-cliques are every vertex in order, each its own face,
-    and each completion carries its own id. At r = 2 they are und's edges
-    (u, v), u < v, and each arc carries its edge's id: the arcs u -> v,
-    u < v, are already in that order, and the arcs v -> u take one
-    argsort. Asking DG's arc map for each of them instead costs more:
+    and each completion, a vertex, is its own id. At r = 2 they are und's
+    edges (u, v), u < v, and each arc carries its edge's row: the arcs
+    u -> v, u < v, are already in that order, and the arcs v -> u take
+    one argsort. Asking DG's arc map for each of them instead costs more:
     0.71 against 0.40 ms on skitter-23's graph and 55 against 41 ms at
-    ``rmat(17, 1M)``, on a 4-core x86 box. DG's arcs take their edges'
-    ids through ``CSR.edge_ids``, the array the r = 2 ``RowIds`` looks
-    edges up with. At r >= 3 the faces are the (r-1)-faces
-    (``face_index``).
+    ``rmat(17, 1M)``, on a 4-core x86 box. DG's arcs carry their edges'
+    rows in ``CSR.edge_ids``, the array the r = 2 ``RowIds`` looks edges
+    up with. At r >= 3 the faces are the (r-1)-faces (``face_index``).
     """
     r = vmat.shape[1]
     if r >= 3:
-        return face_index(vmat, ids, und.n, capacity)
+        return face_index(vmat, und.n)
     if r == 1:
-        face = np.zeros(capacity, dtype=np.int64)
-        face[ids] = vmat[:, 0]
-        return Faces(und, ids[und.nbrs], face)
+        return Faces(und, und.nbrs, vmat[:, 0])
     src, nbrs = und.arc_src, und.nbrs
     lower = src < nbrs
     upper = np.flatnonzero(~lower)
+    rows = np.arange(len(vmat))
     arc_id = np.empty(len(nbrs), dtype=np.int64)
-    arc_id[lower] = ids
+    arc_id[lower] = rows
     # an arc v -> u, u < v, keyed u*n + v sorts into the edges' order
-    arc_id[upper[np.argsort(nbrs[upper] * und.n + src[upper])]] = ids
-    arc_ids = ids[dg.edge_ids]
-    face, col = np.zeros(capacity, dtype=np.int64), np.zeros(capacity, dtype=np.int8)
-    return set_edge_faces(Faces(und, arc_id, face, col, arc_ids), vmat[:, 0], vmat[:, 1], ids)
+    arc_id[upper[np.argsort(nbrs[upper] * und.n + src[upper])]] = rows
+    face, col = np.empty(len(vmat), dtype=np.int64), np.empty(len(vmat), dtype=np.int8)
+    return set_edge_faces(Faces(und, arc_id, face, col, dg.edge_ids), vmat[:, 0], vmat[:, 1], rows)
 
 
 def extend_cliques(

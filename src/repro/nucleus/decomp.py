@@ -6,13 +6,14 @@ Phases:
    (optionally relabel vertices by orientation rank, §5.4).
 2. Count the s-cliques incident on every r-clique with REC-LIST-CLIQUES
    — locally, or on the Spark session the call is given (spark_count).
-3. Give every r-clique an id. At r >= 3 the configurable multi-level
-   hash table T (§5.1-5.3) stores the r-cliques, and an r-clique's id
-   is its last-level cell index. At r <= 2 the graph already indexes
-   them, so no T is built (``RowIds``): the id is the r-clique's row in
-   counting's lexicographic order, the vertex at r = 1, and at r = 2 an
-   edge is looked up as its arc in DG's arc map. Either way the loop
-   asks the same queries (lookup, decode, row indices, capacity).
+3. Index the r-cliques. An r-clique's id is its row in counting's
+   lexicographic order at every r, so every id-indexed array of the
+   loop has n_r entries. At r >= 3 the configurable multi-level hash
+   table T (§5.1-5.3) stores the r-cliques and maps rows to its cells
+   and back. At r <= 2 the graph already indexes them, so no T is built
+   (``RowIds``): the row is the vertex at r = 1, and at r = 2 an edge is
+   looked up as its arc in DG's arc map. Either way the loop asks the
+   same two queries, lookup and decode.
 4. Peel rounds over ``Bucketing``, the one peel state: each r-clique's
    count and peel round, and each round's level k, from which the core
    numbers are read at the end. Extract the r-cliques at or below k,
@@ -88,8 +89,8 @@ class DecompResult:
     rho: int  # number of peeling rounds
     max_core: int
     counters: Counters
-    # table T's space and probes; at r <= 2 no T is built: 0 units, 0
-    # cells, max_probe 0 and fill n_r / n_r
+    # table T's space and probes, the only fields T's layout moves; at
+    # r <= 2 no T is built: 0 units, 0 cells, max_probe 0 and fill n_r / n_r
     table_memory_units: int
     table_allocated_cells: int
     table_max_probe: int  # longest insert distance from a key's home slot
@@ -122,7 +123,10 @@ def nucleus_decomposition(
 
         if not isinstance(spark, SparkSession):
             raise ValueError(f"spark must be a pyspark.sql.SparkSession or None, got {spark!r}")
-    config = config or DecompConfig()
+    if config is None:
+        config = DecompConfig()
+    elif not isinstance(config, DecompConfig):
+        raise ValueError(f"config must be a DecompConfig or None, got {config!r}")
     t_start = time.perf_counter()
     counters = Counters()
 
@@ -146,15 +150,14 @@ def nucleus_decomposition(
     n_r = len(vmat)
 
     table = make_table(vmat, n_verts, config.table, dg)
-    idx_rows = table.row_indices()
-    buckets = Bucketing(idx_rows, cnts)
+    buckets = Bucketing(cnts)
     counts, peeled = buckets.count, buckets.round
-    agg = make_aggregator(config.aggregation, table.capacity)
+    agg = make_aggregator(config.aggregation, n_r)
     log2n = log2(max(2, n_verts))
     subs_cols = np.array(list(combinations(range(s), r)), dtype=np.int64)
     est_per_peel = comb(s, r) - 1
 
-    faces = peel_faces(und, dg, vmat, idx_rows, table.capacity)
+    faces = peel_faces(und, dg, vmat)
     cstate = ContractionState() if config.contraction and (r, s) == (2, 3) else None
 
     # ---- Phase 2: peel (Alg 2 lines 23-29) ----
@@ -203,7 +206,7 @@ def nucleus_decomposition(
 
     # counting returns vmat in lexicographic order; relabeled rows need
     # their original labels and a re-sort
-    core = np.array(buckets.levels, dtype=np.int64)[peeled[idx_rows]]
+    core = np.array(buckets.levels, dtype=np.int64)[peeled]
     out_vmat, out_core = vmat, core
     if perm is not None:
         row_rank, out_vmat = row_ranks(np.sort(perm[vmat], axis=1), n_verts)

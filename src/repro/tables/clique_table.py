@@ -24,13 +24,14 @@ by one batched ``open_addr.insert`` over all of them. ``max_probe``
 records the longest insert distance from a key's home slot over all
 levels.
 
-At r >= 3 an r-clique's identifier everywhere else in the algorithm
-(bucketing, counts, core numbers) is its absolute cell position in the
-last level, exactly as in §5.3. At r <= 2 the graph already indexes
-every r-clique, a vertex or one arc of the oriented graph DG, so
-``make_table`` builds no T: ``RowIds`` answers T's queries, and an
-r-clique's identifier is its row among the r-cliques in lexicographic
-order.
+An r-clique's identifier everywhere else in the algorithm (bucketing,
+counts, core numbers) is its row among the r-cliques in lexicographic
+order, the order counting returns them in. T maps rows to cells and
+back: ``lookup`` finds a query's last-level cell and maps it to its
+row through ``row_of_cell``, and ``decode`` starts from each row's
+cell and climbs the levels as §5.3 does. At r <= 2 the graph already
+indexes every r-clique, a vertex or one arc of the oriented graph DG,
+so ``make_table`` builds no T and ``RowIds`` answers the same queries.
 """
 from __future__ import annotations
 
@@ -211,17 +212,16 @@ class CliqueTable:
         self.last = lvl
         self.capacity = len(lvl.cells)
         self._row_index = pos
+        # a miss (cell -1) reads the extra last entry, -1
+        self.row_of_cell = np.full(self.capacity + 1, -1, dtype=np.int64)
+        self.row_of_cell[pos] = np.arange(len(pos))
         if not cfg.contiguous:  # separately allocated per-region tables (§5.2)
             lvl.blocks = [lvl.cells[a : a + c + 1].copy() for a, c in zip(lvl.starts, lvl.caps)]
             lvl.cells = None
 
     # ------------------------------------------------------------------ query
-    def row_indices(self) -> np.ndarray:
-        """Cell index of each input row, in input order."""
-        return self._row_index
-
     def lookup(self, vmat: np.ndarray) -> np.ndarray:
-        """Cell index of each query r-clique (rows sorted asc); -1 if absent."""
+        """Row of each query r-clique (rows sorted asc); -1 if absent."""
         vmat = np.atleast_2d(np.asarray(vmat, dtype=np.int64))
         if self.fl_array is None:
             regs = np.zeros(len(vmat), dtype=np.int64)
@@ -230,11 +230,12 @@ class CliqueTable:
         for col, lvl in enumerate(self.levels[:-1], start=self.first_col):
             pos = lvl.find(regs, vmat[:, col].astype(np.uint64))
             regs = np.where(pos >= 0, lvl.vals[pos], -1)
-        return self.last.find(regs, pack(vmat[:, self.r - self.suffix_w :], self.n))
+        return self.row_of_cell[self.last.find(regs, pack(vmat[:, self.r - self.suffix_w :], self.n))]
 
-    def decode(self, idx: np.ndarray) -> np.ndarray:
-        """Inverse index map: cell indices -> (k, r) sorted vertex matrix."""
-        idx = np.asarray(idx, dtype=np.int64)
+    def decode(self, rows: np.ndarray) -> np.ndarray:
+        """Inverse index map: rows -> (k, r) sorted vertex matrix, read from
+        the rows' cells."""
+        idx = self._row_index[np.asarray(rows, dtype=np.int64)]
         out = np.empty((len(idx), self.r), dtype=np.int64)
         out[:, self.r - self.suffix_w :] = unpack(self.last.values(idx), self.n, self.suffix_w)
         pointer = self.config.decode == "pointer"
@@ -289,16 +290,16 @@ def _groups(rid: np.ndarray, sel: np.ndarray):
 
 
 class RowIds(CliqueTable):
-    """T's query surface at r <= 2, where no T is built: an r-clique's id
-    is its row in ``vmat``, the r-cliques in lexicographic order. At
-    r = 1 the rows are the vertices 0..n-1, so the id is the vertex. At
-    r = 2 the rows are the edges of ``dg``, the oriented graph, and an
-    edge is found as its arc in DG's arc map (``CSR.arc_set``), whose
-    ``CSR.edge_ids`` give the arc's row. It holds no cells: 0 memory
-    units, 0 allocated cells, ``max_probe`` 0 and a capacity of n_r, so
-    every id-indexed array of the loop is sized by the r-cliques. It
-    subclasses ``CliqueTable`` so that code wrapping T's methods on the
-    class and its subclasses (nucbench's spans) reaches its own."""
+    """T's query surface at r <= 2, where no T is built: ``lookup`` and
+    ``decode`` map r-cliques to their rows in ``vmat`` and back, as T's
+    do. At r = 1 the rows are the vertices 0..n-1, so a vertex is its
+    own row. At r = 2 the rows are the edges of ``dg``, the oriented
+    graph, and an edge is found as its arc in DG's arc map
+    (``CSR.arc_set``), whose ``CSR.edge_ids`` give the arc's row. It
+    holds no cells: 0 memory units, 0 allocated cells, ``max_probe`` 0
+    and a capacity of n_r, a fill of 1. It subclasses ``CliqueTable`` so
+    that code wrapping T's methods on the class and its subclasses
+    (nucbench's spans) reaches its own."""
 
     def __init__(self, vmat: np.ndarray, n: int, dg: CSR | None = None):
         vmat = np.asarray(vmat, dtype=np.int64)
@@ -313,9 +314,6 @@ class RowIds(CliqueTable):
         if self.r == 2 and (dg is None or dg.m != len(vmat)):
             raise ValueError("at r = 2 the rows must be the edges of the oriented graph dg")
 
-    def row_indices(self) -> np.ndarray:
-        return np.arange(self.n_cliques)
-
     def lookup(self, vmat: np.ndarray) -> np.ndarray:
         """Row of each query r-clique (rows sorted asc); -1 if absent."""
         vmat = np.atleast_2d(np.asarray(vmat, dtype=np.int64))
@@ -327,9 +325,9 @@ class RowIds(CliqueTable):
         ids[pos < 0] = -1
         return ids
 
-    def decode(self, idx: np.ndarray) -> np.ndarray:
+    def decode(self, rows: np.ndarray) -> np.ndarray:
         """Rows -> (k, r) sorted vertex matrix."""
-        return self.vmat[idx]
+        return self.vmat[rows]
 
     def memory_units(self) -> int:
         return 0
@@ -343,7 +341,8 @@ def make_table(
 ) -> CliqueTable:
     """Factory: T over the r-cliques ``vmat``, auto-raising the level count
     when the key would not fit; at r <= 2 no T but ``RowIds``, which
-    ignores ``config`` and at r = 2 finds the edges in ``dg``."""
+    ignores ``config`` and at r = 2 finds the edges in ``dg``. Either
+    way an r-clique's id is its row in ``vmat``."""
     config = config or TableConfig()
     r = vmat.shape[1] if vmat.ndim == 2 else 1
     if r <= 2:

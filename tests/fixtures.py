@@ -83,11 +83,11 @@ def update_unpeeled(
 ) -> np.ndarray:
     """UPDATE over the r-cliques ``A_rows`` (sorted rows) of ``und`` with
     nothing peeled, every round -1: every s-clique containing each row,
-    led by that row. The faces and ids are the decomposition's, with row
-    numbers of counting's r-cliques as ids."""
+    led by that row. The faces and ids are the decomposition's: each
+    r-clique's id is its row in counting's order."""
     r = A_rows.shape[1]
     vmat = s_counts_per_r_clique(dg, r, r + 1)[0]
-    faces = peel_faces(und, dg, vmat, np.arange(len(vmat)), len(vmat))
+    faces = peel_faces(und, dg, vmat)
     row_of = {R: i for i, R in enumerate(map(tuple, vmat.tolist()))}
     own = np.array([row_of[R] for R in map(tuple, A_rows.tolist())], dtype=np.int64)
     live = np.full(len(vmat), -1, dtype=np.int64)

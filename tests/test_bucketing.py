@@ -17,9 +17,8 @@ def lower(b, ids, by=1):
 
 
 def test_extracts_in_order():
-    ids = np.arange(6)
     vals = np.array([3, 1, 4, 1, 5, 9])
-    b = Bucketing(ids, vals)
+    b = Bucketing(vals)
     got = []
     while not b.empty():
         k, a = b.next_bucket()
@@ -28,7 +27,7 @@ def test_extracts_in_order():
 
 
 def test_update_moves_bucket():
-    b = Bucketing(np.arange(3), np.array([5, 5, 10]))
+    b = Bucketing(np.array([5, 5, 10]))
     k, a = b.next_bucket()
     assert k == 5 and sorted(a.tolist()) == [0, 1]
     lower(b, [2], 4)
@@ -38,7 +37,7 @@ def test_update_moves_bucket():
 
 
 def test_update_clamps_at_current_level():
-    b = Bucketing(np.arange(3), np.array([2, 5, 5]))
+    b = Bucketing(np.array([2, 5, 5]))
     k, _ = b.next_bucket()
     assert k == 2
     lower(b, [1], 5)  # below the current level: peeled at it
@@ -48,7 +47,7 @@ def test_update_clamps_at_current_level():
 
 
 def test_dead_ids_ignored_on_update():
-    b = Bucketing(np.arange(2), np.array([1, 2]))
+    b = Bucketing(np.array([1, 2]))
     _, a = b.next_bucket()
     lower(b, a)  # peeled ids at or below k again: not extracted again
     k, a2 = b.next_bucket()
@@ -59,14 +58,14 @@ def test_dead_ids_ignored_on_update():
 
 def test_skips_empty_ranges():
     vals = np.array([0, 1_000_000])
-    b = Bucketing(np.arange(2), vals)
+    b = Bucketing(vals)
     assert b.next_bucket()[0] == 0
     assert b.next_bucket()[0] == 1_000_000
     assert b.rematerializations <= 3, "must jump the empty range, not scan it"
 
 
 def test_repeated_updates_single_extraction():
-    b = Bucketing(np.arange(2), np.array([1, 9]))
+    b = Bucketing(np.array([1, 9]))
     b.next_bucket()
     for _ in range(4):
         lower(b, [1])
@@ -76,15 +75,8 @@ def test_repeated_updates_single_extraction():
     assert b.bucket_moves == 4
 
 
-def test_sparse_ids():
-    ids = np.array([10, 500, 900])
-    b = Bucketing(ids, np.array([2, 1, 2]))
-    assert b.next_bucket()[1].tolist() == [500]
-    assert sorted(b.next_bucket()[1].tolist()) == [10, 900]
-
-
 def test_empty_structure():
-    b = Bucketing(np.empty(0, np.int64), np.empty(0, np.int64))
+    b = Bucketing(np.empty(0, np.int64))
     assert b.empty()
     with pytest.raises(RuntimeError):
         b.next_bucket()
@@ -92,7 +84,7 @@ def test_empty_structure():
 
 def test_window_advance_past_open_buckets():
     n = 50
-    b = Bucketing(np.arange(n), np.arange(n) * 3)  # one level rise per extraction
+    b = Bucketing(np.arange(n) * 3)  # one level rise per extraction
     ks = []
     while not b.empty():
         k, a = b.next_bucket()
@@ -129,16 +121,16 @@ class _MinCountPeel:
 
 
 def test_matches_min_clamped_bucket_on_random_scripts():
-    """Sparse ids; counts only lowered, some below the level; several
+    """Dense ids 0..n-1; counts only lowered, some below the level; several
     updates a round, each with distinct ids, also before the first
     extraction; updates that name peeled ids. Round stamps run 0..rho-1
     in extraction order and each id's core is the level of its round."""
     for seed in range(300):
         g = np.random.default_rng(seed)
         n = int(g.integers(1, 40))
-        ids = np.sort(g.choice(1000, n, replace=False))
+        ids = np.arange(n)
         counts = g.integers(0, 12, n)
-        b, ref = Bucketing(ids, counts), _MinCountPeel(ids, counts)
+        b, ref = Bucketing(counts), _MinCountPeel(ids, counts)
         rounds = 0
         while ref.count:
             for _ in range(int(g.integers(0, 4))):

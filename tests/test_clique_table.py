@@ -1,5 +1,7 @@
 """Multi-level clique tables: lookup/decode roundtrips across every
 configuration of §5.1-5.3, plus the space model."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -54,9 +56,13 @@ def test_lookup_decode_roundtrip(name, cfg, r):
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
 def test_row_indices_match_lookup(cfg):
+    """An r-clique's id is its row: lookup maps rows to their row
+    indices and decode maps row indices back to the rows."""
     vmat, n = cliques_of("er30", 3)
     t = CliqueTable(vmat, n, cfg)
-    assert np.array_equal(t.row_indices(), t.lookup(vmat))
+    rows = np.arange(len(vmat))
+    assert np.array_equal(t.lookup(vmat), rows)
+    assert np.array_equal(t.decode(rows), vmat)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
@@ -69,6 +75,21 @@ def test_missing_lookup(cfg):
     for row, i in zip(bogus.tolist(), idx):
         if tuple(row) not in present:
             assert i == -1
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_miss_returns_minus_one(contiguous):
+    """A query T does not hold finds no cell, and the cell -1 maps to the
+    row -1 through ``row_of_cell``'s extra last entry, with no branch;
+    the queries it does hold get their rows, in query order."""
+    vmat, n = cliques_of("er30", 3)
+    cfg = TableConfig(levels=2, first_level="array", contiguous=contiguous, decode="binsearch")
+    t = CliqueTable(vmat, n, cfg)
+    assert len(t.row_of_cell) == t.capacity + 1 and t.row_of_cell[-1] == -1
+    present = {tuple(row) for row in vmat.tolist()}
+    absent = [row for row in combinations(range(n), 3) if row not in present][:50]
+    q = np.concatenate([np.array(absent), vmat[::-1]])
+    assert t.lookup(q).tolist() == [-1] * len(absent) + list(range(len(vmat)))[::-1]
 
 
 @pytest.mark.parametrize("contiguous", [True, False])
@@ -157,8 +178,10 @@ def test_r1_table():
 
 
 def test_empty_table():
-    t = CliqueTable(np.empty((0, 3), dtype=np.int64), 5, TableConfig(levels=2))
-    assert t.n_cliques == 0 and len(t.row_indices()) == 0
+    vmat = np.empty((0, 3), dtype=np.int64)
+    t = CliqueTable(vmat, 5, TableConfig(levels=2))
+    assert t.n_cliques == 0 and len(t.lookup(vmat)) == 0
+    assert t.decode(np.arange(0)).shape == (0, 3)
     assert t.lookup(np.array([[0, 1, 2]]))[0] == -1
 
 
@@ -225,9 +248,9 @@ def test_wide_ids_roundtrip(first_level):
     vmat = np.unique(vmat[np.all(np.diff(vmat, axis=1) > 0, axis=1)], axis=0)
     cfg = TableConfig(levels=3, first_level=first_level)
     t = CliqueTable(vmat, n, cfg)
-    assert np.array_equal(t.row_indices(), t.lookup(vmat))
-    assert len(np.unique(t.row_indices())) == len(vmat)
-    assert np.array_equal(t.decode(t.row_indices()), vmat)
+    rows = np.arange(len(vmat))
+    assert np.array_equal(t.lookup(vmat), rows)
+    assert np.array_equal(t.decode(rows), vmat)
     with pytest.raises(ValueError, match=UNSORTED):
         CliqueTable(vmat[g.permutation(len(vmat))], n, cfg)
 
@@ -270,11 +293,11 @@ def test_row_ids_are_the_rows(name, rank, r):
     t, vmat, dg = row_ids(name, r, rank)
     assert type(t) is RowIds and isinstance(t, CliqueTable)
     rows = np.arange(len(vmat))
-    assert np.array_equal(t.row_indices(), rows) and t.capacity == len(vmat)
+    assert t.capacity == len(vmat)
     assert np.array_equal(t.lookup(vmat), rows)
     perm = np.random.default_rng(r).permutation(len(vmat))
     assert np.array_equal(t.lookup(vmat[perm]), perm)
-    assert np.array_equal(t.decode(t.row_indices()), vmat)
+    assert np.array_equal(t.decode(rows), vmat)
     assert np.array_equal(t.decode(perm), vmat[perm])
     assert (t.memory_units(), t.allocated_cells(), t.max_probe) == (0, 0, 0)
     if r == 1:

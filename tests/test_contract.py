@@ -22,7 +22,7 @@ def _setup(name):
     lower = und.arc_src < und.nbrs
     edges = np.stack([und.arc_src[lower], und.nbrs[lower]], axis=1)
     dg = orient_csr(und, make_rank(und))
-    faces = peel_faces(und, dg, edges, np.arange(len(edges)), len(edges))
+    faces = peel_faces(und, dg, edges)
     return faces, ContractionState(), edges, np.full(len(edges), -1)
 
 

@@ -186,9 +186,9 @@ def test_peel_state_invariants(monkeypatch, best, r, s):
     kept = []
 
     class Kept(Bucketing):
-        def __init__(self, ids, counts):
-            super().__init__(ids, counts)
-            self.ids, self.peeled = np.asarray(ids), []
+        def __init__(self, counts):
+            super().__init__(counts)
+            self.ids, self.peeled = np.arange(len(counts)), []
             kept.append(self)
 
         def next_bucket(self):
@@ -280,6 +280,43 @@ def test_config_has_four_options():
     cfg.counting, cfg.spark_slices = "spark", 4
     res = nucleus_decomposition(SMALL_GRAPHS["fig1"], 3, 4, cfg)
     assert np.array_equal(res.vmat, plain.vmat) and np.array_equal(res.core, plain.core)
+
+
+@pytest.mark.parametrize("config", [0, "hash", {}], ids=["zero", "str", "dict"])
+def test_config_not_a_decomp_config_rejected(monkeypatch, config):
+    """A ``config`` that is neither a DecompConfig nor None fails before
+    any graph work with a ValueError naming it: not even a falsy one runs
+    with the defaults."""
+
+    def no_graph_work(*a, **kw):
+        raise AssertionError("build_csr reached")
+
+    monkeypatch.setattr(decomp, "build_csr", no_graph_work)
+    with pytest.raises(ValueError, match=re.escape(f"config must be a DecompConfig or None, got {config!r}")):
+        nucleus_decomposition(SMALL_GRAPHS["k4"], 2, 3, config)
+
+
+@pytest.mark.parametrize("r,s", [(1, 2), (2, 3), (3, 4), (4, 5)])
+@pytest.mark.parametrize("best", [False, True], ids=["default", "best"])
+def test_id_arrays_have_n_r_entries(monkeypatch, r, s, best):
+    """An r-clique's id is its row in counting's order at every r: T (or
+    ``RowIds``) looks the rows up as 0..n_r-1, and every id-indexed array
+    of the loop has n_r entries, whatever T's layout: the peel state's
+    counts and rounds, the faces' ``face`` and ``col``, and the ids U can
+    hold."""
+    seen = {}
+    for name in ("make_table", "Bucketing", "peel_faces", "make_aggregator"):
+        monkeypatch.setattr(decomp, name, lambda *a, f=getattr(decomp, name), k=name: seen.setdefault(k, f(*a)))
+    edges = SMALL_GRAPHS["comm"]
+    res = nucleus_decomposition(edges, r, s, _best_config(r, s) if best else DecompConfig())
+    n_r = len(res.vmat)
+    assert n_r > 0 and res.core_dict() == reference_nucleus(edges, r, s)
+    table, b, faces = seen["make_table"], seen["Bucketing"], seen["peel_faces"]
+    rows = np.arange(n_r)
+    assert np.array_equal(table.lookup(table.decode(rows)), rows)
+    assert len(b.count) == len(b.round) == len(faces.face) == seen["make_aggregator"].n_ids == n_r
+    assert faces.col is None if r == 1 else len(faces.col) == n_r
+    assert faces.ids.max() < n_r
 
 
 @pytest.mark.parametrize("spark", ["local[4]", 4, object()], ids=["str", "int", "object"])

@@ -155,22 +155,19 @@ def test_extend_drops_dead_vertices(name, r, s):
     und, dg = setup(name, "degeneracy")
     vmat = s_counts_per_r_clique(dg, r, s)[0]
     rng = np.random.default_rng(len(vmat) * 31 + s)
-    ids = rng.permutation(2 * len(vmat))[: len(vmat)]  # T ids are any distinct cells
-    faces = peel_faces(und, dg, vmat, ids, 2 * len(vmat))
-    live = np.full(2 * len(vmat), -1, dtype=np.int64)
-    of = dict(zip(map(tuple, vmat.tolist()), ids.tolist()))
+    faces = peel_faces(und, dg, vmat)
+    live = np.full(len(vmat), -1, dtype=np.int64)
+    of = {R: i for i, R in enumerate(map(tuple, vmat.tolist()))}  # an r-clique's id is its row
     for frac in (0.0, 0.3, 0.7):
-        rounds = np.full(2 * len(vmat), -1, dtype=np.int64)
-        now = np.where(rng.random(len(vmat)) < frac, rng.integers(0, 3, len(vmat)), 3)
-        now[rng.random(len(vmat)) < 0.2] = -1
-        rounds[ids] = now
-        A = (now == 3).nonzero()[0]
-        full = extend_cliques(dg, vmat[A], s - r, Counters(), Peeled(live, ids[A], faces))
+        rounds = np.where(rng.random(len(vmat)) < frac, rng.integers(0, 3, len(vmat)), 3)
+        rounds[rng.random(len(vmat)) < 0.2] = -1
+        A = (rounds == 3).nonzero()[0]
+        full = extend_cliques(dg, vmat[A], s - r, Counters(), Peeled(live, A, faces))
         counters = Counters()
-        out = extend_cliques(dg, vmat[A], s - r, counters, Peeled(rounds, ids[A], faces))
+        out = extend_cliques(dg, vmat[A], s - r, counters, Peeled(rounds, A, faces))
         assert counters.scliques_discovered == len(out)
         assert Counter(map(tuple, out.tolist())) <= Counter(map(tuple, full.tolist()))
-        earlier = {R for R, t in zip(of, rounds[ids].tolist()) if 0 <= t < 3}
+        earlier = {R for R, t in zip(of, rounds.tolist()) if 0 <= t < 3}
         kept = set(map(tuple, out.tolist()))
         for row in full.tolist():
             R, extra = tuple(row[:r]), row[r:]
@@ -198,7 +195,7 @@ def oriented(name, orientation):
 @pytest.mark.parametrize("s", [3, 4, 5])
 @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
 def test_extend_drops_dead_probed_edges_at_r2(name, s, orientation):
-    """At r = 2, where the faces give the T id of every DG arc, UPDATE
+    """At r = 2, where the faces give the edge id of every DG arc, UPDATE
     returns the rows of the same call with nothing peeled less exactly
     those with an extra vertex w for which the completed edge {F, w} or
     the probed edge {head, w} was peeled in an earlier round, F the row's
@@ -206,20 +203,17 @@ def test_extend_drops_dead_probed_edges_at_r2(name, s, orientation):
     und, dg = oriented(name, orientation)
     vmat = s_counts_per_r_clique(dg, 2, s)[0]
     rng = np.random.default_rng(len(vmat) * 31 + s)
-    ids = rng.permutation(2 * len(vmat))[: len(vmat)]
-    faces = peel_faces(und, dg, vmat, ids, 2 * len(vmat))
-    live = np.full(2 * len(vmat), -1, dtype=np.int64)
-    of = dict(zip(map(tuple, vmat.tolist()), ids.tolist()))
+    faces = peel_faces(und, dg, vmat)
+    live = np.full(len(vmat), -1, dtype=np.int64)
+    of = {R: i for i, R in enumerate(map(tuple, vmat.tolist()))}
     for frac in (0.0, 0.3, 0.7):
-        rounds = np.full(2 * len(vmat), -1, dtype=np.int64)
-        now = np.where(rng.random(len(vmat)) < frac, rng.integers(0, 3, len(vmat)), 3)
-        now[rng.random(len(vmat)) < 0.2] = -1
-        rounds[ids] = now
-        A = (now == 3).nonzero()[0]
-        full = extend_cliques(dg, vmat[A], s - 2, Counters(), Peeled(live, ids[A], faces))
-        out = extend_cliques(dg, vmat[A], s - 2, Counters(), Peeled(rounds, ids[A], faces))
+        rounds = np.where(rng.random(len(vmat)) < frac, rng.integers(0, 3, len(vmat)), 3)
+        rounds[rng.random(len(vmat)) < 0.2] = -1
+        A = (rounds == 3).nonzero()[0]
+        full = extend_cliques(dg, vmat[A], s - 2, Counters(), Peeled(live, A, faces))
+        out = extend_cliques(dg, vmat[A], s - 2, Counters(), Peeled(rounds, A, faces))
         assert Counter(map(tuple, out.tolist())) <= Counter(map(tuple, full.tolist()))
-        earlier = {R for R, t in zip(of, rounds[ids].tolist()) if 0 <= t < 3}
+        earlier = {R for R, t in zip(of, rounds.tolist()) if 0 <= t < 3}
         kept = set(map(tuple, out.tolist()))
         for row in full.tolist():
             R, extra = tuple(row[:2]), row[2:]
@@ -286,24 +280,26 @@ def test_r2_counts_match_row_merge(monkeypatch, name, s, orientation, chunk):
 @pytest.mark.parametrize("wide,r", [(False, 1), (False, 2), (False, 3), (False, 4), (True, 3), (True, 4)])
 def test_face_index_matches_brute_force(name, r, wide):
     """Each face lists exactly the vertices that complete it into an
-    r-clique, each with that r-clique's id. At r >= 3 the faces are the
+    r-clique, each with that r-clique's id, its row; ``face`` and ``col``
+    hold one entry per r-clique. At r >= 3 the faces are the
     (r-1)-faces, and each r-clique's chosen face is one of its own with
     the fewest completions; at r <= 2 they are und's vertices, its own
     arcs, and a completion w of v completes {w} at r = 1, {v, w} at
     r = 2. An r-clique's face is itself at r = 1, its endpoint of lower
     degree (the lower id on a tie) at r = 2, and at r = 2 every DG arc
-    carries its edge's id. With ``wide``, ids reach 2^40, so the faces'
-    keys take ``row_ranks``, not packing."""
+    carries its edge's id. With ``wide``, vertex ids reach 2^40, so the
+    faces' keys take ``row_ranks``, not packing."""
     und, dg = setup(name, "degeneracy")
     vmat = s_counts_per_r_clique(dg, r, r + 1)[0]
-    ids = np.random.default_rng(r).permutation(3 * len(vmat))[: len(vmat)]
     if wide:
         n = 2**40
         vmat = vmat + n - und.n
-        faces = face_index(vmat, ids, n, 3 * len(vmat))
+        faces = face_index(vmat, n)
     else:
-        faces = peel_faces(und, dg, vmat, ids, 3 * len(vmat))
-    id_of = dict(zip(map(tuple, vmat.tolist()), ids.tolist()))
+        faces = peel_faces(und, dg, vmat)
+    id_of = {R: i for i, R in enumerate(map(tuple, vmat.tolist()))}
+    assert len(faces.face) == len(vmat)
+    assert faces.col is None if r == 1 else len(faces.col) == len(vmat)
     csr = faces.csr
     if r <= 2:
         assert csr is und
@@ -332,7 +328,7 @@ def test_face_index_matches_brute_force(name, r, wide):
     for f in range(csr.n):
         pos = range(csr.offsets[f], csr.offsets[f + 1])
         comp = {(int(csr.nbrs[p]), int(faces.ids[p])) for p in pos}
-        (F,) = {tuple(sorted(set(vmat[np.flatnonzero(ids == rid)[0]]) - {w})) for w, rid in comp}
+        (F,) = {tuple(sorted(set(vmat[rid]) - {w})) for w, rid in comp}
         got[F] = comp
     assert got == want
     face_of = {F: f for f, F in enumerate(sorted(want))}
@@ -414,8 +410,7 @@ def test_update_work_bounded_on_hub(monkeypatch, r, s):
     dg = orient_csr(und, make_rank(und))
     m, d = len(und.nbrs) // 2, int(dg.degrees().max())
     A = s_counts_per_r_clique(dg, r, s)[0]
-    ids = np.arange(len(A))
-    faces = peel_faces(und, dg, A, ids, len(A))
+    faces = peel_faces(und, dg, A)
     gathered = []
     arcs = CSR.arcs
 
@@ -427,7 +422,7 @@ def test_update_work_bounded_on_hub(monkeypatch, r, s):
 
     monkeypatch.setattr(CSR, "arcs", spy)
     counters = Counters()
-    out = extend_cliques(dg, A, s - r, counters, Peeled(np.zeros(len(A), dtype=np.int64), ids, faces))
+    out = extend_cliques(dg, A, s - r, counters, Peeled(np.zeros(len(A), dtype=np.int64), np.arange(len(A)), faces))
     assert len(out) == comb(s, r) * count_cliques(dg, s)
     assert counters.work <= 8 * m * d ** (s - 2)
     assert (np.concatenate(gathered) <= und.degrees()[A].min(axis=1)).all()
