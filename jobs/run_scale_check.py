@@ -27,7 +27,10 @@ line per check, and the job exits non-zero if any check fails:
   ``networkx.core_number``;
 * the s-clique counts ``s_counts_per_r_clique`` gives a seeded sample
   of about 1,000 r-cliques equal those recounted by Python set
-  intersection over the neighbour lists.
+  intersection over the neighbour lists;
+* at (2,3) the counts ``spark_s_counts`` gives on a ``get_spark``
+  session, one slice per worker, equal the local counts, dtypes
+  included. Only that case starts a JVM, after its RSS is read.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ import subprocess
 import sys
 import time
 
-from _common import check  # also puts repro on the path
+from _common import check, get_spark  # also puts repro on the path
 
 CASES = [(14, 300_000, 3, 4), (13, 150_000, 2, 4), (17, 1_000_000, 2, 3)]
 SEED = 3
@@ -117,12 +120,24 @@ def run_case(i: int) -> bool:
         want = nx.core_number(g)
         got = nucleus_decomposition(edges, 1, 2, _best_config(1, 2)).core_dict()
         ok &= check("(1,2) core == networkx.core_number", got == {(v,): c for v, c in want.items()})
-    vmat, cnts = s_counts_per_r_clique(orient_csr(und, make_rank(und)), r, s)
+    dg = orient_csr(und, make_rank(und))
+    vmat, cnts = s_counts_per_r_clique(dg, r, s)
     sample = np.random.default_rng(SEED).choice(len(vmat), min(SAMPLE, len(vmat)), replace=False)
     adj = functools.cache(lambda v: set(und.neighbors(v).tolist()))
     recount = [_cliques_in(set.intersection(*map(adj, vmat[j].tolist())), adj, s - r) for j in sample]
     same = recount == cnts[sample].tolist()
     ok &= check(f"s-clique counts of {len(sample)} sampled r-cliques == set recount", same)
+    if (r, s) == (2, 3):
+        from repro.cliques.spark_count import spark_s_counts
+
+        spark = get_spark("scale-check")
+        try:
+            got_vmat, got_cnts = spark_s_counts(spark, dg, r, s)
+        finally:
+            spark.stop()
+        pairs = [(got_vmat, vmat), (got_cnts, cnts)]
+        same = all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in pairs)
+        ok &= check("Spark counts == local counts", same)
     return ok
 
 

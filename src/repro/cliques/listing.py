@@ -34,9 +34,10 @@ is ``_enter`` and the rest are ``_step``s.
 DG's arc map is the only arc structure: no undirected graph builds
 one. It maps an arc's key to the arc's CSR position (``KeySet.find``),
 and at r = 2, where every r-clique is exactly one DG arc, that position
-stands for the edge: counting sums s-cliques per arc
-(``arc_s_counts``) and ``CSR.edge_order`` gives the arcs' edge order,
-the lexicographic order of the r-cliques, instead of a row-rank merge.
+stands for the edge. So counting's partials over a set of roots
+(``count_partials``) are per-arc counts at r = 2 and r-clique rows
+otherwise, and ``merge_counts``, the one merge, sums those of any split
+of the roots, for local counting and Spark alike.
 
 UPDATE draws I_R from the completions of one face F of R (``Faces``,
 built by ``peel_faces``): the vertices w that make F ∪ {w} an r-clique,
@@ -47,8 +48,9 @@ earlier round is dropped before any probe, since every s-clique through
 it is dead. At r >= 2 each kept w is then probed against the one vertex
 of R outside F in DG's map, by the key of the edge's arc in rank
 direction (``CSR.edge_keys``). At r = 2 that edge is an r-clique too: a
-hit's arc gives its r-clique id, and w is dropped if the edge was peeled in an
-earlier round. With nothing peeled (every round -1) nothing is dropped.
+hit gives its r-clique id (``CSR.edge_id``), and w is dropped if the
+edge was peeled in an earlier round. With nothing peeled (every round
+-1) nothing is dropped.
 
 Work matches O(m * alpha^(c-2)) per Shi et al. [60]. The kernel adds
 its operation count (candidates gathered plus probes and lookups) to
@@ -71,11 +73,12 @@ __all__ = [
     "CHUNK",
     "Faces",
     "Peeled",
-    "arc_s_counts",
     "count_cliques",
+    "count_partials",
     "edge_counts",
     "enumerate_cliques",
     "face_index",
+    "merge_counts",
     "peel_faces",
     "s_counts_per_r_clique",
     "set_edge_faces",
@@ -182,36 +185,32 @@ def sum_by_row(rows: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarra
     return uniq, sums.astype(weights.dtype, copy=False)
 
 
-def s_counts_per_r_clique(
-    dg: CSR,
-    r: int,
-    s: int,
-    *,
-    roots: np.ndarray | None = None,
-    counters: Counters | None = None,
+def count_partials(
+    dg: CSR, r: int, s: int, roots: np.ndarray | None = None, counters: Counters | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """s-clique count of every r-clique (COUNT-FUNC of Algorithm 2).
-
-    Returns (vmat, cnts): the lexicographically sorted (n_r, r) matrix of
-    r-cliques with sorted vertex rows, and their int64 s-clique counts.
-    r-cliques with no incident s-clique are included (they form the
-    0-bucket): they are the rows of the level-r frontier, candidates or
-    not. Every s-clique extends exactly one r-clique (its first r
-    vertices in orientation order), so the s-cliques are grown from the
-    level-r frontier, by s - 1 - r steps and one ``_grow``; each then
-    adds 1 to each of its C(s, r) r-subsets through one ``bincount``
-    over dense row ranks. At r = 2 the r-cliques are DG's arcs, and the
-    counts are summed per arc instead (``arc_s_counts``, ``edge_counts``).
-
-    With ``roots`` (the Spark fan-out unit), only r- and s-cliques rooted
-    there are listed, so an s-clique may add to an r-clique rooted
-    elsewhere; such partial counts are summed downstream by ``sum_by_row``.
-    At r = 2 every edge is returned, with the count of the s-cliques
-    rooted there, 0 for most.
+    """The s-cliques rooted at ``roots`` (default: every vertex) summed
+    per r-clique: the partials ``merge_counts`` sums over any split of
+    the roots, whose form is decided here only. Every s-clique extends
+    exactly one r-clique (its first r vertices in orientation order), so
+    the s-cliques are grown from the level-r frontier. At r = 2 each of
+    an s-clique's C(s, 2) column pairs is a DG arc's key: the partials
+    are the counted arcs' positions, ascending, and their counts.
+    Otherwise they are distinct r-clique rows, lexicographic, and their
+    counts, by ``sum_by_row`` over the frontier's rows (weight 0, so an
+    r-clique in no s-clique is kept) and each s-clique's C(s, r)
+    r-subsets (weight 1), which may be rooted elsewhere. Chunks of
+    ``CHUNK`` roots are merged here. Sums add nothing to ``Counters.work``.
     """
     counters = counters if counters is not None else Counters()
     if r == 2:
-        return edge_counts(dg, arc_s_counts(dg, s, roots=roots, counters=counters))
+        left, right = np.array(list(combinations(range(s), 2)), dtype=np.int64).T
+        pos = [dg.nbrs[:0]]  # typed if no chunk runs
+        for chunk in _chunks(dg, roots):
+            rows = _cliques(dg, chunk, s, counters)
+            pos.append(dg.arc_set.find((rows[:, left] * dg.n + rows[:, right]).ravel()))
+        cnt = np.bincount(np.concatenate(pos), minlength=dg.m)
+        arcs = cnt.nonzero()[0]
+        return arcs, cnt[arcs]
     subs = np.array(list(combinations(range(s), r)), dtype=np.int64)
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     for chunk in _chunks(dg, roots):
@@ -223,37 +222,30 @@ def s_counts_per_r_clique(
         weights = np.zeros(len(r_rows) + len(sub_rows), dtype=np.int64)
         weights[len(r_rows) :] = 1
         parts.append(sum_by_row(np.concatenate([r_rows, sub_rows]), weights, dg.n))
-    if not parts:
-        return np.empty((0, r), dtype=np.int64), np.empty(0, dtype=np.int64)
+    return merge_counts(dg, r, parts)
+
+
+def merge_counts(
+    dg: CSR, r: int, parts: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(vmat, cnts) from the ``count_partials`` of any split of the roots:
+    the lexicographically sorted (n_r, r) r-cliques with sorted rows and
+    their int64 s-clique counts. At r = 2 the partials add exactly into
+    one int64 count per arc, put in edge order by ``edge_counts``;
+    otherwise ``sum_by_row`` sums the rows, and one part passes through.
+    """
+    if r == 2:
+        cnt = np.zeros(dg.m, dtype=np.int64)
+        for arcs, part in parts:
+            cnt[arcs] += part  # a part's arcs are distinct
+        return edge_counts(dg, cnt)
     if len(parts) == 1:
         return parts[0]
+    if not parts:
+        return np.empty((0, r), dtype=np.int64), np.empty(0, dtype=np.int64)
     return sum_by_row(
         np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]), dg.n
     )
-
-
-def arc_s_counts(
-    dg: CSR, s: int, *, roots: np.ndarray | None = None, counters: Counters | None = None
-) -> np.ndarray:
-    """s-clique count of every arc of ``dg``, in CSR order: COUNT-FUNC at
-    r = 2, where every r-clique is exactly one DG arc.
-
-    The s-cliques are listed from the roots as at any r. A ``_grow`` row
-    is in orientation order, so each of its C(s, 2) column pairs (i < j)
-    is the key of a DG arc: one ``find`` in DG's arc map gives their
-    positions and one ``bincount`` sums them. Like the row-rank merge at
-    r != 2, this sum adds nothing to ``Counters.work``, which counts the
-    listing's operations. With ``roots``, only the s-cliques rooted there
-    are counted.
-    """
-    counters = counters if counters is not None else Counters()
-    left, right = np.array(list(combinations(range(s), 2)), dtype=np.int64).T
-    pos = [dg.nbrs[:0]]  # typed if no chunk runs
-    for chunk in _chunks(dg, roots):
-        rows = _cliques(dg, chunk, s, counters)
-        keys = rows[:, left] * dg.n + rows[:, right]
-        pos.append(dg.arc_set.find(keys.ravel()))
-    return np.bincount(np.concatenate(pos), minlength=dg.m)
 
 
 def edge_counts(dg: CSR, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,6 +256,15 @@ def edge_counts(dg: CSR, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     src, dst = dg.arc_src[arcs], dg.nbrs[arcs]
     lo = np.minimum(src, dst)
     return np.column_stack([lo, src + dst - lo]), cnt[arcs]
+
+
+def s_counts_per_r_clique(
+    dg: CSR, r: int, s: int, *, counters: Counters | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """s-clique count of every r-clique (COUNT-FUNC of Algorithm 2), as
+    ``merge_counts`` returns it: r-cliques with no incident s-clique are
+    included (they form the 0-bucket)."""
+    return merge_counts(dg, r, [count_partials(dg, r, s, None, counters)])
 
 
 class Faces(NamedTuple):
@@ -279,15 +280,13 @@ class Faces(NamedTuple):
     (``face_index``) the faces are the (r-1)-faces of the r-cliques. At
     r <= 2 they are the vertices and ``csr`` the undirected graph, less
     any arcs that contraction removed; at r = 2 a completion's id is its
-    edge's, and ``arc_ids`` gives the r-clique id of every DG arc, by
-    CSR position, for the edge UPDATE probes.
+    edge's.
     """
 
     csr: CSR
     ids: np.ndarray
     face: np.ndarray
     col: np.ndarray | None = None
-    arc_ids: np.ndarray | None = None
 
 
 class Peeled(NamedTuple):
@@ -360,8 +359,8 @@ def peel_faces(und: CSR, dg: CSR, vmat: np.ndarray) -> Faces:
     one argsort. Asking DG's arc map for each of them instead costs more:
     0.71 against 0.40 ms on skitter-23's graph and 55 against 41 ms at
     ``rmat(17, 1M)``, on a 4-core x86 box. DG's arcs carry their edges'
-    rows in ``CSR.edge_ids``, the array the r = 2 ``RowIds`` looks edges
-    up with. At r >= 3 the faces are the (r-1)-faces (``face_index``).
+    rows in ``CSR.edge_ids``, read by ``CSR.edge_id``. At r >= 3 the
+    faces are the (r-1)-faces (``face_index``).
     """
     r = vmat.shape[1]
     if r >= 3:
@@ -377,7 +376,7 @@ def peel_faces(und: CSR, dg: CSR, vmat: np.ndarray) -> Faces:
     # an arc v -> u, u < v, keyed u*n + v sorts into the edges' order
     arc_id[upper[np.argsort(nbrs[upper] * und.n + src[upper])]] = rows
     face, col = np.empty(len(vmat), dtype=np.int64), np.empty(len(vmat), dtype=np.int8)
-    return set_edge_faces(Faces(und, arc_id, face, col, dg.edge_ids), vmat[:, 0], vmat[:, 1], rows)
+    return set_edge_faces(Faces(und, arc_id, face, col), vmat[:, 0], vmat[:, 1], rows)
 
 
 def extend_cliques(
@@ -406,7 +405,7 @@ def extend_cliques(
     A completion is dropped before any probe if its r-clique was peeled
     in a round before the row's (``peeled.round``), or is the row itself.
     At r = 2 a completion whose probed edge was peeled before the row's
-    round is dropped as well (``Faces.arc_ids``). Every s-clique through
+    round is dropped as well (``CSR.edge_id``). Every s-clique through
     a dropped completion holds that r-clique, so it is dead; every later
     level draws from I_R, so no other level tests it. With every round
     -1 nothing is peeled before, and every s-clique is listed.
@@ -429,13 +428,11 @@ def extend_cliques(
         if r > 1:  # the one vertex the face leaves out
             head = B[np.arange(len(B)), faces.col[own]]
             counters.work += len(w)
-            keys = dg.edge_keys(head[i], w)
-            if faces.arc_ids is None:
-                keep = dg.arc_set.contains(keys).nonzero()[0]
-            else:  # r = 2: the edge {head, w} is an r-clique, dead if peeled earlier
-                pos = dg.arc_set.find(keys)
-                rid = faces.arc_ids[pos]
-                keep = ((pos >= 0) & (peeled.round[rid].view(np.uint64) >= now)).nonzero()[0]
+            if r == 2:  # the edge {head, w} is an r-clique, dead if peeled earlier
+                rid = dg.edge_id(head[i], w)
+                keep = ((rid >= 0) & (peeled.round[rid].view(np.uint64) >= now)).nonzero()[0]
+            else:
+                keep = dg.arc_set.contains(dg.edge_keys(head[i], w)).nonzero()[0]
             i, w = i[keep], w[keep]
         frontier = B, i, w
         if need > 1:

@@ -5,13 +5,10 @@ is embarrassingly parallel over root vertices. The oriented CSR is
 broadcast to executors and each partition of an RDD of slice numbers,
 one per worker (``defaultParallelism``), runs the local counting kernel
 over its range of roots and yields its partial counts as numpy arrays:
-one stage, no shuffle, no DataFrame or Arrow conversion. The driver
-merges the partials the way the local kernel does. At r != 2 the
-partials are r-clique rows and counts, merged with ``sum_by_row``, the
-row-rank sum the local kernel uses to merge its chunks. At r = 2 they
-are per-arc counts (``arc_s_counts``), sent as the positions of the arcs
-counted and their counts, summed by one ``bincount`` and put in edge
-order by ``edge_counts``, the local kernel's own arc-to-row step.
+one stage, no shuffle, no DataFrame or Arrow conversion. The kernel
+decides the partials' form (``count_partials``) and the driver sums
+them with the kernel's one merge (``merge_counts``), the one local
+counting ends in too, so nothing here branches on r.
 
 Each task drops the cached zip finders that PySpark's next task would
 otherwise re-read (``_drop_zip_finders``). The CSR is broadcast once per
@@ -29,7 +26,7 @@ from pyspark.sql import SparkSession
 
 from ..graphs.csr import CSR
 from ..instrument import Counters
-from .listing import arc_s_counts, edge_counts, s_counts_per_r_clique, sum_by_row
+from .listing import count_partials, merge_counts
 
 __all__ = ["spark_s_counts"]
 
@@ -66,7 +63,7 @@ def spark_s_counts(
 
     Returns (vmat, counts): lexicographically sorted (n_r, r) vertex
     matrix and the aligned int64 counts — identical, dtype included, to
-    the local kernel ``s_counts_per_r_clique`` (tested equal). Slice i
+    local counting, ``s_counts_per_r_clique`` (tested equal). Slice i
     of ``n_slices`` (default: the session's ``defaultParallelism``)
     counts the roots ``[i*n//slices, (i+1)*n//slices)``. The kernel's
     work, summed over slices, is added to ``counters.work``.
@@ -85,22 +82,12 @@ def spark_s_counts(
     def count_slice(i, _):
         task_counters = Counters()
         roots = np.arange(i * n // slices, (i + 1) * n // slices)
-        task_dg = CSR(*bc.value)
-        if r == 2:  # per-arc partials: the arcs counted and their counts
-            cnt = arc_s_counts(task_dg, s, roots=roots, counters=task_counters)
-            arcs = cnt.nonzero()[0]
-            out = arcs, cnt[arcs]
-        else:
-            out = s_counts_per_r_clique(task_dg, r, s, roots=roots, counters=task_counters)
+        part = count_partials(CSR(*bc.value), r, s, roots, task_counters)
         _drop_zip_finders()
-        yield *out, task_counters.work
+        yield part, task_counters.work
 
     parts = sc.parallelize(range(slices), slices).mapPartitionsWithIndex(count_slice).collect()
     bc.destroy()
     if counters is not None:
-        counters.work += sum(work for _, _, work in parts)
-    where = np.concatenate([w for w, _, _ in parts])  # arc positions at r = 2, else rows
-    cnts = np.concatenate([c for _, c, _ in parts])
-    if r == 2:  # float sums of int64 partials, exact below 2^53
-        return edge_counts(dg, np.bincount(where, weights=cnts, minlength=dg.m).astype(np.int64))
-    return sum_by_row(where, cnts, n)
+        counters.work += sum(work for _, work in parts)
+    return merge_counts(dg, r, [part for part, _ in parts])

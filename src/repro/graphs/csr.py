@@ -23,7 +23,7 @@ original or contracted, builds a set. At r = 2 an edge is an r-clique:
 ``edge_order`` lists DG's arcs in the lexicographic order of their
 edges, the order counting returns the r-cliques in, and ``edge_ids``,
 its inverse, gives each arc its edge's place in that order, the edge's
-r-clique id.
+r-clique id, which ``edge_id`` reads for any edge.
 """
 from __future__ import annotations
 
@@ -156,6 +156,15 @@ class CSR:
             return self.edge_order
         ids = np.empty(self.m, dtype=np.int64)
         ids[self.edge_order] = np.arange(self.m)
+        return ids
+
+    def edge_id(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Edge index of the edge {u[i], v[i]} of an oriented CSR, its
+        r-clique id at r = 2: its arc's ``edge_ids`` entry, -1 where the
+        edge is absent."""
+        pos = self.arc_set.find(self.edge_keys(u, v))
+        ids = self.edge_ids[pos]
+        ids[pos < 0] = -1
         return ids
 
 

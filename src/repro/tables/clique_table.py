@@ -294,12 +294,11 @@ class RowIds(CliqueTable):
     ``decode`` map r-cliques to their rows in ``vmat`` and back, as T's
     do. At r = 1 the rows are the vertices 0..n-1, so a vertex is its
     own row. At r = 2 the rows are the edges of ``dg``, the oriented
-    graph, and an edge is found as its arc in DG's arc map
-    (``CSR.arc_set``), whose ``CSR.edge_ids`` give the arc's row. It
-    holds no cells: 0 memory units, 0 allocated cells, ``max_probe`` 0
-    and a capacity of n_r, a fill of 1. It subclasses ``CliqueTable`` so
-    that code wrapping T's methods on the class and its subclasses
-    (nucbench's spans) reaches its own."""
+    graph, and ``CSR.edge_id`` gives an edge's row. It holds no cells: 0
+    memory units, 0 allocated cells, ``max_probe`` 0 and a capacity of
+    n_r, a fill of 1. It subclasses ``CliqueTable`` so that code
+    wrapping T's methods on the class and its subclasses (nucbench's
+    spans) reaches its own."""
 
     def __init__(self, vmat: np.ndarray, n: int, dg: CSR | None = None):
         vmat = np.asarray(vmat, dtype=np.int64)
@@ -320,10 +319,7 @@ class RowIds(CliqueTable):
         if self.r == 1:
             v = vmat[:, 0]
             return np.where((v >= 0) & (v < self.n), v, -1)
-        pos = self.dg.arc_set.find(self.dg.edge_keys(vmat[:, 0], vmat[:, 1]))
-        ids = self.dg.edge_ids[pos]
-        ids[pos < 0] = -1
-        return ids
+        return self.dg.edge_id(vmat[:, 0], vmat[:, 1])
 
     def decode(self, rows: np.ndarray) -> np.ndarray:
         """Rows -> (k, r) sorted vertex matrix."""

@@ -188,7 +188,8 @@ ORIENTATIONS = {"degree": degree_order, "id": lambda und: np.arange(und.n)}
 @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
 def test_edge_keys_find_every_edge_once(name, orientation):
     """Every arc of the undirected graph, asked for in either direction,
-    finds the one DG arc of its edge; a non-edge finds nothing. DG keeps
+    finds the one DG arc of its edge, and ``edge_id`` gives that arc's
+    place in ``edge_order``; a non-edge finds nothing, id -1. DG keeps
     its rank unless it is the id."""
     und = build_csr(SMALL_GRAPHS[name])
     rank = ORIENTATIONS[orientation](und)
@@ -199,9 +200,13 @@ def test_edge_keys_find_every_edge_once(name, orientation):
     got = np.sort(np.stack([dg.arc_src[pos], dg.nbrs[pos]], axis=1), axis=1)
     assert (pos >= 0).all() and np.array_equal(got, want)
     assert np.array_equal(np.bincount(pos, minlength=dg.m), np.full(dg.m, 2))
+    place = np.argsort(dg.edge_order)
+    assert np.array_equal(dg.edge_id(und.arc_src, und.nbrs), place[pos])
+    assert np.array_equal(dg.edge_id(und.nbrs, und.arc_src), place[pos])
     u, v = np.triu_indices(und.n, k=1)
     absent = ~np.isin(u * und.n + v, und.arc_keys)
     assert (dg.arc_set.find(dg.edge_keys(u[absent], v[absent])) == -1).all()
+    assert (dg.edge_id(u[absent], v[absent]) == -1).all()
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))

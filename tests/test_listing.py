@@ -11,9 +11,11 @@ from repro.cliques import listing
 from repro.cliques.listing import (
     Peeled,
     count_cliques,
+    count_partials,
     enumerate_cliques,
     extend_cliques,
     face_index,
+    merge_counts,
     peel_faces,
     s_counts_per_r_clique,
     sum_by_row,
@@ -255,15 +257,18 @@ def row_merge_counts(dg, r, s, roots=None):
 def test_r2_counts_match_row_merge(monkeypatch, name, s, orientation, chunk):
     """At r = 2 the per-arc sum gives the row-rank merge's rows and
     counts, dtypes included, and the same work: over all roots, a range
-    of them and one, in one chunk or many. With roots, every edge is
-    returned, and those with a nonzero partial count are the merge's."""
+    of them and one, in one chunk or many. The partials are the arcs
+    counted, ascending, with their nonzero counts; merged, every edge is
+    returned, and those with a nonzero count are the row-rank merge's."""
     if chunk is not None:
         monkeypatch.setattr(listing, "CHUNK", chunk)
     _, dg = oriented(name, orientation)
     every = None
     for roots in (None, np.arange(dg.n // 3, dg.n), np.array([1])):
         counters = Counters()
-        vmat, cnts = s_counts_per_r_clique(dg, 2, s, roots=roots, counters=counters)
+        arcs, part = count_partials(dg, 2, s, roots, counters)
+        assert (np.diff(arcs) > 0).all() and (part > 0).all()
+        vmat, cnts = merge_counts(dg, 2, [(arcs, part)])
         (want_vmat, want_cnts), work = row_merge_counts(dg, 2, s, roots)
         if roots is None:
             every = vmat
@@ -310,10 +315,10 @@ def test_face_index_matches_brute_force(name, r, wide):
             if r == 2:
                 assert R[faces.col[rid]] == sum(R) - face
         if r == 1:
-            assert faces.col is None and faces.arc_ids is None
+            assert faces.col is None
         else:
             edges = np.sort(np.stack([dg.arc_src, dg.nbrs], axis=1), axis=1)
-            assert [id_of[e] for e in map(tuple, edges.tolist())] == faces.arc_ids.tolist()
+            assert [id_of[e] for e in map(tuple, edges.tolist())] == dg.edge_ids.tolist()
         for v in range(und.n):
             pos = range(csr.offsets[v], csr.offsets[v + 1])
             comp = [(int(csr.nbrs[p]), int(faces.ids[p])) for p in pos]
@@ -429,19 +434,14 @@ def test_update_work_bounded_on_hub(monkeypatch, r, s):
 
 
 def test_roots_partition_counts():
-    """Counting over a partition of roots, the split Spark runs, sums to
-    the full counts: at r = 3 the parts merge by ``sum_by_row``, at r = 2
-    every part returns every edge and their counts add."""
+    """Counting over a partition of roots, the split Spark runs, merges to
+    the full counts, at r = 3 as rows and at r = 2 as per-arc counts."""
     _, dg = setup("er30")
     parts = [np.arange(lo, min(lo + 7, dg.n)) for lo in range(0, dg.n, 7)]
-    vmat, cnts = s_counts_per_r_clique(dg, 3, 4)
-    got = [s_counts_per_r_clique(dg, 3, 4, roots=roots) for roots in parts]
-    rows, sums = sum_by_row(np.concatenate([g[0] for g in got]), np.concatenate([g[1] for g in got]), dg.n)
-    assert cnts.sum() > 0 and np.array_equal(rows, vmat) and np.array_equal(sums, cnts)
-    vmat, cnts = s_counts_per_r_clique(dg, 2, 3)
-    got = [s_counts_per_r_clique(dg, 2, 3, roots=roots) for roots in parts]
-    assert all(np.array_equal(g[0], vmat) for g in got)
-    assert cnts.sum() > 0 and np.array_equal(sum(g[1] for g in got), cnts)
+    for r, s in [(3, 4), (2, 3)]:
+        vmat, cnts = s_counts_per_r_clique(dg, r, s)
+        rows, sums = merge_counts(dg, r, [count_partials(dg, r, s, roots) for roots in parts])
+        assert cnts.sum() > 0 and np.array_equal(rows, vmat) and np.array_equal(sums, cnts)
 
 
 def dup_rows(n, k, N, seed):
@@ -503,12 +503,12 @@ def _strictly_lex_increasing(vmat: np.ndarray) -> bool:
 @pytest.mark.parametrize("chunk", [None, 3])
 def test_s_counts_vmat_lex_sorted(monkeypatch, name, r, s, chunk):
     """Counting returns its r-cliques in lexicographic order, one chunk
-    or many, all roots or a range of them: the decomposition's output
-    order and table T's build rely on it."""
+    or many, all roots or the merged partials of a range of them: the
+    decomposition's output order and table T's build rely on it."""
     if chunk is not None:
         monkeypatch.setattr(listing, "CHUNK", chunk)
     _, dg = setup(name, "degeneracy")
     vmat, _ = s_counts_per_r_clique(dg, r, s)
     assert len(vmat) and _strictly_lex_increasing(vmat)
-    part, _ = s_counts_per_r_clique(dg, r, s, roots=np.arange(dg.n // 3, dg.n))
+    part, _ = merge_counts(dg, r, [count_partials(dg, r, s, np.arange(dg.n // 3, dg.n))])
     assert _strictly_lex_increasing(part)

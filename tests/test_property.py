@@ -6,11 +6,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cliques.listing import s_counts_per_r_clique
+from repro.cliques.listing import count_partials, merge_counts, s_counts_per_r_clique
 from repro.cliques.spark_count import spark_s_counts
 from repro.experiments import _best_config
 from repro.graphs.csr import build_csr, orient_csr
 from repro.graphs.orient import degeneracy_order, degree_order, make_rank, relabel
+from repro.instrument import Counters
 from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
 from repro.nucleus.reference import brute_force_cliques, reference_nucleus
 from repro.tables.clique_table import TableConfig, _strictly_increasing
@@ -330,6 +331,31 @@ def test_counts_match_brute_force_any_rank_random(graph, rs):
             expected[R] += 1
     assert [tuple(R) for R in vmat.tolist()] == list(expected)
     assert cnts.tolist() == list(expected.values())
+
+
+@given(ranked_graphs(), st.sampled_from([(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_merged_partials_match_counts_random(graph, rs, data):
+    """The partial counts of any split of the roots merge into local
+    counting's, arrays and dtypes included, and the parts' work sums to
+    the whole's. The split holds an empty part and a part past every
+    r-clique: the sinks, last in rank, which root no s-clique (and at
+    r >= 2 no r-clique); the other roots go in any order."""
+    und, rank = graph
+    r, s = rs
+    dg = orient_csr(und, rank)
+    whole = Counters()
+    vmat, cnts = s_counts_per_r_clique(dg, r, s, counters=whole)
+    sinks = dg.degrees() == 0
+    rest = np.array(data.draw(st.permutations(np.flatnonzero(~sinks).tolist())), dtype=np.int64)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rest)), max_size=4)))
+    roots = [rest[:0], *np.split(rest, cuts), np.flatnonzero(sinks)]
+    counters = [Counters() for _ in roots]
+    parts = [count_partials(dg, r, s, p, c) for p, c in zip(roots, counters)]
+    got_vmat, got_cnts = merge_counts(dg, r, parts)
+    assert np.array_equal(got_vmat, vmat) and np.array_equal(got_cnts, cnts)
+    assert got_vmat.dtype == vmat.dtype and got_cnts.dtype == cnts.dtype == np.int64
+    assert sum(c.work for c in counters) == whole.work
 
 
 @given(ranked_graphs(), st.sampled_from([(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)]), st.data())
