@@ -9,9 +9,11 @@ round with a synchronization barrier. This is exactly the behaviour
 behind the paper's "PND performs 5608-84170x the number of rounds of
 ARB-NUCLEUS-DECOMP" measurement: here ``rounds`` equals the number of
 peeled r-cliques. Each peel runs ARB's UPDATE (``extend_cliques``) on
-one r-clique, with the r-cliques' row numbers as their ids and the
-peel order as their rounds. The two share their peel order and
-results, so ``nd_decomposition`` serves for both.
+one r-clique, with the r-cliques' row numbers as their ids, the
+peel order as their rounds and ARB's id map (``make_table``), which
+names the r-subsets of each listed s-clique where UPDATE does not. The
+two share their peel order and results, so ``nd_decomposition`` serves
+for both.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from ..cliques.listing import Peeled, extend_cliques, peel_faces, s_counts_per_r
 from ..graphs.csr import build_csr, orient_csr
 from ..graphs.orient import make_rank
 from ..instrument import Counters
+from ..tables.clique_table import make_table
 
 __all__ = ["nd_decomposition"]
 
@@ -37,7 +40,8 @@ def nd_decomposition(edges: np.ndarray, r: int, s: int):
     counters = Counters()
     vmat, cnts = s_counts_per_r_clique(dg, r, s, counters=counters)
     faces = peel_faces(und, dg, vmat)
-    row_of = {R: i for i, R in enumerate(map(tuple, vmat.tolist()))}
+    table = make_table(vmat, und.n, dg=dg)
+    subs_cols = np.array(list(combinations(range(s), r)), dtype=np.int64)
     order = np.full(len(vmat), -1, dtype=np.int64)  # peel round of every row, -1 while live
     counts, core = cnts.tolist(), [0] * len(vmat)
     heap = list(zip(counts, range(len(vmat))))  # ties by row: vmat is in lexicographic order
@@ -55,10 +59,11 @@ def nd_decomposition(edges: np.ndarray, r: int, s: int):
         if c == 0:
             continue
         one = np.array([i])
-        found = extend_cliques(dg, vmat[one], s - r, counters, Peeled(order, one, faces))
-        found.sort(axis=1)
-        for row in found.tolist():
-            subs = [row_of[sub] for sub in combinations(row, r)]
+        found, ids = extend_cliques(dg, vmat[one], s - r, counters, Peeled(order, one, faces, table))
+        if ids is None:
+            found.sort(axis=1)
+            ids = table.lookup(found[:, subs_cols].reshape(-1, r)).reshape(len(found), -1)
+        for subs in ids.tolist():
             if any(0 <= order[j] < now for j in subs):
                 continue  # s-clique already destroyed by an earlier peel
             for j in subs:

@@ -47,10 +47,14 @@ completions at r >= 3. A completion whose r-clique was peeled in an
 earlier round is dropped before any probe, since every s-clique through
 it is dead. At r >= 2 each kept w is then probed against the one vertex
 of R outside F in DG's map, by the key of the edge's arc in rank
-direction (``CSR.edge_keys``). At r = 2 that edge is an r-clique too: a
-hit gives its r-clique id (``CSR.edge_id``), and w is dropped if the
-edge was peeled in an earlier round. With nothing peeled (every round
--1) nothing is dropped.
+direction (``CSR.edge_keys``). At r = 2 that edge is an r-clique too:
+the loop's id map gives its id (``Peeled.table``, whose ``lookup``
+reads DG's arc map and ``CSR.edge_ids``), and w is dropped if the edge
+was peeled in an earlier round. With nothing peeled (every round -1)
+nothing is dropped. Where UPDATE so holds the id of every r-subset of
+what it lists, at r = 1 (the vertices) and at (2,3) (the source, the
+completed and the probed edge), it returns them with the listing, and
+the loop looks nothing up.
 
 Work matches O(m * alpha^(c-2)) per Shi et al. [60]. The kernel adds
 its operation count (candidates gathered plus probes and lookups) to
@@ -67,6 +71,7 @@ import numpy as np
 
 from ..graphs.csr import CSR
 from ..instrument import Counters
+from ..tables.clique_table import CliqueTable
 from ..tables.packing import row_ranks
 
 __all__ = [
@@ -290,11 +295,13 @@ class Faces(NamedTuple):
 
 
 class Peeled(NamedTuple):
-    """The peeling loop's state that lets UPDATE drop dead candidates."""
+    """The peeling loop's state that lets UPDATE drop dead candidates and
+    name the r-cliques of what it lists."""
 
     round: np.ndarray  # peel round of every r-clique id, -1 while live
     ids: np.ndarray  # id of each r-clique listed, all peeled in one round
     faces: Faces
+    table: CliqueTable  # the loop's id map; UPDATE's r = 2 probe asks it
 
 
 def _face_keys(rows: np.ndarray, n: int) -> np.ndarray:
@@ -385,34 +392,44 @@ def extend_cliques(
     need: int,
     counters: Counters,
     peeled: Peeled,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Every s-clique containing each r-clique of A, where need = s - r
     (UPDATE, Algorithm 2 lines 15-17, batched over the peeled set A),
     less those through an r-clique peeled before A's round.
 
-    Returns a (found, r + need) matrix: each row is its source row of
-    ``A_rows`` followed by the extra vertices, so a listed s-clique
-    appears once per r-clique of A it contains. Each row's candidate set
-    is I_R, the common neighbourhood of the row in the undirected graph:
-    the completions of its face F (``peeled.faces``), which are at most
-    min_i deg(v_i) (the work of Lemma 4.1), each probed at r >= 2 against
-    the one vertex of the row outside F in DG's arc map
-    (``CSR.edge_keys``), since DG holds each edge of the graph once, in
-    rank direction. The extra vertices are the need-cliques of DG inside
-    I_R: one ``_enter``, as I_R may be a whole neighbourhood, then
-    need - 2 ``_step``s and one ``_grow``.
+    Returns ``(found, ids)``. ``found`` is a (found, r + need) matrix:
+    each row is its source row of ``A_rows`` followed by the extra
+    vertices, so a listed s-clique appears once per r-clique of A it
+    contains. Each row's candidate set is I_R, the common neighbourhood
+    of the row in the undirected graph: the completions of its face F
+    (``peeled.faces``), which are at most min_i deg(v_i) (the work of
+    Lemma 4.1), each probed at r >= 2 against the one vertex of the row
+    outside F in DG's arc map (``CSR.edge_keys``), since DG holds each
+    edge of the graph once, in rank direction. The extra vertices are
+    the need-cliques of DG inside I_R: one ``_enter``, as I_R may be a
+    whole neighbourhood, then need - 2 ``_step``s and one ``_grow``.
+
+    ``ids`` is a (found, C(r + need, r)) matrix of the id of every
+    r-subset of each row, in ``combinations`` order over the row's
+    columns, so column 0 is the source row's id, where UPDATE already
+    holds them all: at r = 1, where the ids are the vertices and ``ids``
+    is ``found`` itself, and at (2,3), where they are the source's, the
+    completed edge's (the face's) and the probed edge's. Elsewhere it is
+    None.
 
     A completion is dropped before any probe if its r-clique was peeled
     in a round before the row's (``peeled.round``), or is the row itself.
-    At r = 2 a completion whose probed edge was peeled before the row's
-    round is dropped as well (``CSR.edge_id``). Every s-clique through
-    a dropped completion holds that r-clique, so it is dead; every later
-    level draws from I_R, so no other level tests it. With every round
-    -1 nothing is peeled before, and every s-clique is listed.
+    At r = 2 the probed edge is an r-clique too, whose id the loop's id
+    map gives (``peeled.table.lookup``); a completion whose probed edge
+    was peeled before the row's round is dropped as well. Every s-clique
+    through a dropped completion holds that r-clique, so it is dead;
+    every later level draws from I_R, so no other level tests it. With
+    every round -1 nothing is peeled before, and every s-clique is
+    listed.
     """
     r = A_rows.shape[1]
     faces = peeled.faces
-    parts = []
+    parts, id_parts = [], []
     for lo in range(0, len(A_rows), CHUNK):
         B = A_rows[lo : lo + CHUNK]
         own = peeled.ids[lo : lo + CHUNK]
@@ -423,17 +440,22 @@ def extend_cliques(
         # as unsigned, -1 (live) is above every round: this keeps the
         # completions not peeled before the rows' round
         now = np.uint64(peeled.round[own[0]])
-        keep = ((peeled.round[rid].view(np.uint64) >= now) & (rid != own[i])).nonzero()[0]
-        i, w = i[keep], w[keep]
+        live = ((peeled.round[rid].view(np.uint64) >= now) & (rid != own[i])).nonzero()[0]
+        i, w = i[live], w[live]
         if r > 1:  # the one vertex the face leaves out
-            head = B[np.arange(len(B)), faces.col[own]]
+            col = faces.col[own]
+            head = B[np.arange(len(B)), col]
             counters.work += len(w)
             if r == 2:  # the edge {head, w} is an r-clique, dead if peeled earlier
-                rid = dg.edge_id(head[i], w)
-                keep = ((rid >= 0) & (peeled.round[rid].view(np.uint64) >= now)).nonzero()[0]
+                pid = peeled.table.lookup(np.column_stack([head[i], w]))
+                keep = ((pid >= 0) & (peeled.round[pid].view(np.uint64) >= now)).nonzero()[0]
             else:
                 keep = dg.arc_set.contains(dg.edge_keys(head[i], w)).nonzero()[0]
             i, w = i[keep], w[keep]
+            if (r, need) == (2, 1):  # the rows (B0, B1, w): F ∪ {w} is rid, {head, w} pid
+                rid, pid = rid[live[keep]], pid[keep]
+                at1 = col[i] == 1  # head is B1, so {B0, w} is F ∪ {w}
+                id_parts.append(np.column_stack([own[i], np.where(at1, rid, pid), np.where(at1, pid, rid)]))
         frontier = B, i, w
         if need > 1:
             frontier = _enter(dg, *frontier, counters)
@@ -442,4 +464,8 @@ def extend_cliques(
         parts.append(_grow(*frontier))
     found = np.concatenate(parts) if parts else np.empty((0, r + need), dtype=np.int64)
     counters.scliques_discovered += len(found)
-    return found
+    if r == 1:
+        return found, found
+    if (r, need) == (2, 1):
+        return found, np.concatenate(id_parts) if id_parts else np.empty((0, 3), dtype=np.int64)
+    return found, None

@@ -23,7 +23,9 @@ original or contracted, builds a set. At r = 2 an edge is an r-clique:
 ``edge_order`` lists DG's arcs in the lexicographic order of their
 edges, the order counting returns the r-cliques in, and ``edge_ids``,
 its inverse, gives each arc its edge's place in that order, the edge's
-r-clique id, which ``edge_id`` reads for any edge.
+r-clique id, which ``edge_id`` reads for any edge in one gather: the
+map holds one more entry, -1, which an arc map miss (position -1)
+reads, as T's ``row_of_cell`` does.
 """
 from __future__ import annotations
 
@@ -148,24 +150,25 @@ class CSR:
         return np.argsort(lo * (self.n - 1) + self.arc_src + self.nbrs)
 
     @cached_property
+    def _edge_id_of_pos(self) -> np.ndarray:
+        """``edge_ids`` followed by -1: an arc map miss (position -1) reads
+        the extra last entry. Computed once per graph."""
+        ids = np.full(self.m + 1, -1, dtype=np.int64)
+        ids[self.edge_order] = np.arange(self.m)
+        return ids
+
+    @property
     def edge_ids(self) -> np.ndarray:
         """Edge index of every arc of an oriented CSR, by CSR position: the
         arc's place in ``edge_order``, its inverse. At r = 2 it is the
-        arc's r-clique id. Computed once per graph."""
-        if self.rank is None:
-            return self.edge_order
-        ids = np.empty(self.m, dtype=np.int64)
-        ids[self.edge_order] = np.arange(self.m)
-        return ids
+        arc's r-clique id."""
+        return self._edge_id_of_pos[:-1]
 
     def edge_id(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Edge index of the edge {u[i], v[i]} of an oriented CSR, its
         r-clique id at r = 2: its arc's ``edge_ids`` entry, -1 where the
         edge is absent."""
-        pos = self.arc_set.find(self.edge_keys(u, v))
-        ids = self.edge_ids[pos]
-        ids[pos < 0] = -1
-        return ids
+        return self._edge_id_of_pos[self.arc_set.find(self.edge_keys(u, v))]
 
 
 MAX_N = 3_037_000_499  # the largest n whose arc keys u * n + v fit in int64

@@ -17,21 +17,26 @@ Phases:
 4. Peel rounds over ``Bucketing``, the one peel state: each r-clique's
    count and peel round, and each round's level k, from which the core
    numbers are read at the end. Extract the r-cliques at or below k,
-   re-list the s-cliques incident to them (UPDATE), dedup these with a
-   row rank and lower the structure's counts by 1 per distinct s-clique
-   in place (the sum of UPDATE-FUNC's 1/a per listing); aggregate the
-   updated set U with the chosen §5.5 structure and report it to the
-   structure, which re-buckets it. UPDATE draws each peeled r-clique's
-   I_R from the completions of its face (``listing.Faces``), each
-   carrying the id of the r-clique it completes, and drops those
-   peeled in an earlier round, whose s-cliques are all dead. The faces
+   re-list the s-cliques incident to them (UPDATE), keep one listing
+   per distinct s-clique and lower the structure's counts by 1 per kept
+   listing in place (the sum of UPDATE-FUNC's 1/a per listing);
+   aggregate the updated set U with the chosen §5.5 structure and
+   report it to the structure, which re-buckets it. At r = 1 and (2,3)
+   UPDATE names every r-subset of what it lists, so the round keeps the
+   listing from each s-clique's least id peeled this round
+   (``least_id_listings``) and looks nothing up; elsewhere it dedups
+   the sorted rows with a row rank and looks the r-subsets up in the id
+   map. UPDATE draws each peeled r-clique's I_R from the completions of
+   its face (``listing.Faces``), each carrying the id of the r-clique
+   it completes, and drops those peeled in an earlier round, whose
+   s-cliques are all dead. The faces
    are the loop's only graph state, built once by ``peel_faces`` (at
    r >= 3 the (r-1)-faces of the r-cliques, at r <= 2 the vertices of
    the graph); §5.6 contraction, at (2,3) only, filters them. Each
    completion is then probed in DG's arc map, the only arc structure; at
-   r = 2 the probed edge is an r-clique as well, and the faces' id of
-   every DG arc lets UPDATE drop a completion whose probed edge was
-   peeled earlier.
+   r = 2 the probed edge is an r-clique as well, whose id the id map
+   gives, and UPDATE drops a completion whose probed edge was peeled
+   earlier.
 
 The peeling loop runs driver-side over numpy structures: with thousands
 of rounds, per-round Spark jobs would measure scheduler overhead rather
@@ -101,6 +106,15 @@ class DecompResult:
         return {tuple(row): int(c) for row, c in zip(self.vmat, self.core)}
 
 
+def least_id_listings(ids: np.ndarray, st: np.ndarray, now: int) -> np.ndarray:
+    """Mask of the UPDATE listings a round keeps when UPDATE names every
+    r-subset of each (``ids``, column 0 the source's, ``st`` their peel
+    rounds): a listed s-clique S is kept from the least id among its
+    r-subsets peeled this round (``now``). UPDATE lists S from each of
+    them or, dead, from none, so S is kept exactly once."""
+    return ~((st == now) & (ids < ids[:, :1])).any(axis=1)
+
+
 def nucleus_decomposition(
     edges: np.ndarray,
     r: int,
@@ -168,21 +182,25 @@ def nucleus_decomposition(
         counters.work += len(A)
         agg.begin_round(len(A), est_per_peel * max(1, k))
 
-        s_mat = np.empty((0, s), dtype=np.int64)
+        s_mat, ids = np.empty((0, s), dtype=np.int64), None
         if k > 0:  # a k = 0 bucket has no incident s-clique left to list
-            s_mat = extend_cliques(dg, table.decode(A), s - r, counters, Peeled(peeled, A, faces))
+            s_mat, ids = extend_cliques(dg, table.decode(A), s - r, counters, Peeled(peeled, A, faces, table))
         counters.span_logs += (s - r) * log2n
 
         if len(s_mat):
-            s_mat.sort(axis=1)
             # a valid S is listed once per r-subset in A, i.e. a times,
             # so 1 per distinct S sums to the paper's 1/a per listing
             counters.work += s_mat.size
             counters.span_logs += log2(max(2, len(s_mat)))
-            s_mat = row_ranks(s_mat, n_verts)[1]
-            flat = s_mat[:, subs_cols].reshape(-1, r)
-            idxs = table.lookup(flat).reshape(len(s_mat), len(subs_cols))
-            st = peeled[idxs]
+            if ids is None:  # one row per distinct S, then its r-subsets' ids
+                s_mat.sort(axis=1)
+                s_mat = row_ranks(s_mat, n_verts)[1]
+                idxs = table.lookup(s_mat[:, subs_cols].reshape(-1, r)).reshape(len(s_mat), len(subs_cols))
+                st = peeled[idxs]
+            else:  # UPDATE gave the ids: one listing per S, from its least id in A
+                st = peeled[ids]
+                first = least_id_listings(ids, st, now)
+                idxs, st = ids[first], st[first]
             prev = (st >= 0) & (st < now)
             valid = ~prev.any(axis=1)
             counters.dead_scliques += len(valid) - int(np.count_nonzero(valid))

@@ -16,6 +16,7 @@ from repro.cliques.listing import Peeled, extend_cliques, peel_faces, s_counts_p
 from repro.graphs.csr import CSR
 from repro.graphs.gen import community_graph, erdos_renyi, rmat
 from repro.instrument import Counters
+from repro.tables.clique_table import make_table
 
 FIG1_EDGES = np.array(
     sorted(
@@ -81,10 +82,11 @@ BENCH_GRAPHS: dict[str, Callable[[], np.ndarray]] = {
 def update_unpeeled(
     und: CSR, dg: CSR, A_rows: np.ndarray, need: int, counters: Counters | None = None
 ) -> np.ndarray:
-    """UPDATE over the r-cliques ``A_rows`` (sorted rows) of ``und`` with
-    nothing peeled, every round -1: every s-clique containing each row,
-    led by that row. The faces and ids are the decomposition's: each
-    r-clique's id is its row in counting's order."""
+    """UPDATE's listing over the r-cliques ``A_rows`` (sorted rows) of
+    ``und`` with nothing peeled, every round -1: every s-clique
+    containing each row, led by that row. The faces, ids and id map are
+    the decomposition's: each r-clique's id is its row in counting's
+    order."""
     r = A_rows.shape[1]
     vmat = s_counts_per_r_clique(dg, r, r + 1)[0]
     faces = peel_faces(und, dg, vmat)
@@ -92,4 +94,5 @@ def update_unpeeled(
     own = np.array([row_of[R] for R in map(tuple, A_rows.tolist())], dtype=np.int64)
     live = np.full(len(vmat), -1, dtype=np.int64)
     counters = Counters() if counters is None else counters
-    return extend_cliques(dg, A_rows, need, counters, Peeled(live, own, faces))
+    table = make_table(vmat, und.n, dg=dg)
+    return extend_cliques(dg, A_rows, need, counters, Peeled(live, own, faces, table))[0]

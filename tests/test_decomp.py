@@ -469,7 +469,7 @@ def test_no_dead_vertex_listed_at_r1(monkeypatch, name, s):
 
         def spy(dg, A_rows, need, counters, peeled):
             out = listing_fn(dg, A_rows, need, counters, peeled)
-            calls.append((A_rows[:, 0].copy(), out))
+            calls.append((A_rows[:, 0].copy(), out[0]))
             return out
 
         monkeypatch.setattr(decomp, "extend_cliques", spy)
@@ -499,8 +499,8 @@ def test_peeled_listing_is_subset(monkeypatch, name, r, s, contraction):
 
     def spy(dg, A_rows, need, counters, peeled):
         out = listing.extend_cliques(dg, A_rows, need, counters, peeled)
-        full = unpruned(dg, A_rows, need, Counters(), peeled)
-        got, want = Counter(map(tuple, out.tolist())), Counter(map(tuple, full.tolist()))
+        full = unpruned(dg, A_rows, need, Counters(), peeled)[0]
+        got, want = Counter(map(tuple, out[0].tolist())), Counter(map(tuple, full.tolist()))
         assert got <= want
         now = peeled.round[peeled.ids[0]]
         assert (peeled.round[peeled.ids] == now).all()
@@ -518,6 +518,55 @@ def test_peeled_listing_is_subset(monkeypatch, name, r, s, contraction):
     assert res.core_dict() == reference_nucleus(edges, r, s)
     if name == "dying":
         assert sum(dropped) > 0, "some round drops a dead s-clique"
+
+
+@pytest.mark.parametrize("name", ["fig1", "k7", "er40", "comm", "rmat6"])
+@pytest.mark.parametrize("r,s", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("relabel", [False, True])
+def test_loop_reads_ids_from_update(monkeypatch, name, r, s, relabel):
+    """At r = 1 and (2,3) UPDATE names every r-subset of what it lists, so
+    the loop itself neither dedups rows (``row_ranks``) nor looks ids up
+    (``table.lookup``); UPDATE's own r = 2 probe still asks the table.
+    Under relabeling the one ``row_ranks`` call re-sorts the output after
+    the loop. At (2,4) and (3,4) the loop does both, every round that
+    lists an s-clique."""
+    calls = Counter()
+    in_update = []
+    row_ranks = decomp.row_ranks
+
+    def ranks_spy(*a):
+        calls["row_ranks"] += 1
+        return row_ranks(*a)
+
+    def update_spy(*a):
+        in_update.append(True)
+        try:
+            return listing.extend_cliques(*a)
+        finally:
+            in_update.pop()
+
+    def table_spy(*a):
+        table = make_table(*a)
+        lookup = table.lookup
+
+        def lookup_spy(vmat):
+            calls["update lookup" if in_update else "loop lookup"] += 1
+            return lookup(vmat)
+
+        table.lookup = lookup_spy
+        return table
+
+    monkeypatch.setattr(decomp, "row_ranks", ranks_spy)
+    monkeypatch.setattr(decomp, "extend_cliques", update_spy)
+    monkeypatch.setattr(decomp, "make_table", table_spy)
+    edges = SMALL_GRAPHS[name]
+    res = nucleus_decomposition(edges, r, s, DecompConfig(relabel=relabel))
+    assert res.core_dict() == reference_nucleus(edges, r, s)
+    if r == 1 or (r, s) == (2, 3):
+        assert calls["row_ranks"] == int(relabel) and calls["loop lookup"] == 0
+        assert (calls["update lookup"] > 0) == (r == 2)
+    else:
+        assert calls["row_ranks"] - int(relabel) == calls["loop lookup"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))

@@ -27,6 +27,7 @@ from repro.graphs.orient import degree_order, make_rank
 from repro.instrument import Counters
 from repro.nucleus.decomp import nucleus_decomposition
 from repro.nucleus.reference import brute_force_cliques
+from repro.tables.clique_table import make_table
 from repro.tables.packing import row_ranks
 
 from .fixtures import SMALL_GRAPHS, update_unpeeled
@@ -139,6 +140,14 @@ def test_batched_update_multiplicity(name, r, s):
         assert set(got.values()) <= {1}, "once per (source row, s-clique)"
 
 
+def random_rounds(rng, n_r, frac):
+    """Peel rounds of n_r r-cliques: about ``frac`` of them peeled in
+    rounds 0-2, a fifth of all live (-1), the rest peeled now, round 3."""
+    rounds = np.where(rng.random(n_r) < frac, rng.integers(0, 3, n_r), 3)
+    rounds[rng.random(n_r) < 0.2] = -1
+    return rounds
+
+
 def chosen_face(faces, R, rid):
     """The face UPDATE draws R's completions from (r >= 2): R less the
     vertex in column ``col``."""
@@ -159,14 +168,14 @@ def test_extend_drops_dead_vertices(name, r, s):
     rng = np.random.default_rng(len(vmat) * 31 + s)
     faces = peel_faces(und, dg, vmat)
     live = np.full(len(vmat), -1, dtype=np.int64)
+    table = make_table(vmat, und.n, dg=dg)
     of = {R: i for i, R in enumerate(map(tuple, vmat.tolist()))}  # an r-clique's id is its row
     for frac in (0.0, 0.3, 0.7):
-        rounds = np.where(rng.random(len(vmat)) < frac, rng.integers(0, 3, len(vmat)), 3)
-        rounds[rng.random(len(vmat)) < 0.2] = -1
+        rounds = random_rounds(rng, len(vmat), frac)
         A = (rounds == 3).nonzero()[0]
-        full = extend_cliques(dg, vmat[A], s - r, Counters(), Peeled(live, A, faces))
+        full = extend_cliques(dg, vmat[A], s - r, Counters(), Peeled(live, A, faces, table))[0]
         counters = Counters()
-        out = extend_cliques(dg, vmat[A], s - r, counters, Peeled(rounds, A, faces))
+        out = extend_cliques(dg, vmat[A], s - r, counters, Peeled(rounds, A, faces, table))[0]
         assert counters.scliques_discovered == len(out)
         assert Counter(map(tuple, out.tolist())) <= Counter(map(tuple, full.tolist()))
         earlier = {R for R, t in zip(of, rounds.tolist()) if 0 <= t < 3}
@@ -207,13 +216,13 @@ def test_extend_drops_dead_probed_edges_at_r2(name, s, orientation):
     rng = np.random.default_rng(len(vmat) * 31 + s)
     faces = peel_faces(und, dg, vmat)
     live = np.full(len(vmat), -1, dtype=np.int64)
+    table = make_table(vmat, und.n, dg=dg)
     of = {R: i for i, R in enumerate(map(tuple, vmat.tolist()))}
     for frac in (0.0, 0.3, 0.7):
-        rounds = np.where(rng.random(len(vmat)) < frac, rng.integers(0, 3, len(vmat)), 3)
-        rounds[rng.random(len(vmat)) < 0.2] = -1
+        rounds = random_rounds(rng, len(vmat), frac)
         A = (rounds == 3).nonzero()[0]
-        full = extend_cliques(dg, vmat[A], s - 2, Counters(), Peeled(live, A, faces))
-        out = extend_cliques(dg, vmat[A], s - 2, Counters(), Peeled(rounds, A, faces))
+        full = extend_cliques(dg, vmat[A], s - 2, Counters(), Peeled(live, A, faces, table))[0]
+        out = extend_cliques(dg, vmat[A], s - 2, Counters(), Peeled(rounds, A, faces, table))[0]
         assert Counter(map(tuple, out.tolist())) <= Counter(map(tuple, full.tolist()))
         earlier = {R for R, t in zip(of, rounds.tolist()) if 0 <= t < 3}
         kept = set(map(tuple, out.tolist()))
@@ -226,6 +235,47 @@ def test_extend_drops_dead_probed_edges_at_r2(name, s, orientation):
         if s == 3:  # every r-subset of a triangle is the row, {F, w} or {head, w}
             for row in out.tolist():
                 assert not any(sub in earlier for sub in combinations(sorted(row), 2))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+@pytest.mark.parametrize("r,s", [(1, 2), (1, 3), (1, 4), (2, 3)])
+@pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+def test_update_ids_are_lookups(name, r, s, orientation):
+    """At r = 1 and (2,3) UPDATE returns, with each listed row, the id of
+    every r-subset of the row in ``combinations`` order over its columns,
+    the ids ``table.lookup`` gives, so column 0 is the source row's; at
+    r = 1 they are the row itself. This holds under any peel state, and
+    with nothing peeled."""
+    und, dg = oriented(name, orientation)
+    vmat = s_counts_per_r_clique(dg, r, s)[0]
+    table = make_table(vmat, und.n, dg=dg)
+    faces = peel_faces(und, dg, vmat)
+    subs = list(combinations(range(s), r))
+    rng = np.random.default_rng(len(vmat) * 31 + s)
+    for frac in (0.0, 0.3, 0.7):
+        rounds = random_rounds(rng, len(vmat), frac)
+        A = (rounds == 3).nonzero()[0]
+        for peel in (rounds, np.full(len(vmat), -1, dtype=np.int64)):
+            out, ids = extend_cliques(dg, vmat[A], s - r, Counters(), Peeled(peel, A, faces, table))
+            assert ids.shape == (len(out), len(subs)) and ids.dtype == np.int64
+            want = table.lookup(np.sort(out[:, subs], axis=2).reshape(-1, r)).reshape(ids.shape)
+            assert np.array_equal(ids, want)
+            assert np.isin(ids[:, 0], A).all() and (ids >= 0).all()
+            if r == 1:
+                assert ids is out
+
+
+@pytest.mark.parametrize("name", ["fig1", "k6", "er30", "comm", "rmat6"])
+@pytest.mark.parametrize("r,s", [(2, 4), (2, 5), (3, 4)])
+def test_update_ids_absent_elsewhere(name, r, s):
+    """Outside r = 1 and (2,3) UPDATE names no r-subset: the ids are None."""
+    und, dg = setup(name, "degeneracy")
+    vmat = s_counts_per_r_clique(dg, r, s)[0]
+    A = np.arange(len(vmat))
+    live = np.full(len(vmat), -1, dtype=np.int64)
+    peeled = Peeled(live, A, peel_faces(und, dg, vmat), make_table(vmat, und.n, dg=dg))
+    out, ids = extend_cliques(dg, vmat, s - r, Counters(), peeled)
+    assert ids is None and len(out) == comb(s, r) * count_cliques(dg, s)
 
 
 def row_merge_counts(dg, r, s, roots=None):
@@ -427,7 +477,8 @@ def test_update_work_bounded_on_hub(monkeypatch, r, s):
 
     monkeypatch.setattr(CSR, "arcs", spy)
     counters = Counters()
-    out = extend_cliques(dg, A, s - r, counters, Peeled(np.zeros(len(A), dtype=np.int64), np.arange(len(A)), faces))
+    peeled = Peeled(np.zeros(len(A), dtype=np.int64), np.arange(len(A)), faces, make_table(A, und.n, dg=dg))
+    out = extend_cliques(dg, A, s - r, counters, peeled)[0]
     assert len(out) == comb(s, r) * count_cliques(dg, s)
     assert counters.work <= 8 * m * d ** (s - 2)
     assert (np.concatenate(gathered) <= und.degrees()[A].min(axis=1)).all()

@@ -6,16 +6,24 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cliques.listing import count_partials, merge_counts, s_counts_per_r_clique
+from repro.cliques.listing import (
+    Peeled,
+    count_partials,
+    extend_cliques,
+    merge_counts,
+    peel_faces,
+    s_counts_per_r_clique,
+)
 from repro.cliques.spark_count import spark_s_counts
 from repro.experiments import _best_config
 from repro.graphs.csr import build_csr, orient_csr
 from repro.graphs.orient import degeneracy_order, degree_order, make_rank, relabel
 from repro.instrument import Counters
-from repro.nucleus.decomp import DecompConfig, nucleus_decomposition
+from repro.nucleus.decomp import DecompConfig, least_id_listings, nucleus_decomposition
 from repro.nucleus.reference import brute_force_cliques, reference_nucleus
-from repro.tables.clique_table import TableConfig, _strictly_increasing
+from repro.tables.clique_table import TableConfig, _strictly_increasing, make_table
 from repro.tables.open_addr import EMPTY_BIT, KeySet, insert, region_find
+from repro.tables.packing import row_ranks
 
 from .fixtures import update_unpeeled
 
@@ -356,6 +364,30 @@ def test_merged_partials_match_counts_random(graph, rs, data):
     assert np.array_equal(got_vmat, vmat) and np.array_equal(got_cnts, cnts)
     assert got_vmat.dtype == vmat.dtype and got_cnts.dtype == cnts.dtype == np.int64
     assert sum(c.work for c in counters) == whole.work
+
+
+@given(ranked_graphs(), st.sampled_from([(1, 2), (1, 3), (1, 4), (2, 3)]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_least_id_rule_keeps_each_sclique_once_random(graph, rs, data):
+    """Where UPDATE names every r-subset (r = 1 and (2,3)), the loop's
+    least-id rule keeps exactly one listing of each distinct s-clique that
+    the row-rank dedup finds, the one from its least id peeled this round,
+    under any peel state: earlier rounds, this round (2) and live (-1)."""
+    und, rank = graph
+    r, s = rs
+    dg = orient_csr(und, rank)
+    vmat = s_counts_per_r_clique(dg, r, s)[0]
+    n_r = len(vmat)
+    rounds = np.array(data.draw(st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=n_r, max_size=n_r)), dtype=np.int64)
+    A = (rounds == 2).nonzero()[0]
+    peeled = Peeled(rounds, A, peel_faces(und, dg, vmat), make_table(vmat, und.n, dg=dg))
+    out, ids = extend_cliques(dg, vmat[A], s - r, Counters(), peeled)
+    peel_of = rounds[ids]
+    keep = least_id_listings(ids, peel_of, 2)
+    kept = np.sort(out[keep], axis=1)
+    assert np.array_equal(row_ranks(kept, und.n)[1], row_ranks(np.sort(out, axis=1), und.n)[1])
+    assert len(np.unique(kept, axis=0)) == len(kept)
+    assert (ids[keep, 0] == np.where(peel_of[keep] == 2, ids[keep], len(vmat)).min(axis=1)).all()
 
 
 @given(ranked_graphs(), st.sampled_from([(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)]), st.data())
